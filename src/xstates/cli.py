@@ -4,6 +4,11 @@ Exit codes: 0 on success, 1 for usage or configuration problems, 2 when the
 requested state is not a genuine density matrix.  Sweep output is plain CSV
 (or a JSON mirror) with fixed column order and 15-significant-digit number
 formatting, so identical configurations produce byte-identical files.
+
+Every option is declared once, in its subcommand's parser.  A ``--config``
+file may set any of them by dest name; its values become the parser's
+defaults, so a flag beats the config file and the config file beats the
+built-in default.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from .xstate import (
-    StateClass,
     XParams,
     ZeroDenominatorError,
     apply_power_channel,
@@ -45,26 +49,47 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    """One CSV cell or report value; floats get 15 significant digits."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, str)):
+        return str(x)
     return format(float(x), ".15g")
 
 
-def _fmt_bool(x: bool) -> str:
-    return "true" if x else "false"
+def _text(value) -> str:
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_fmt(v)}" for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return " ".join(_fmt(v) for v in value)
+    return _fmt(value)
+
+
+def _render(report: dict, as_json: bool) -> str:
+    """A report as indented JSON, or as one ``key: value`` line per entry."""
+    if as_json:
+        return json.dumps(report, indent=2) + "\n"
+    return "".join(f"{key}: {_text(value)}\n" for key, value in report.items())
 
 
 # ---------------------------------------------------------------------------
 # configuration files
 
 
-def _load_config(path: str, allowed: frozenset[str]) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment."""
+def _load_config(path: str, options: dict[str, argparse.Action]) -> dict:
+    """Read a flat ``key = value`` file; '#' starts a comment.
+
+    Each value is converted with its option's own type.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config {path}: {exc}")
-    out: dict[str, str] = {}
+    out = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,28 +97,22 @@ def _load_config(path: str, allowed: frozenset[str]) -> dict[str, str]:
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed:
+        action = options.get(key)
+        if action is None:
             raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in out:
             raise _UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
-        out[key] = value
+        if action.choices is not None and value not in action.choices:
+            raise _UsageError(f"unknown {key} {value!r}")
+        try:
+            out[key] = value if action.type is None else action.type(value)
+        except ValueError as exc:
+            raise _UsageError(f"config key {key!r}: {exc}")
     return out
 
 
-def _pick(args: argparse.Namespace, cfg: dict[str, str], key: str, conv, default=None):
-    """Flag value if given, else config value, else default."""
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        try:
-            return conv(cfg[key])
-        except ValueError as exc:
-            raise _UsageError(f"config key {key!r}: {exc}")
-    return default
-
-
-def _require(value, option: str):
+def _require(args: argparse.Namespace, option: str):
+    value = getattr(args, option[2:].replace("-", "_"))
     if value is None:
         raise _UsageError(f"missing required option {option} (flag or config)")
     return value
@@ -114,23 +133,30 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
+_DEFAULT = " (default %(default)s)"
+
+
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, help="outer diagonal entry")
-    p.add_argument("--b", type=float, help="inner diagonal entry")
-    p.add_argument("--c-abs", type=float, help="inner coherence magnitude")
-    p.add_argument("--c-phase", type=float, help="inner coherence phase, radians (default 0)")
-    p.add_argument("--d-abs", type=float, help="outer coherence magnitude")
-    p.add_argument("--d-phase", type=float, help="outer coherence phase, radians (default 0)")
-    p.add_argument("--n", type=int, help="power applied to the state (default 1)")
+    add = p.add_argument
+    add("--a", type=float, help="outer diagonal entry")
+    add("--b", type=float, help="inner diagonal entry")
+    add("--c-abs", type=float, help="inner coherence magnitude")
+    add("--c-phase", type=float, default=0.0, help="inner coherence phase, radians" + _DEFAULT)
+    add("--d-abs", type=float, help="outer coherence magnitude")
+    add("--d-phase", type=float, default=0.0, help="outer coherence phase, radians" + _DEFAULT)
+    add("--n", type=int, default=1, help="power applied to the state" + _DEFAULT)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -139,276 +165,162 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value configuration file")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="xstates", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("analyze", parents=[], help="report one state and its power-map image")
+    p = sub.add_parser("analyze", help="report one state and its power-map image")
     _add_state_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("sweep-cd", help="coherence-magnitude grid sweep at fixed diagonals")
-    p.add_argument("--a", type=float, help="outer diagonal entry (default 0.33)")
-    p.add_argument("--b", type=float, help="inner diagonal entry (default 0.17)")
-    p.add_argument("--c-phase", type=float, help="inner coherence phase (default 0)")
-    p.add_argument("--d-phase", type=float, help="outer coherence phase (default 0)")
-    p.add_argument("--c-abs-max", type=float, help="grid end for |c| (default 0.5)")
-    p.add_argument("--d-abs-max", type=float, help="grid end for |d| (default 0.5)")
-    p.add_argument("--steps", type=int, help="grid points per axis (default 201)")
-    p.add_argument("--n-list", type=_parse_n_list, help="comma-separated powers (default 2,3,4,5)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.add_argument("--seed", type=int, help="seed for the per-run row spot check (default 0)")
+    add = p.add_argument
+    add("--a", type=float, default=0.33, help="outer diagonal entry" + _DEFAULT)
+    add("--b", type=float, default=0.17, help="inner diagonal entry" + _DEFAULT)
+    add("--c-phase", type=float, default=0.0, help="inner coherence phase" + _DEFAULT)
+    add("--d-phase", type=float, default=0.0, help="outer coherence phase" + _DEFAULT)
+    add("--c-abs-max", type=float, default=0.5, help="grid end for |c|" + _DEFAULT)
+    add("--d-abs-max", type=float, default=0.5, help="grid end for |d|" + _DEFAULT)
+    add("--steps", type=int, default=201, help="grid points per axis" + _DEFAULT)
+    add("--n-list", type=_parse_n_list, default="2,3,4,5",
+        help="comma-separated powers" + _DEFAULT)
+    add("--format", choices=("csv", "json"), default="csv", help="output format" + _DEFAULT)
+    add("--seed", type=int, default=0, help="seed for the per-run row spot check" + _DEFAULT)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_sweep_cd)
 
     p = sub.add_parser("sweep-werner", help="Werner-family sweep over the mixing weight")
-    p.add_argument("--p-min", type=float, help="start of the weight grid (default 0)")
-    p.add_argument("--p-max", type=float, help="end of the weight grid (default 1)")
-    p.add_argument("--steps", type=int, help="number of weight samples (default 401)")
-    p.add_argument("--n-list", type=_parse_n_list, help="comma-separated powers (default 1,2,3,4,5,6)")
-    p.add_argument("--num-dirs", type=int, help="measured direction pairs (default 4)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.add_argument("--seed", type=int, help="seed for direction sampling (default 0)")
+    add = p.add_argument
+    add("--p-min", type=float, default=0.0, help="start of the weight grid" + _DEFAULT)
+    add("--p-max", type=float, default=1.0, help="end of the weight grid" + _DEFAULT)
+    add("--steps", type=int, default=401, help="number of weight samples" + _DEFAULT)
+    add("--n-list", type=_parse_n_list, default="1,2,3,4,5,6",
+        help="comma-separated powers" + _DEFAULT)
+    add("--num-dirs", type=int, default=4, help="measured direction pairs" + _DEFAULT)
+    add("--format", choices=("csv", "json"), default="csv", help="output format" + _DEFAULT)
+    add("--seed", type=int, default=0, help="seed for direction sampling" + _DEFAULT)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_sweep_werner)
 
     p = sub.add_parser("tomogram", help="joint spin tomogram along one direction pair")
     _add_state_flags(p)
-    p.add_argument("--theta-a", type=float, help="polar angle, first qubit (radians)")
-    p.add_argument("--phi-a", type=float, help="second Euler angle, first qubit (no effect)")
-    p.add_argument("--psi-a", type=float, help="third Euler angle, first qubit")
-    p.add_argument("--theta-b", type=float, help="polar angle, second qubit (radians)")
-    p.add_argument("--phi-b", type=float, help="second Euler angle, second qubit (no effect)")
-    p.add_argument("--psi-b", type=float, help="third Euler angle, second qubit")
+    add = p.add_argument
+    for q, which in (("a", "first"), ("b", "second")):
+        add(f"--theta-{q}", type=float, help=f"polar angle, {which} qubit (radians)")
+        add(f"--phi-{q}", type=float, default=0.0,
+            help=f"second Euler angle, {which} qubit (no effect)")
+        add(f"--psi-{q}", type=float, default=0.0, help=f"third Euler angle, {which} qubit")
     _add_common_flags(p)
     p.set_defaults(handler=cmd_tomogram)
 
-    return parser
+    return parser, sub.choices
 
 
-_STATE_KEYS = frozenset({"a", "b", "c_abs", "c_phase", "d_abs", "d_phase", "n", "output"})
-_TOMO_KEYS = _STATE_KEYS | {"theta_a", "phi_a", "psi_a", "theta_b", "phi_b", "psi_b"}
-_SWEEP_CD_KEYS = frozenset(
-    {
-        "a",
-        "b",
-        "c_phase",
-        "d_phase",
-        "c_abs_max",
-        "d_abs_max",
-        "steps",
-        "n_list",
-        "format",
-        "seed",
-        "output",
-    }
-)
-_SWEEP_WERNER_KEYS = frozenset(
-    {"p_min", "p_max", "steps", "n_list", "num_dirs", "format", "seed", "output"}
-)
-
-
-def _config_for(args: argparse.Namespace, allowed: frozenset[str]) -> dict[str, str]:
-    if getattr(args, "config", None) is None:
-        return {}
-    return _load_config(args.config, allowed)
-
-
-def _state_from_options(args: argparse.Namespace, cfg: dict[str, str]) -> tuple[XParams, int]:
-    a = _require(_pick(args, cfg, "a", float), "--a")
-    b = _require(_pick(args, cfg, "b", float), "--b")
-    c_abs = _require(_pick(args, cfg, "c_abs", float), "--c-abs")
-    d_abs = _require(_pick(args, cfg, "d_abs", float), "--d-abs")
-    c_phase = _pick(args, cfg, "c_phase", float, 0.0)
-    d_phase = _pick(args, cfg, "d_phase", float, 0.0)
-    n = _pick(args, cfg, "n", int, 1)
-    if n < 1:
-        raise _UsageError(f"--n must be >= 1, got {n}")
+def _state(args: argparse.Namespace) -> XParams:
+    a, b, c_abs, d_abs = (_require(args, o) for o in ("--a", "--b", "--c-abs", "--d-abs"))
+    if args.n < 1:
+        raise _UsageError(f"--n must be >= 1, got {args.n}")
     if c_abs < 0.0:
         raise _UsageError(f"--c-abs must be >= 0, got {c_abs}")
     if d_abs < 0.0:
         raise _UsageError(f"--d-abs must be >= 0, got {d_abs}")
-    params = XParams(
+    return XParams(
         a=a,
         b=b,
-        c=c_abs * cmath.exp(1j * c_phase),
-        d=d_abs * cmath.exp(1j * d_phase),
+        c=c_abs * cmath.exp(1j * args.c_phase),
+        d=d_abs * cmath.exp(1j * args.d_phase),
     )
-    return params, n
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _config_for(args, _STATE_KEYS)
-    params, n = _state_from_options(args, cfg)
-    output = _pick(args, cfg, "output", str)
-
-    lam = spectrum(params).lam
+def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
+    params = _state(args)
     bad = validate(params)
-    if bad is not None:
-        report = {"validity": bad.value, "spectrum": list(lam)}
-        if args.json:
-            _emit(json.dumps(report, indent=2) + "\n", output)
-        else:
-            lines = [
-                f"validity: {bad.value}",
-                "spectrum: " + " ".join(_fmt(x) for x in lam),
-            ]
-            _emit("\n".join(lines) + "\n", output)
-        return 2
-
-    result = apply_power_channel(params, n)
-    img = result.params
     report: dict = {
-        "validity": "valid",
-        "spectrum": list(lam),
-        "class_input": classify(params).value,
-        "n": n,
-        "image": {
-            "a": img.a,
-            "b": img.b,
-            "c_abs": abs(img.c),
-            "c_phase": cmath.phase(img.c),
-            "d_abs": abs(img.d),
-            "d_phase": cmath.phase(img.d),
-            "valid": result.valid,
-        },
-        "class_image": classify(img).value,
+        "validity": "valid" if bad is None else bad.value,
+        "spectrum": spectrum(params).lam,
     }
-    if result.valid:
-        info = system_entropies(img)
+    if bad is None:
+        result = apply_power_channel(params, args.n)
+        img = result.params
         report.update(
-            negativity=negativity(img),
-            concurrence=concurrence(img),
-            s12=info.s12,
-            i_n=info.i_n,
+            class_input=classify(params).value,
+            n=args.n,
+            image={
+                "a": img.a,
+                "b": img.b,
+                "c_abs": abs(img.c),
+                "c_phase": cmath.phase(img.c),
+                "d_abs": abs(img.d),
+                "d_phase": cmath.phase(img.d),
+                "valid": result.valid,
+            },
+            class_image=classify(img).value,
         )
-    else:
-        report.update(negativity=None, concurrence=None, s12=None, i_n=None)
-
-    if args.json:
-        _emit(json.dumps(report, indent=2) + "\n", output)
-    else:
-        img_bits = " ".join(
-            f"{k}={_fmt(v)}" for k, v in report["image"].items() if k != "valid"
-        )
-        lines = [
-            "validity: valid",
-            "spectrum: " + " ".join(_fmt(x) for x in lam),
-            f"class_input: {report['class_input']}",
-            f"n: {n}",
-            f"image: {img_bits} valid={_fmt_bool(result.valid)}",
-            f"class_image: {report['class_image']}",
-        ]
-        for key in ("negativity", "concurrence", "s12", "i_n"):
-            value = report[key]
-            lines.append(f"{key}: {'' if value is None else _fmt(value)}")
-        _emit("\n".join(lines) + "\n", output)
-    return 0
+        report.update(dict.fromkeys(("negativity", "concurrence", "s12", "i_n")))
+        if result.valid:
+            info = system_entropies(img)
+            report.update(
+                negativity=negativity(img),
+                concurrence=concurrence(img),
+                s12=info.s12,
+                i_n=info.i_n,
+            )
+    _emit(_render(report, args.json), args.output)
+    return 0 if bad is None else 2
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved sweep settings after merging flags, config file, defaults."""
-
-    a: float = 0.33
-    b: float = 0.17
-    c_phase: float = 0.0
-    d_phase: float = 0.0
-    c_abs_max: float = 0.5
-    d_abs_max: float = 0.5
-    steps: int = 201
-    n_list: tuple[int, ...] = (2, 3, 4, 5)
-    p_min: float = 0.0
-    p_max: float = 1.0
-    num_dirs: int = 4
-    seed: int = 0
-    format: str = "csv"
-    output: str | None = None
-
-    def check(self) -> None:
-        if self.steps < 2:
-            raise _UsageError(f"--steps must be >= 2, got {self.steps}")
-        if self.c_abs_max < 0.0 or self.d_abs_max < 0.0:
-            raise _UsageError("grid ends must be >= 0")
-        if self.p_max < self.p_min:
-            raise _UsageError(f"--p-max {self.p_max} is below --p-min {self.p_min}")
-        if self.num_dirs < 1:
-            raise _UsageError(f"--num-dirs must be >= 1, got {self.num_dirs}")
-        if self.format not in ("csv", "json"):
-            raise _UsageError(f"unknown format {self.format!r}")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep record: grid coordinates plus derived quantities."""
-
-    fields: tuple
-
-
 _CD_HEADER = "c_abs,d_abs,n,valid,class,negativity,concurrence,s12,i_n"
 
 
 def _grid(end: float, steps: int) -> list[float]:
+    if steps < 2:
+        raise _UsageError(f"--steps must be >= 2, got {steps}")
     return [end * k / (steps - 1) for k in range(steps)]
 
 
-def _cd_row(cfg: SweepConfig, n: int, c_abs: float, d_abs: float) -> SweepRow:
+def _cd_row(args: argparse.Namespace, n: int, c_abs: float, d_abs: float) -> tuple:
     params = XParams(
-        a=cfg.a,
-        b=cfg.b,
-        c=c_abs * cmath.exp(1j * cfg.c_phase),
-        d=d_abs * cmath.exp(1j * cfg.d_phase),
+        a=args.a,
+        b=args.b,
+        c=c_abs * cmath.exp(1j * args.c_phase),
+        d=d_abs * cmath.exp(1j * args.d_phase),
     )
     try:
         result = apply_power_channel(params, n)
     except ZeroDenominatorError:
-        return SweepRow((c_abs, d_abs, n, False, None, None, None, None, None))
+        return (c_abs, d_abs, n, False, None, None, None, None, None)
     img = result.params
     cls = classify(img)
     if not result.valid:
-        return SweepRow((c_abs, d_abs, n, False, cls.value, None, None, None, None))
+        return (c_abs, d_abs, n, False, cls.value, None, None, None, None)
     info = system_entropies(img)
-    return SweepRow(
-        (
-            c_abs,
-            d_abs,
-            n,
-            True,
-            cls.value,
-            negativity(img),
-            concurrence(img),
-            info.s12,
-            info.i_n,
-        )
+    return (
+        c_abs,
+        d_abs,
+        n,
+        True,
+        cls.value,
+        negativity(img),
+        concurrence(img),
+        info.s12,
+        info.i_n,
     )
 
 
-def _row_to_csv(row: SweepRow) -> str:
-    parts = []
-    for value in row.fields:
-        if value is None:
-            parts.append("")
-        elif isinstance(value, bool):
-            parts.append(_fmt_bool(value))
-        elif isinstance(value, int):
-            parts.append(str(value))
-        elif isinstance(value, str):
-            parts.append(value)
-        else:
-            parts.append(_fmt(value))
-    return ",".join(parts)
+def _row_to_csv(row: tuple) -> str:
+    return ",".join([_fmt(value) for value in row])
 
 
-def _spot_check(rows: list[SweepRow], recompute, seed: int) -> None:
+def _spot_check(rows: list[tuple], recompute, seed: int) -> None:
     # A per-run guard: a random subsample of emitted rows must match fresh
     # single-point evaluations exactly.
     if not rows:
@@ -416,182 +328,119 @@ def _spot_check(rows: list[SweepRow], recompute, seed: int) -> None:
     rng = np.random.default_rng(seed)
     count = min(32, len(rows))
     for idx in rng.choice(len(rows), size=count, replace=False):
-        if recompute(rows[idx]).fields != rows[idx].fields:
+        if recompute(rows[idx]) != rows[idx]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 
-def cmd_sweep_cd(args: argparse.Namespace) -> int:
-    cfg_file = _config_for(args, _SWEEP_CD_KEYS)
-    cfg = SweepConfig(
-        a=_pick(args, cfg_file, "a", float, 0.33),
-        b=_pick(args, cfg_file, "b", float, 0.17),
-        c_phase=_pick(args, cfg_file, "c_phase", float, 0.0),
-        d_phase=_pick(args, cfg_file, "d_phase", float, 0.0),
-        c_abs_max=_pick(args, cfg_file, "c_abs_max", float, 0.5),
-        d_abs_max=_pick(args, cfg_file, "d_abs_max", float, 0.5),
-        steps=_pick(args, cfg_file, "steps", int, 201),
-        n_list=_pick(args, cfg_file, "n_list", _parse_n_list, (2, 3, 4, 5)),
-        seed=_pick(args, cfg_file, "seed", int, 0),
-        format="json" if args.json else _pick(args, cfg_file, "format", str, "csv"),
-        output=_pick(args, cfg_file, "output", str),
-    )
-    cfg.check()
-
-    c_grid = _grid(cfg.c_abs_max, cfg.steps)
-    d_grid = _grid(cfg.d_abs_max, cfg.steps)
-    rows = [
-        _cd_row(cfg, n, c_abs, d_abs)
-        for n in cfg.n_list
-        for c_abs in c_grid
-        for d_abs in d_grid
-    ]
-    _spot_check(rows, lambda r: _cd_row(cfg, r.fields[2], r.fields[0], r.fields[1]), cfg.seed)
-
-    if cfg.format == "csv":
-        text = "\n".join([_CD_HEADER] + [_row_to_csv(r) for r in rows]) + "\n"
+def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
+                comments: list[str], header: str, rows: list[tuple], **extra) -> int:
+    """Write a sweep as CSV (comment lines, header, rows) or as its JSON mirror."""
+    if args.format == "csv" and not args.json:
+        text = "\n".join([*comments, header] + [_row_to_csv(r) for r in rows]) + "\n"
     else:
-        payload = {
-            "config": {
-                "a": cfg.a,
-                "b": cfg.b,
-                "c_phase": cfg.c_phase,
-                "d_phase": cfg.d_phase,
-                "c_abs_max": cfg.c_abs_max,
-                "d_abs_max": cfg.d_abs_max,
-                "steps": cfg.steps,
-                "n_list": list(cfg.n_list),
-                "seed": cfg.seed,
-            },
-            "columns": _CD_HEADER.split(","),
-            "rows": [list(r.fields) for r in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, cfg.output)
+        # Every sweep setting but the output choice, in parser order.
+        config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
+        payload = {"config": config, **extra, "columns": header.split(","), "rows": rows}
+        text = _render(payload, as_json=True)
+    _emit(text, args.output)
     return 0
 
 
-def _werner_header(cfg: SweepConfig, pairs) -> list[str]:
-    lines = [f"# seed = {cfg.seed}"]
-    for k, (da, db) in enumerate(pairs):
-        lines.append(
-            f"# direction_pair {k}: theta_a={_fmt(da.theta)} psi_a={_fmt(da.psi)}"
-            f" theta_b={_fmt(db.theta)} psi_b={_fmt(db.psi)}"
-        )
-    for n in cfg.n_list:
-        upper = werner_entanglement_threshold(n)
-        if n % 2 == 0:
-            lower = werner_entanglement_threshold_lower(n)
-            lines.append(f"# threshold n={n}: upper = {_fmt(upper)} lower = {_fmt(lower)}")
-        else:
-            lines.append(f"# threshold n={n}: upper = {_fmt(upper)}")
+def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
+    c_grid = _grid(args.c_abs_max, args.steps)
+    d_grid = _grid(args.d_abs_max, args.steps)
+    if args.c_abs_max < 0.0 or args.d_abs_max < 0.0:
+        raise _UsageError("grid ends must be >= 0")
+
+    rows = [
+        _cd_row(args, n, c_abs, d_abs)
+        for n in args.n_list
+        for c_abs in c_grid
+        for d_abs in d_grid
+    ]
+    _spot_check(rows, lambda r: _cd_row(args, r[2], r[0], r[1]), args.seed)
+    return _emit_sweep(args, options, [], _CD_HEADER, rows)
+
+
+def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str]:
+    lines = [f"# seed = {args.seed}"]
+    lines += [f"# direction_pair {k}: {_text(pair)}" for k, pair in enumerate(directions)]
+    for t in thresholds:
+        line = f"# threshold n={t['n']}: upper = {_fmt(t['upper'])}"
+        if t["lower"] is not None:
+            line += f" lower = {_fmt(t['lower'])}"
+        lines.append(line)
     return lines
 
 
-def _werner_row(cfg: SweepConfig, n: int, p: float, pairs) -> SweepRow:
-    blank = (None,) * (1 + cfg.num_dirs)
+def _werner_row(args: argparse.Namespace, n: int, p: float, pairs) -> tuple:
+    blank = (None,) * (1 + args.num_dirs)
     try:
         result = apply_power_channel(werner(p), n)
     except ZeroDenominatorError:
-        return SweepRow((p, n, False) + blank + (None,))
+        return (p, n, False) + blank + (None,)
     img = result.params
     cls = classify(img)
     if not result.valid:
-        return SweepRow((p, n, False) + blank + (cls.value,))
+        return (p, n, False) + blank + (cls.value,)
     info = system_entropies(img)
     i_s = tuple(
         shannon_report_from_table(tomogram(img, da, db)).i_s for da, db in pairs
     )
-    return SweepRow((p, n, True, info.i_n) + i_s + (cls.value,))
+    return (p, n, True, info.i_n) + i_s + (cls.value,)
 
 
-def cmd_sweep_werner(args: argparse.Namespace) -> int:
-    cfg_file = _config_for(args, _SWEEP_WERNER_KEYS)
-    cfg = SweepConfig(
-        p_min=_pick(args, cfg_file, "p_min", float, 0.0),
-        p_max=_pick(args, cfg_file, "p_max", float, 1.0),
-        steps=_pick(args, cfg_file, "steps", int, 401),
-        n_list=_pick(args, cfg_file, "n_list", _parse_n_list, (1, 2, 3, 4, 5, 6)),
-        num_dirs=_pick(args, cfg_file, "num_dirs", int, 4),
-        seed=_pick(args, cfg_file, "seed", int, 0),
-        format="json" if args.json else _pick(args, cfg_file, "format", str, "csv"),
-        output=_pick(args, cfg_file, "output", str),
-    )
-    cfg.check()
+def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
+    p_values = [args.p_min + x for x in _grid(args.p_max - args.p_min, args.steps)]
+    if args.p_max < args.p_min:
+        raise _UsageError(f"--p-max {args.p_max} is below --p-min {args.p_min}")
+    if args.num_dirs < 1:
+        raise _UsageError(f"--num-dirs must be >= 1, got {args.num_dirs}")
 
-    pairs = direction_pairs(cfg.num_dirs, cfg.seed)
-    p_values = [
-        cfg.p_min + (cfg.p_max - cfg.p_min) * k / (cfg.steps - 1) for k in range(cfg.steps)
+    pairs = direction_pairs(args.num_dirs, args.seed)
+    rows = [_werner_row(args, n, p, pairs) for n in args.n_list for p in p_values]
+    _spot_check(rows, lambda r: _werner_row(args, r[1], r[0], pairs), args.seed)
+
+    directions = [
+        {"theta_a": da.theta, "psi_a": da.psi, "theta_b": db.theta, "psi_b": db.psi}
+        for da, db in pairs
     ]
-    rows = [_werner_row(cfg, n, p, pairs) for n in cfg.n_list for p in p_values]
-    _spot_check(rows, lambda r: _werner_row(cfg, r.fields[1], r.fields[0], pairs), cfg.seed)
-
-    header = "p,n,valid,i_n," + ",".join(f"i_s_dir{k}" for k in range(cfg.num_dirs)) + ",class"
-    if cfg.format == "csv":
-        text = (
-            "\n".join(_werner_header(cfg, pairs) + [header] + [_row_to_csv(r) for r in rows])
-            + "\n"
-        )
-    else:
-        payload = {
-            "config": {
-                "p_min": cfg.p_min,
-                "p_max": cfg.p_max,
-                "steps": cfg.steps,
-                "n_list": list(cfg.n_list),
-                "num_dirs": cfg.num_dirs,
-                "seed": cfg.seed,
-            },
-            "directions": [
-                {
-                    "theta_a": da.theta,
-                    "psi_a": da.psi,
-                    "theta_b": db.theta,
-                    "psi_b": db.psi,
-                }
-                for da, db in pairs
-            ],
-            "thresholds": [
-                {
-                    "n": n,
-                    "upper": werner_entanglement_threshold(n),
-                    "lower": werner_entanglement_threshold_lower(n) if n % 2 == 0 else None,
-                }
-                for n in cfg.n_list
-            ],
-            "columns": header.split(","),
-            "rows": [list(r.fields) for r in rows],
+    thresholds = [
+        {
+            "n": n,
+            "upper": werner_entanglement_threshold(n),
+            "lower": werner_entanglement_threshold_lower(n) if n % 2 == 0 else None,
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, cfg.output)
-    return 0
+        for n in args.n_list
+    ]
+    header = "p,n,valid,i_n," + ",".join(f"i_s_dir{k}" for k in range(args.num_dirs)) + ",class"
+    comments = _werner_header(args, directions, thresholds)
+    return _emit_sweep(
+        args, options, comments, header, rows, directions=directions, thresholds=thresholds
+    )
 
 
 # ---------------------------------------------------------------------------
 # tomogram
 
 
-def _direction_from_options(
-    args: argparse.Namespace, cfg: dict[str, str], suffix: str
-) -> Direction:
-    theta = _require(_pick(args, cfg, f"theta_{suffix}", float), f"--theta-{suffix}")
-    phi = _pick(args, cfg, f"phi_{suffix}", float, 0.0)
-    psi = _pick(args, cfg, f"psi_{suffix}", float, 0.0)
+def _direction(args: argparse.Namespace, q: str) -> Direction:
+    theta = _require(args, f"--theta-{q}")
     if not 0.0 <= theta <= math.pi:
-        raise _UsageError(f"--theta-{suffix} must lie in [0, pi], got {theta}")
-    return Direction(theta=theta, phi=phi, psi=psi)
+        raise _UsageError(f"--theta-{q} must lie in [0, pi], got {theta}")
+    return Direction(theta=theta, phi=getattr(args, f"phi_{q}"), psi=getattr(args, f"psi_{q}"))
 
 
-def cmd_tomogram(args: argparse.Namespace) -> int:
-    cfg = _config_for(args, _TOMO_KEYS)
-    params, n = _state_from_options(args, cfg)
-    dir_a = _direction_from_options(args, cfg, "a")
-    dir_b = _direction_from_options(args, cfg, "b")
-    output = _pick(args, cfg, "output", str)
+def cmd_tomogram(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
+    params = _state(args)
+    dir_a = _direction(args, "a")
+    dir_b = _direction(args, "b")
 
-    if validate(params) is not None:
-        print(f"error: not a valid density matrix ({validate(params).value})", file=sys.stderr)
+    bad = validate(params)
+    if bad is not None:
+        print(f"error: not a valid density matrix ({bad.value})", file=sys.stderr)
         return 2
-    result = apply_power_channel(params, n)
+    result = apply_power_channel(params, args.n)
     if not result.valid:
         cls = validate(result.params)
         print(f"error: power-map image is not a valid state ({cls.value})", file=sys.stderr)
@@ -600,38 +449,21 @@ def cmd_tomogram(args: argparse.Namespace) -> int:
     table = tomogram(result.params, dir_a, dir_b)
     rep = shannon_report_from_table(table)
     first, second = marginals(table)
-
+    report = {
+        "w_uu": table.w_uu,
+        "w_ud": table.w_ud,
+        "w_du": table.w_du,
+        "w_dd": table.w_dd,
+        "marginal_a": first,
+        "marginal_b": second,
+        "h12": rep.h12,
+        "h1": rep.h1,
+        "h2": rep.h2,
+        "i_s": rep.i_s,
+    }
     if args.json:
-        payload = {
-            "n": n,
-            "dir_a": {"theta": dir_a.theta, "phi": dir_a.phi, "psi": dir_a.psi},
-            "dir_b": {"theta": dir_b.theta, "phi": dir_b.phi, "psi": dir_b.psi},
-            "w_uu": table.w_uu,
-            "w_ud": table.w_ud,
-            "w_du": table.w_du,
-            "w_dd": table.w_dd,
-            "marginal_a": list(first),
-            "marginal_b": list(second),
-            "h12": rep.h12,
-            "h1": rep.h1,
-            "h2": rep.h2,
-            "i_s": rep.i_s,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", output)
-    else:
-        lines = [
-            f"w_uu: {_fmt(table.w_uu)}",
-            f"w_ud: {_fmt(table.w_ud)}",
-            f"w_du: {_fmt(table.w_du)}",
-            f"w_dd: {_fmt(table.w_dd)}",
-            f"marginal_a: {_fmt(first[0])} {_fmt(first[1])}",
-            f"marginal_b: {_fmt(second[0])} {_fmt(second[1])}",
-            f"h12: {_fmt(rep.h12)}",
-            f"h1: {_fmt(rep.h1)}",
-            f"h2: {_fmt(rep.h2)}",
-            f"i_s: {_fmt(rep.i_s)}",
-        ]
-        _emit("\n".join(lines) + "\n", output)
+        report = {"n": args.n, "dir_a": asdict(dir_a), "dir_b": asdict(dir_b), **report}
+    _emit(_render(report, args.json), args.output)
     return 0
 
 
@@ -639,12 +471,22 @@ def cmd_tomogram(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "handler", None) is None:
+        if args.command is None:
             raise _UsageError("a command is required (analyze, sweep-cd, sweep-werner, tomogram)")
-        return args.handler(args)
+        sub = commands[args.command]
+        # What a config file may set: every option but help, --json and --config.
+        options = {a.dest: a for a in sub._actions if a.dest not in ("help", "json", "config")}
+        if args.config is not None:
+            sub.set_defaults(**_load_config(args.config, options))
+            args = parser.parse_args(argv)
+        for dest, action in options.items():
+            value = getattr(args, dest)
+            if action.type is float and value is not None and not math.isfinite(value):
+                raise _UsageError(f"{action.option_strings[0]} must be finite, got {value}")
+        return args.handler(args, options)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

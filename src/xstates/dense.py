@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .xstate import XParams
+from .xstate import XParams, _check_power
 
 # Jacobi termination: off-diagonal Frobenius norm threshold and sweep cap.
 _OFF_TOL = 1e-13
@@ -120,8 +120,7 @@ def matrix_power_normalize(m: np.ndarray, n: int) -> np.ndarray:
     the spectral closed forms it is used to check.  Raises
     :class:`ZeroTraceError` when the trace of the power cancels away.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"power must be a positive integer, got {n!r}")
+    _check_power(n)
     acc = _check_hermitian(m).copy()
     base = acc.copy()
     for _ in range(n - 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xstate import XParams, ZeroDenominatorError, require_valid
+from .xstate import XParams, ZeroDenominatorError, _check_power, require_valid
 from .dense import to_dense
 
 
@@ -180,8 +180,7 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     of the general pipeline.  Valid for any real mixing weight whose image
     is a genuine state; raises otherwise.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"power must be a positive integer, got {n!r}")
+    _check_power(n)
     u = (1.0 + 3.0 * p) ** n
     v = (1.0 - p) ** n
     norm = u + 3.0 * v

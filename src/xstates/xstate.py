@@ -114,6 +114,11 @@ class ChannelResult:
     valid: bool
 
 
+def _check_power(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"power must be a positive integer, got {n!r}")
+
+
 def _phase(z: complex) -> complex:
     # Phase convention: phase(0) = 1 keeps formulas well defined at zero.
     m = abs(z)
@@ -166,8 +171,7 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     :class:`ZeroDenominatorError` when the normalization cancels to zero,
     which can happen for odd ``n`` on non-PSD input.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"power must be a positive integer, got {n!r}")
+    _check_power(n)
     s = spectrum(p)
     l1, l2, l3, l4 = (x ** n for x in s.lam)
     denom = 2.0 * (l1 + l2 + l3 + l4)
@@ -214,8 +218,7 @@ def werner_entanglement_threshold(n: int) -> float:
     Closed form 1 - 4 / (3**(1/n) + 3); equals 1/3 at n = 1 and decreases
     toward 0 as n grows.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"power must be a positive integer, got {n!r}")
+    _check_power(n)
     return 1.0 - 4.0 / (3.0 ** (1.0 / n) + 3.0)
 
 
@@ -227,8 +230,7 @@ def werner_entanglement_threshold_lower(n: int) -> float:
     powers have no lower branch (the state itself loses positivity), so a
     ``ValueError`` is raised.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"power must be a positive integer, got {n!r}")
+    _check_power(n)
     if n % 2:
         raise ValueError("lower threshold exists only for even powers")
     return 1.0 + 4.0 / (3.0 ** (1.0 / n) - 3.0)

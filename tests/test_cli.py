@@ -402,3 +402,92 @@ class TestTopLevel:
     def test_unknown_command_exits_one(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+HOSTILE = {
+    "nan_flag": (["analyze", "--a", "nan", "--b", "0.25", "--c-abs", "0", "--d-abs", "0"], None),
+    "inf_grid_end": (["sweep-cd", "--c-abs-max", "inf"], None),
+    "nan_weight": (["sweep-werner", "--p-min", "nan"], None),
+    "inf_weight": (["sweep-werner", "--p-max", "inf"], None),
+    "inf_from_config": (["sweep-cd", "--steps", "2"], "a = -inf\n"),
+    "nan_angle_from_config": (
+        ["tomogram", "--a", "0.25", "--b", "0.25", "--c-abs", "0", "--d-abs", "0",
+         "--theta-a", "1", "--theta-b", "1"],
+        "psi_b = nan\n",
+    ),
+    "output_in_missing_dir": (["sweep-cd", "--steps", "2", "--output", "{tmp}/no/x.csv"], None),
+    "output_is_directory": (["sweep-werner", "--steps", "2", "--output", "{tmp}"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_exits_one_with_one_line(name, capsys, tmp_path):
+    argv, config = HOSTILE[name]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if config is not None:
+        (tmp_path / "cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Config keys accepted by each subcommand, as listed before they were derived
+# from the parser, with a value for each.
+CONFIG_VALUES = {
+    "analyze": {
+        "a": "0.3", "b": "0.2", "c_abs": "0.1", "c_phase": "0.4", "d_abs": "0.15",
+        "d_phase": "1.2", "n": "3", "output": "{out}",
+    },
+    "tomogram": {
+        "a": "0.3", "b": "0.2", "c_abs": "0.1", "c_phase": "0.4", "d_abs": "0.15",
+        "d_phase": "1.2", "n": "2", "theta_a": "0.9", "phi_a": "0.5", "psi_a": "0.3",
+        "theta_b": "2.0", "phi_b": "0.1", "psi_b": "1.1", "output": "{out}",
+    },
+    "sweep-cd": {
+        "a": "0.3", "b": "0.2", "c_phase": "0.7", "d_phase": "1.9", "c_abs_max": "0.3",
+        "d_abs_max": "0.25", "steps": "3", "n_list": "2,4", "format": "json", "seed": "5",
+        "output": "{out}",
+    },
+    "sweep-werner": {
+        "p_min": "0.1", "p_max": "0.9", "steps": "4", "n_list": "1,4", "num_dirs": "2",
+        "format": "csv", "seed": "7", "output": "{out}",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_VALUES))
+def test_config_file_matches_flags(command, capsys, tmp_path):
+    values = CONFIG_VALUES[command]
+    assert len(values) == {"analyze": 8, "tomogram": 14, "sweep-cd": 11, "sweep-werner": 8}[
+        command
+    ]
+    results = []
+    for via_config in (False, True):
+        out = tmp_path / f"out{int(via_config)}"
+        settings = {key: value.replace("{out}", str(out)) for key, value in values.items()}
+        if via_config:
+            cfg = tmp_path / "cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+            argv = [command, "--config", str(cfg)]
+        else:
+            argv = [command]
+            for key, value in settings.items():
+                argv += ["--" + key.replace("_", "-"), value]
+        code, stdout, err = run(capsys, *argv)
+        results.append((code, stdout, err, out.read_bytes()))
+    assert results[0][0] == 0
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_VALUES))
+def test_config_rejects_keys_of_other_commands(command, capsys, tmp_path):
+    others = set().union(*CONFIG_VALUES.values()) | {"help", "json", "config", "command"}
+    for key in sorted(others - set(CONFIG_VALUES[command])):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 1
+        assert f"unknown config key {key!r}" in err

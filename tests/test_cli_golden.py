@@ -1,0 +1,197 @@
+"""Golden CLI outputs: every case must reproduce its recorded bytes exactly.
+
+Each fixture in ``tests/golden/`` stores one invocation's argv, optional
+config file text, exit code, stdout, stderr and ``--output`` file content.
+``{tmp}`` stands for a per-test scratch directory; the config file is written
+to ``{tmp}/cfg`` and output files go to ``{tmp}/out``.
+
+To re-record after a deliberate output change::
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from xstates.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+BELL_STATE = ["--a", "0.375", "--b", "0.125", "--c-abs", "0", "--d-abs", "0.25"]
+PHASED_STATE = [
+    "--a", "0.3", "--b", "0.2", "--c-abs", "0.1", "--c-phase", "0.4",
+    "--d-abs", "0.15", "--d-phase", "1.2",
+]
+BAD_STATE = ["--a", "0.33", "--b", "0.17", "--c-abs", "0.2", "--d-abs", "0.1"]
+DIRS = ["--theta-a", "0.9", "--psi-a", "0.3", "--theta-b", "2.0", "--psi-b", "1.1"]
+
+# name -> (argv, config text or None)
+CASES: dict[str, tuple[list[str], str | None]] = {
+    # analyze
+    "analyze_text": (["analyze", *BELL_STATE, "--n", "2"], None),
+    "analyze_json": (["analyze", "--json", *PHASED_STATE, "--n", "3"], None),
+    "analyze_output": (["analyze", *PHASED_STATE, "--output", "{tmp}/out"], None),
+    "analyze_config": (
+        ["analyze", "--config", "{tmp}/cfg"],
+        "# state\na = 0.3\nb = 0.2  # inner\nc_abs = 0.1\nc_phase = 0.4\nd_abs = 0.15\n"
+        "d_phase = 1.2\nn = 3\noutput = {tmp}/out\n",
+    ),
+    "analyze_config_json_flag_wins": (
+        ["analyze", "--json", "--config", "{tmp}/cfg", "--n", "1"],
+        "a = 0.375\nb = 0.125\nc_abs = 0\nd_abs = 0.25\nn = 2\n",
+    ),
+    "analyze_invalid_text": (["analyze", *BAD_STATE], None),
+    "analyze_invalid_json": (["analyze", "--json", *BAD_STATE], None),
+    "analyze_missing_flag": (["analyze", "--a", "0.25", "--b", "0.25", "--c-abs", "0"], None),
+    "analyze_bad_power": (["analyze", *BELL_STATE, "--n", "0"], None),
+    "analyze_negative_coherence": (
+        ["analyze", "--a", "0.25", "--b", "0.25", "--c-abs", "-0.1", "--d-abs", "0"],
+        None,
+    ),
+    "analyze_bad_float_flag": (["analyze", *BELL_STATE, "--c-phase", "x"], None),
+    # tomogram
+    "tomogram_text": (["tomogram", *BELL_STATE, "--n", "2", *DIRS], None),
+    "tomogram_json": (
+        ["tomogram", "--json", *PHASED_STATE, "--n", "2", *DIRS, "--phi-a", "0.5"],
+        None,
+    ),
+    "tomogram_config": (
+        ["tomogram", "--config", "{tmp}/cfg"],
+        "a = 0.3\nb = 0.2\nc_abs = 0.1\nc_phase = 0.4\nd_abs = 0.15\nd_phase = 1.2\nn = 2\n"
+        "theta_a = 0.9\nphi_a = 0.5\npsi_a = 0.3\ntheta_b = 2.0\nphi_b = 0.1\npsi_b = 1.1\n"
+        "output = {tmp}/out\n",
+    ),
+    "tomogram_config_json": (
+        ["tomogram", "--json", "--config", "{tmp}/cfg", "--theta-b", "1.5"],
+        "a = 0.25\nb = 0.25\nc_abs = 0\nd_abs = 0\ntheta_a = 1.0\ntheta_b = 0.5\n",
+    ),
+    "tomogram_invalid_state": (["tomogram", *BAD_STATE, *DIRS], None),
+    "tomogram_theta_out_of_range": (
+        ["tomogram", *BELL_STATE, "--theta-a", "4.0", "--theta-b", "1.0"],
+        None,
+    ),
+    "tomogram_missing_theta": (["tomogram", *BELL_STATE, "--theta-a", "1.0"], None),
+    # sweep-cd
+    "sweep_cd_csv_output": (
+        ["sweep-cd", "--steps", "5", "--n-list", "2,3", "--c-abs-max", "0.4",
+         "--d-abs-max", "0.4", "--output", "{tmp}/out"],
+        None,
+    ),
+    "sweep_cd_csv_invalid_rows": (["sweep-cd", "--steps", "4", "--n-list", "1,3"], None),
+    "sweep_cd_csv_phases": (
+        ["sweep-cd", "--a", "0.3", "--b", "0.2", "--c-phase", "0.7", "--d-phase", "1.9",
+         "--steps", "3", "--n-list", "2,5", "--seed", "3"],
+        None,
+    ),
+    "sweep_cd_json": (["sweep-cd", "--steps", "3", "--n-list", "2,3", "--json"], None),
+    "sweep_cd_format_json": (["sweep-cd", "--steps", "2", "--format", "json"], None),
+    "sweep_cd_config": (
+        ["sweep-cd", "--config", "{tmp}/cfg"],
+        "a = 0.3\nb = 0.2\nc_phase = 0.7\nd_phase = 1.9\nc_abs_max = 0.3\nd_abs_max = 0.25\n"
+        "steps = 3\nn_list = 2,4\nformat = json\nseed = 5\noutput = {tmp}/out\n",
+    ),
+    "sweep_cd_config_csv_flag_wins": (
+        ["sweep-cd", "--config", "{tmp}/cfg", "--steps", "2"],
+        "steps = 4\nn_list = 3\n",
+    ),
+    "sweep_cd_steps_one": (["sweep-cd", "--steps", "1"], None),
+    "sweep_cd_bad_steps_flag": (["sweep-cd", "--steps", "x"], None),
+    "sweep_cd_negative_grid_end": (["sweep-cd", "--steps", "3", "--c-abs-max", "-1"], None),
+    "sweep_cd_bad_n_list": (["sweep-cd", "--steps", "3", "--n-list", "2,0"], None),
+    # sweep-werner
+    "sweep_werner_csv": (
+        ["sweep-werner", "--steps", "5", "--n-list", "1,2,3", "--num-dirs", "3",
+         "--seed", "4"],
+        None,
+    ),
+    "sweep_werner_json": (
+        ["sweep-werner", "--steps", "3", "--n-list", "2,3", "--num-dirs", "2", "--json"],
+        None,
+    ),
+    "sweep_werner_out_of_range": (
+        ["sweep-werner", "--p-min", "1.2", "--p-max", "1.4", "--steps", "3", "--n-list", "3",
+         "--num-dirs", "2", "--output", "{tmp}/out"],
+        None,
+    ),
+    "sweep_werner_config": (
+        ["sweep-werner", "--config", "{tmp}/cfg"],
+        "p_min = 0.1\np_max = 0.9\nsteps = 4\nn_list = 1,4\nnum_dirs = 2\nformat = csv\n"
+        "seed = 7\noutput = {tmp}/out\n",
+    ),
+    "sweep_werner_config_json": (
+        ["sweep-werner", "--json", "--config", "{tmp}/cfg"],
+        "steps = 3\nn_list = 2\nnum_dirs = 1\n",
+    ),
+    "sweep_werner_p_range": (["sweep-werner", "--p-min", "0.6", "--p-max", "0.5"], None),
+    "sweep_werner_num_dirs_zero": (["sweep-werner", "--steps", "3", "--num-dirs", "0"], None),
+    # configuration errors
+    "config_unknown_key": (["analyze", "--config", "{tmp}/cfg"], "a = 0.375\nwhat = 1\n"),
+    "config_key_of_other_command": (["sweep-werner", "--config", "{tmp}/cfg"], "a = 0.3\n"),
+    "config_duplicate_key": (["sweep-cd", "--config", "{tmp}/cfg"], "steps = 3\nsteps = 4\n"),
+    "config_missing_equals": (["analyze", "--config", "{tmp}/cfg"], "a 0.375\n"),
+    "config_bad_float": (["analyze", "--config", "{tmp}/cfg", *BELL_STATE], "c_phase = x\n"),
+    "config_bad_int": (["sweep-cd", "--config", "{tmp}/cfg"], "steps = 2.5\n"),
+    "config_bad_n_list": (["sweep-werner", "--config", "{tmp}/cfg"], "n_list = 1,x\n"),
+    "config_format_xml": (["sweep-cd", "--config", "{tmp}/cfg"], "steps = 2\nformat = xml\n"),
+    "config_steps_one": (["sweep-werner", "--config", "{tmp}/cfg"], "steps = 1\n"),
+    "config_missing_file": (["analyze", "--config", "{tmp}/nope.cfg"], None),
+    # top level
+    "no_command": ([], None),
+    "unknown_command": (["frobnicate"], None),
+}
+
+
+def run_case(argv: list[str], config: str | None, tmp: Path) -> dict:
+    """Run one invocation in this process and return its recorded form."""
+    tmp_text = str(tmp)
+    argv = [arg.replace("{tmp}", tmp_text) for arg in argv]
+    if config is not None:
+        (tmp / "cfg").write_text(config.replace("{tmp}", tmp_text), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    target = tmp / "out"
+    output = target.read_bytes().decode("utf-8") if target.exists() else None
+    return {
+        "code": code,
+        "stdout": out.getvalue().replace(tmp_text, "{tmp}"),
+        "stderr": err.getvalue().replace(tmp_text, "{tmp}"),
+        "output": output,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_recording(name, tmp_path):
+    argv, config = CASES[name]
+    recorded = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert recorded["argv"] == argv and recorded["config"] == config
+    got = run_case(argv, config, tmp_path)
+    for key in ("code", "stdout", "stderr", "output"):
+        assert got[key] == recorded[key], key
+
+
+def test_every_fixture_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, config) in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            result = run_case(argv, config, Path(tmp))
+        fixture = {"argv": argv, "config": config, **result}
+        path = GOLDEN / f"{name}.json"
+        path.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")
+        print(f"{path.name}: exit {result['code']}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record()
