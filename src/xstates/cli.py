@@ -33,8 +33,15 @@ from .xstate import (
     werner_entanglement_threshold,
     werner_entanglement_threshold_lower,
 )
-from .tomography import Direction, direction_pairs, marginals, tomogram
-from .information import shannon_report_from_table, system_entropies
+from .tomography import (
+    Direction,
+    _pair_coefficients,
+    _weights,
+    direction_pairs,
+    marginals,
+    tomogram,
+)
+from .information import _x_information, shannon_report_from_table, system_entropies
 from .entanglement import concurrence, negativity
 
 
@@ -373,7 +380,8 @@ def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str
     return lines
 
 
-def _werner_row(args: argparse.Namespace, n: int, p: float, pairs) -> tuple:
+def _werner_row(args: argparse.Namespace, n: int, p: float, i_s) -> tuple:
+    # ``i_s`` maps a valid image to its tomographic information per direction pair.
     blank = (None,) * (1 + args.num_dirs)
     try:
         result = apply_power_channel(werner(p), n)
@@ -383,23 +391,31 @@ def _werner_row(args: argparse.Namespace, n: int, p: float, pairs) -> tuple:
     cls = classify(img)
     if not result.valid:
         return (p, n, False) + blank + (cls.value,)
-    info = system_entropies(img)
-    i_s = tuple(
-        shannon_report_from_table(tomogram(img, da, db)).i_s for da, db in pairs
-    )
-    return (p, n, True, info.i_n) + i_s + (cls.value,)
+    return (p, n, True, system_entropies(img).i_n) + i_s(img) + (cls.value,)
 
 
 def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
-    p_values = [args.p_min + x for x in _grid(args.p_max - args.p_min, args.steps)]
+    span = args.p_max - args.p_min
+    p_values = [args.p_min + x for x in _grid(span, args.steps)]
     if args.p_max < args.p_min:
         raise _UsageError(f"--p-max {args.p_max} is below --p-min {args.p_min}")
+    if not math.isfinite(span):
+        raise _UsageError(f"--p-max - --p-min must be finite, got {span}")
     if args.num_dirs < 1:
         raise _UsageError(f"--num-dirs must be >= 1, got {args.num_dirs}")
 
     pairs = direction_pairs(args.num_dirs, args.seed)
-    rows = [_werner_row(args, n, p, pairs) for n in args.n_list for p in p_values]
-    _spot_check(rows, lambda r: _werner_row(args, r[1], r[0], pairs), args.seed)
+    coefficients = [_pair_coefficients(da, db) for da, db in pairs]
+
+    def fast(img: XParams) -> tuple:
+        return tuple([_x_information(*_weights(img, k)) for k in coefficients])
+
+    def public(img: XParams) -> tuple:
+        return tuple(shannon_report_from_table(tomogram(img, da, db)).i_s for da, db in pairs)
+
+    rows = [_werner_row(args, n, p, fast) for n in args.n_list for p in p_values]
+    # Sampled rows must come out the same, bit for bit, through the public chain.
+    _spot_check(rows, lambda r: _werner_row(args, r[1], r[0], public), args.seed)
 
     directions = [
         {"theta_a": da.theta, "psi_a": da.psi, "theta_b": db.theta, "psi_b": db.psi}

@@ -150,6 +150,18 @@ def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
     )
 
 
+def _x_information(same: float, cross: float) -> float:
+    """Tomographic information of an X-state tomogram from its two weights.
+
+    Equals ``shannon_report_from_table(t).i_s`` bit for bit when
+    ``(same, cross) == (t.w_uu, t.w_ud)``: both marginals of such a table are
+    the same pair, so one marginal entropy serves for both.
+    """
+    h12 = _distribution_entropy((same, cross, cross, same))
+    h1 = _distribution_entropy((same + cross, cross + same))
+    return h1 + h1 - h12
+
+
 def check_inequalities(
     p: XParams, pairs: Iterable[tuple[Direction, Direction]]
 ) -> list[InequalityCheck]:

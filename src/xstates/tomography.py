@@ -75,6 +75,38 @@ def su2_matrix(direction: Direction) -> np.ndarray:
     )
 
 
+def _pair_coefficients(dir_a: Direction, dir_b: Direction) -> tuple:
+    """Everything the closed-form tomogram needs from one direction pair.
+
+    Returns ``(f_plus, f_minus, sin(theta_a) sin(theta_b) / 2,
+    e^{i(psi_a - psi_b)}, e^{i(psi_a + psi_b)})``; a sweep computes it once
+    per pair and reuses it for every state.
+    """
+    ca = math.cos(0.5 * dir_a.theta) ** 2
+    sa = 1.0 - ca
+    cb = math.cos(0.5 * dir_b.theta) ** 2
+    sb = 1.0 - cb
+    return (
+        ca * cb + sa * sb,
+        ca * sb + sa * cb,
+        0.5 * math.sin(dir_a.theta) * math.sin(dir_b.theta),
+        cmath.exp(1j * (dir_a.psi - dir_b.psi)),
+        cmath.exp(1j * (dir_a.psi + dir_b.psi)),
+    )
+
+
+def _weights(p: XParams, coefficients: tuple) -> tuple[float, float]:
+    """The two distinct tomogram weights ``(w_uu, w_ud)`` of an X state.
+
+    No validity check: the caller vouches for ``p``.
+    """
+    f_plus, f_minus, sin_sin, e_minus, e_plus = coefficients
+    r = sin_sin * (p.c * e_minus + p.d * e_plus).real
+    same = p.a * f_plus + p.b * f_minus + r
+    cross = p.a * f_minus + p.b * f_plus - r
+    return same, cross
+
+
 def tomogram(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
     """Closed-form joint tomogram of a valid X state.
 
@@ -89,23 +121,7 @@ def tomogram(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
     The second Euler angles drop out entirely.
     """
     require_valid(p)
-    ca = math.cos(0.5 * dir_a.theta) ** 2
-    sa = 1.0 - ca
-    cb = math.cos(0.5 * dir_b.theta) ** 2
-    sb = 1.0 - cb
-    f_plus = ca * cb + sa * sb
-    f_minus = ca * sb + sa * cb
-    r = (
-        0.5
-        * math.sin(dir_a.theta)
-        * math.sin(dir_b.theta)
-        * (
-            p.c * cmath.exp(1j * (dir_a.psi - dir_b.psi))
-            + p.d * cmath.exp(1j * (dir_a.psi + dir_b.psi))
-        ).real
-    )
-    same = p.a * f_plus + p.b * f_minus + r
-    cross = p.a * f_minus + p.b * f_plus - r
+    same, cross = _weights(p, _pair_coefficients(dir_a, dir_b))
     return TomogramTable(
         w_uu=same, w_ud=cross, w_du=cross, w_dd=same, dir_a=dir_a, dir_b=dir_b
     )
@@ -190,12 +206,8 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     lo = v / norm
     image = XParams(a=hi, b=lo, c=0.0, d=hi - lo)
     require_valid(image)
-    ca = math.cos(0.5 * dir_a.theta) ** 2
-    sa = 1.0 - ca
-    cb = math.cos(0.5 * dir_b.theta) ** 2
-    sb = 1.0 - cb
-    f_plus = ca * cb + sa * sb
-    f_minus = ca * sb + sa * cb
+    # Shares f+ and f- with tomogram(); the coherence term below is its own.
+    f_plus, f_minus = _pair_coefficients(dir_a, dir_b)[:2]
     r = (
         0.5
         * (hi - lo)

@@ -17,6 +17,7 @@ from xstates import (
     werner,
 )
 from xstates.cli import main
+from xstates.information import _x_information
 
 LN4 = math.log(4.0)
 
@@ -393,6 +394,13 @@ class TestSweepWerner:
         assert len(payload["directions"]) == 2
         assert len(payload["rows"]) == 3
 
+    def test_spot_check_catches_a_wrong_fast_path(self, monkeypatch):
+        monkeypatch.setattr(
+            "xstates.cli._x_information", lambda *w: math.nextafter(_x_information(*w), math.inf)
+        )
+        with pytest.raises(RuntimeError, match="self-check"):
+            main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+
 
 class TestTopLevel:
     def test_no_command_exits_one(self, capsys):
@@ -417,6 +425,7 @@ HOSTILE = {
     ),
     "output_in_missing_dir": (["sweep-cd", "--steps", "2", "--output", "{tmp}/no/x.csv"], None),
     "output_is_directory": (["sweep-werner", "--steps", "2", "--output", "{tmp}"], None),
+    "overflowing_weight_span": (["sweep-werner", "--p-min=-1e308", "--p-max=1e308"], None),
 }
 
 

@@ -13,6 +13,7 @@ To re-record after a deliberate output change::
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -149,6 +150,29 @@ CASES: dict[str, tuple[list[str], str | None]] = {
 }
 
 
+# Sweeps too large to store as text: name -> (argv, sha256 of stdout, byte length).
+# Recorded from the commit before the direction-pair factors were hoisted out
+# of the per-row loop of sweep-werner.
+PINNED: dict[str, tuple[list[str], str, int]] = {
+    "sweep_werner_41x16_csv": (
+        ["sweep-werner", "--steps", "41", "--num-dirs", "16"],
+        "3750529bf7a5afb5748b9c4a2688b17f19554e82d5f9faf19573fb45ab1941c7",
+        85068,
+    ),
+    "sweep_werner_41x16_json": (
+        ["sweep-werner", "--steps", "41", "--num-dirs", "16", "--json"],
+        "4ca1a0c22d8e3ae865298dc8fb004ec98af805d367ad1076048627157e9ab1f6",
+        132401,
+    ),
+    "sweep_werner_invalid_rows_json": (
+        ["sweep-werner", "--p-min=-3", "--p-max=1", "--steps", "41", "--num-dirs", "8",
+         "--json"],
+        "3104cd6a3d21e125e34a682154d372a7cf30d9df272b2959c8bdca8dbcd15ae8",
+        68673,
+    ),
+}
+
+
 def run_case(argv: list[str], config: str | None, tmp: Path) -> dict:
     """Run one invocation in this process and return its recorded form."""
     tmp_text = str(tmp)
@@ -176,6 +200,15 @@ def test_matches_recording(name, tmp_path):
     got = run_case(argv, config, tmp_path)
     for key in ("code", "stdout", "stderr", "output"):
         assert got[key] == recorded[key], key
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_matches_pinned_digest(name, tmp_path):
+    argv, digest, length = PINNED[name]
+    got = run_case(argv, None, tmp_path)
+    assert (got["code"], got["stderr"], got["output"]) == (0, "", None)
+    data = got["stdout"].encode("utf-8")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, length)
 
 
 def test_every_fixture_has_a_case():

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -31,6 +32,7 @@ from xstates import (
     werner,
     werner_mutual_information,
 )
+from xstates.information import _x_information, shannon_report_from_table
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -171,6 +173,39 @@ class TestShannonReport:
         info = system_entropies(p)
         assert rep.i_s <= info.i_n + 1e-10
         assert rep.i_s >= -1e-10
+
+
+BELL = werner(1.0)
+Z_UP = Direction(theta=0.0)
+Z_DOWN = Direction(theta=math.pi)
+
+# Directions on the poles as well as anywhere on the sphere.
+_pole_or_any = st.one_of(
+    st.builds(Direction, theta=st.sampled_from([0.0, math.pi]), psi=st.floats(0.0, 6.3)),
+    direction_st(),
+)
+
+
+class TestXInformation:
+    def test_bell_along_z_takes_the_zero_weight_branch(self):
+        t = tomogram(BELL, Z_UP, Z_UP)
+        assert t.w_ud == 0.0
+        assert _x_information(t.w_uu, t.w_ud) == shannon_report_from_table(t).i_s == LN2
+
+    @given(valid_params_st(), _pole_or_any, _pole_or_any)
+    @example(BELL, Z_UP, Z_UP)
+    @example(BELL, Z_UP, Z_DOWN)
+    @example(BELL, Z_DOWN, Direction(theta=1.1, psi=0.4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_table_chain_exactly(self, p, da, db):
+        t = tomogram(p, da, db)
+        assert _x_information(t.w_uu, t.w_ud) == shannon_report_from_table(t).i_s
+
+    def test_keeps_the_weight_checks(self):
+        with pytest.raises(InvalidSpectrumError):
+            _x_information(0.6, -0.1)
+        with pytest.raises(InvalidSpectrumError):
+            _x_information(0.3, 0.3)
 
 
 class TestCheckInequalities:
