@@ -506,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, ZeroDenominatorError) as exc:
+        # x**n overflowing, or Tr rho^n underflowing to zero, in the power map.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .xstate import StateClass, XParams, classify, ppt, require_valid, spectrum
-from .dense import to_dense
 
 
 @dataclass(frozen=True)
@@ -30,19 +27,6 @@ def negativity(p: XParams) -> float:
     require_valid(p)
     cm, dm = abs(p.c), abs(p.d)
     return abs(p.a + cm) + abs(p.a - cm) + abs(p.b + dm) + abs(p.b - dm)
-
-
-def spin_flip(p: XParams) -> XParams:
-    """Conjugate rho* by sigma_y x sigma_y and read the result back.
-
-    The map is performed on the dense matrix rather than shortcut, even
-    though every X matrix is its own spin flip.
-    """
-    yy = np.zeros((4, 4))
-    yy[0, 3] = yy[3, 0] = -1.0
-    yy[1, 2] = yy[2, 1] = 1.0
-    m = yy @ to_dense(p).conj() @ yy
-    return XParams(a=m[0, 0].real, b=m[1, 1].real, c=m[1, 2], d=m[0, 3])
 
 
 def concurrence(p: XParams) -> float:

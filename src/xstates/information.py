@@ -72,11 +72,12 @@ class InequalityCheck:
     subadditive: bool
 
 
-def _distribution_entropy(values: Iterable[float]) -> float:
+def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
+    """Entropy -sum(lam ln lam) of an eigenvalue distribution, in nats."""
     # 0 ln 0 = 0, after clamping [-EPS_PSD, 0) to exactly 0.
     total = 0.0
     acc = 0.0
-    for x in values:
+    for x in eigenvalues:
         if x < -EPS_PSD:
             raise InvalidSpectrumError(f"negative weight {x} below tolerance")
         if x < 0.0:
@@ -89,11 +90,6 @@ def _distribution_entropy(values: Iterable[float]) -> float:
     return acc
 
 
-def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
-    """Entropy -sum(lam ln lam) of an eigenvalue distribution, in nats."""
-    return _distribution_entropy(eigenvalues)
-
-
 def system_entropies(p: XParams) -> InfoReport:
     """Joint and marginal entropies of a valid X state.
 
@@ -103,7 +99,7 @@ def system_entropies(p: XParams) -> InfoReport:
     require_valid(p)
     s12 = von_neumann_entropy(spectrum(p).lam)
     q = p.a + p.b
-    s1 = _distribution_entropy((q, q))
+    s1 = von_neumann_entropy((q, q))
     s2 = s1
     return InfoReport(s12=s12, s1=s1, s2=s2, i_n=s1 + s2 - s12)
 
@@ -141,10 +137,10 @@ def shannon_report(p: XParams, dir_a: Direction, dir_b: Direction) -> ShannonRep
 
 def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
     """Shannon entropies of an already-computed tomogram."""
-    h12 = _distribution_entropy(table.as_tuple())
+    h12 = von_neumann_entropy(table.as_tuple())
     first, second = marginals(table)
-    h1 = _distribution_entropy(first)
-    h2 = _distribution_entropy(second)
+    h1 = von_neumann_entropy(first)
+    h2 = von_neumann_entropy(second)
     return ShannonReport(
         h12=h12, h1=h1, h2=h2, i_s=h1 + h2 - h12, dir_a=table.dir_a, dir_b=table.dir_b
     )
@@ -157,8 +153,8 @@ def _x_information(same: float, cross: float) -> float:
     ``(same, cross) == (t.w_uu, t.w_ud)``: both marginals of such a table are
     the same pair, so one marginal entropy serves for both.
     """
-    h12 = _distribution_entropy((same, cross, cross, same))
-    h1 = _distribution_entropy((same + cross, cross + same))
+    h12 = von_neumann_entropy((same, cross, cross, same))
+    h1 = von_neumann_entropy((same + cross, cross + same))
     return h1 + h1 - h12
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xstate import XParams, ZeroDenominatorError, _check_power, require_valid
-from .dense import to_dense
+from .xstate import XParams, require_valid
 
 
 class InvalidAngleError(ValueError):
@@ -61,18 +60,6 @@ class TomogramTable:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w_uu, self.w_ud, self.w_du, self.w_dd)
-
-
-def su2_matrix(direction: Direction) -> np.ndarray:
-    """SU(2) rotation for the Euler angles of ``direction``."""
-    half = 0.5 * direction.theta
-    c, s = math.cos(half), math.sin(half)
-    ep = cmath.exp(0.5j * (direction.phi + direction.psi))
-    em = cmath.exp(0.5j * (direction.phi - direction.psi))
-    return np.array(
-        [[c * ep, s * em], [-s * em.conjugate(), c * ep.conjugate()]],
-        dtype=complex,
-    )
 
 
 def _pair_coefficients(dir_a: Direction, dir_b: Direction) -> tuple:
@@ -127,21 +114,6 @@ def tomogram(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
     )
 
 
-def tomogram_dense_oracle(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
-    """Tomogram by dense rotation: diagonal of (u_a x u_b) rho (u_a x u_b)^H."""
-    require_valid(p)
-    u = np.kron(su2_matrix(dir_a), su2_matrix(dir_b))
-    w = np.diag(u @ to_dense(p) @ u.conj().T).real
-    return TomogramTable(
-        w_uu=float(w[0]),
-        w_ud=float(w[1]),
-        w_du=float(w[2]),
-        w_dd=float(w[3]),
-        dir_a=dir_a,
-        dir_b=dir_b,
-    )
-
-
 def marginals(table: TomogramTable) -> tuple[tuple[float, float], tuple[float, float]]:
     """Single-qubit outcome distributions implied by a joint tomogram."""
     first = (table.w_uu + table.w_ud, table.w_du + table.w_dd)
@@ -186,37 +158,3 @@ def direction_pairs(count: int, seed: int) -> list[tuple[Direction, Direction]]:
         x = tuple(rng.uniform(0.0, 1.0, size=4))
         pairs.append(_pair_from_unit_cube(x))
     return pairs
-
-
-def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> TomogramTable:
-    """Tomogram of the power-map image of a Werner state, in closed form.
-
-    Written directly over the power sums u = (1+3p)^n and v = (1-p)^n
-    rather than through the channel, so it doubles as an independent check
-    of the general pipeline.  Valid for any real mixing weight whose image
-    is a genuine state; raises otherwise.
-    """
-    _check_power(n)
-    u = (1.0 + 3.0 * p) ** n
-    v = (1.0 - p) ** n
-    norm = u + 3.0 * v
-    if abs(norm) < 1e-12 * (abs(u) + 3.0 * abs(v)) or norm == 0.0:
-        raise ZeroDenominatorError(f"normalization vanishes at p={p}, n={n}")
-    hi = 0.5 * (u + v) / norm
-    lo = v / norm
-    image = XParams(a=hi, b=lo, c=0.0, d=hi - lo)
-    require_valid(image)
-    # Shares f+ and f- with tomogram(); the coherence term below is its own.
-    f_plus, f_minus = _pair_coefficients(dir_a, dir_b)[:2]
-    r = (
-        0.5
-        * (hi - lo)
-        * math.sin(dir_a.theta)
-        * math.sin(dir_b.theta)
-        * math.cos(dir_a.psi + dir_b.psi)
-    )
-    same = hi * f_plus + lo * f_minus + r
-    cross = hi * f_minus + lo * f_plus - r
-    return TomogramTable(
-        w_uu=same, w_ud=cross, w_du=cross, w_dd=same, dir_a=dir_a, dir_b=dir_b
-    )

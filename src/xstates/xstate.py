@@ -8,8 +8,9 @@ An X state is fixed by two real diagonal entries and two complex coherences,
            [d*, 0, 0, a]],
 
 with unit trace 2(a + b) = 1.  Everything here works on the parameter
-quadruple directly; dense 4x4 arithmetic lives in :mod:`xstates.dense` and is
-used only for cross-checking.
+quadruple directly, in closed form from the four eigenvalues a +- |d| and
+b +- |c|; :func:`xstates.dense.to_dense` builds the 4x4 matrix for checks
+with general linear algebra.
 """
 
 from __future__ import annotations

@@ -426,6 +426,20 @@ HOSTILE = {
     "output_in_missing_dir": (["sweep-cd", "--steps", "2", "--output", "{tmp}/no/x.csv"], None),
     "output_is_directory": (["sweep-werner", "--steps", "2", "--output", "{tmp}"], None),
     "overflowing_weight_span": (["sweep-werner", "--p-min=-1e308", "--p-max=1e308"], None),
+    # x**n overflows or Tr rho^n underflows to zero inside the power map.
+    "overflowing_weight": (
+        ["sweep-werner", "--steps", "3", "--p-min=1e200", "--p-max=1e200"], None
+    ),
+    "overflowing_cd_power": (
+        ["sweep-cd", "--a", "5", "--b", "-4.5", "--n-list", "1000", "--steps", "2"], None
+    ),
+    "overflowing_werner_power": (
+        ["sweep-werner", "--p-min", "-5", "--n-list", "800", "--steps", "2"], None
+    ),
+    "underflowing_trace": (
+        ["analyze", "--a", "0.25", "--b", "0.25", "--c-abs", "0", "--d-abs", "0", "--n", "1000"],
+        None,
+    ),
 }
 
 

@@ -1,24 +1,27 @@
 import numpy as np
-import pytest
-from numpy.testing import assert_allclose
 
+import xstates.dense
 from conftest import random_valid_params
-from xstates import (
-    NonHermitianError,
-    XParams,
-    ZeroTraceError,
-    apply_power_channel,
-    hermitian_eig4,
-    matrix_power_normalize,
-    to_dense,
-    trace_norm,
-    werner,
-)
+from xstates import XParams, to_dense, werner
+
+# The public names of the package: closed forms only, plus ``to_dense``.
+PUBLIC_NAMES = [
+    "ChannelResult", "Direction", "EPS_PSD", "EPS_TRACE", "EntanglementReport",
+    "InequalityCheck", "InfoReport", "InvalidAngleError", "InvalidSpectrumError",
+    "InvalidStateError", "ShannonReport", "StateClass", "TomogramTable", "XParams",
+    "XSpectrum", "ZeroDenominatorError", "apply_power_channel", "check_inequalities",
+    "classify", "concurrence", "direction_pairs", "entanglement_report", "is_valid",
+    "marginals", "negativity", "ppt", "reduced", "shannon_report",
+    "shannon_report_from_table", "spectrum", "system_entropies", "to_dense", "tomogram",
+    "validate", "von_neumann_entropy", "werner", "werner_entanglement_threshold",
+    "werner_entanglement_threshold_lower", "werner_mutual_information",
+]
 
 
-def random_hermitian(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return (g + g.conj().T) / 2
+def test_public_names():
+    assert sorted(xstates.__all__) == PUBLIC_NAMES
+    assert all(hasattr(xstates, name) for name in PUBLIC_NAMES)
+    assert xstates.dense.to_dense is to_dense
 
 
 class TestToDense:
@@ -39,104 +42,3 @@ class TestToDense:
         for _ in range(20):
             m = to_dense(random_valid_params(rng))
             assert np.max(np.abs(m - m.conj().T)) == 0
-
-
-class TestHermitianEig4:
-    def test_diagonal_matrix(self):
-        evals, vecs = hermitian_eig4(np.diag([0.1, 0.4, 0.3, 0.2]))
-        assert_allclose(evals, [0.4, 0.3, 0.2, 0.1], atol=1e-15)
-        assert_allclose(np.abs(vecs.conj().T @ vecs), np.eye(4), atol=1e-14)
-
-    def test_x_state_example(self):
-        evals, _ = hermitian_eig4(to_dense(XParams(a=0.33, b=0.17, c=0.1, d=0.2)))
-        assert_allclose(evals, [0.53, 0.27, 0.13, 0.07], atol=1e-12)
-
-    def test_werner_spectrum(self):
-        evals, _ = hermitian_eig4(to_dense(werner(0.5)))
-        assert_allclose(evals, [0.625, 0.125, 0.125, 0.125], atol=1e-12)
-
-    def test_random_residuals_and_orthonormality(self):
-        # module contract: residuals below 1e-10 across 1000 random matrices
-        rng = np.random.default_rng(101)
-        for _ in range(1000):
-            h = random_hermitian(rng)
-            evals, vecs = hermitian_eig4(h)
-            for k in range(4):
-                res = np.linalg.norm(h @ vecs[:, k] - evals[k] * vecs[:, k])
-                assert res < 1e-10
-            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) < 1e-12
-
-    def test_against_library_eigenvalues(self):
-        rng = np.random.default_rng(55)
-        for _ in range(200):
-            h = random_hermitian(rng)
-            evals, _ = hermitian_eig4(h)
-            assert_allclose(evals, np.linalg.eigvalsh(h)[::-1], atol=1e-10)
-
-    def test_descending_order(self):
-        rng = np.random.default_rng(56)
-        for _ in range(50):
-            evals, _ = hermitian_eig4(random_hermitian(rng))
-            assert all(x >= y for x, y in zip(evals, evals[1:]))
-
-    def test_eigenvalue_sum_is_trace(self):
-        rng = np.random.default_rng(57)
-        for _ in range(50):
-            h = random_hermitian(rng)
-            evals, _ = hermitian_eig4(h)
-            assert abs(np.sum(evals) - np.trace(h).real) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            hermitian_eig4(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NonHermitianError):
-            hermitian_eig4(np.ones((3, 4)))
-
-
-class TestMatrixPowerNormalize:
-    def test_first_power_renormalizes(self):
-        m = np.diag([0.2, 0.2, 0.1, 0.1])
-        assert_allclose(matrix_power_normalize(m, 1), m / 0.6, atol=1e-15)
-
-    def test_projector_fixed_point(self):
-        m = np.diag([0.5, 0.5, 0.0, 0.0])
-        for n in range(1, 6):
-            assert_allclose(matrix_power_normalize(m, n), m, atol=1e-15)
-
-    def test_agrees_with_closed_form(self):
-        rng = np.random.default_rng(58)
-        for _ in range(100):
-            p = random_valid_params(rng)
-            n = int(rng.integers(1, 7))
-            expected = to_dense(apply_power_channel(p, n).params)
-            assert_allclose(matrix_power_normalize(to_dense(p), n), expected, atol=1e-10)
-
-    def test_zero_trace_raises(self):
-        with pytest.raises(ZeroTraceError):
-            matrix_power_normalize(np.diag([1.0, 1.0, -1.0, -1.0]), 1)
-        with pytest.raises(ZeroTraceError):
-            matrix_power_normalize(np.zeros((4, 4)), 2)
-
-    def test_bad_power_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_power_normalize(np.eye(4), 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            matrix_power_normalize(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
-
-
-class TestTraceNorm:
-    def test_density_matrix_is_one(self):
-        rng = np.random.default_rng(59)
-        for _ in range(50):
-            assert abs(trace_norm(to_dense(random_valid_params(rng))) - 1.0) < 1e-12
-
-    def test_partial_transpose_example(self):
-        assert_allclose(trace_norm(np.diag([0.375, 0.375, 0.375, -0.125])), 1.25, atol=1e-14)
-
-    def test_bounds_trace(self):
-        rng = np.random.default_rng(60)
-        for _ in range(50):
-            h = random_hermitian(rng)
-            assert trace_norm(h) >= abs(np.trace(h).real) - 1e-12

@@ -12,6 +12,7 @@ from conftest import (
     random_valid_params,
     valid_params_st,
 )
+from oracles import su2_matrix, tomogram_dense_oracle, werner_tomogram
 from xstates import (
     Direction,
     InvalidAngleError,
@@ -21,11 +22,8 @@ from xstates import (
     apply_power_channel,
     direction_pairs,
     marginals,
-    su2_matrix,
     tomogram,
-    tomogram_dense_oracle,
     werner,
-    werner_tomogram,
 )
 
 HALF_PI = math.pi / 2
