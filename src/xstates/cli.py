@@ -17,12 +17,14 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from .xstate import (
+    ChannelResult,
     XParams,
     ZeroDenominatorError,
     apply_power_channel,
@@ -94,7 +96,7 @@ def _load_config(path: str, options: dict[str, argparse.Action]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config {path}: {exc}")
     out = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -138,14 +140,20 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {output}: {exc}")
+        if output is None:
+            # Python flushes stdout again at exit; that must not fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        raise _UsageError(f"cannot write {output or '<stdout>'}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +240,39 @@ def _state(args: argparse.Namespace) -> XParams:
         raise _UsageError(f"--c-abs must be >= 0, got {c_abs}")
     if d_abs < 0.0:
         raise _UsageError(f"--d-abs must be >= 0, got {d_abs}")
-    return XParams(
-        a=a,
-        b=b,
-        c=c_abs * cmath.exp(1j * args.c_phase),
-        d=d_abs * cmath.exp(1j * args.d_phase),
-    )
+    c = c_abs * cmath.exp(1j * args.c_phase)
+    d = d_abs * cmath.exp(1j * args.d_phase)
+    return XParams(a=a, b=b, c=c, d=d)
 
 
 # ---------------------------------------------------------------------------
-# analyze
+# analyze, and the power-map image helpers that both sweeps share
+
+
+def _image(params: XParams, n: int) -> ChannelResult | None:
+    """The image of ``params`` under rho -> rho^n / Tr rho^n; None if Tr rho^n vanishes."""
+    try:
+        return apply_power_channel(params, n)
+    except ZeroDenominatorError:
+        return None
+
+
+def _measured(result: ChannelResult | None, measure, width: int) -> tuple:
+    """``(valid, class, *measure(image))`` for an image from :func:`_image`.
+
+    Only a valid image is measured.  Otherwise its ``width`` measures are
+    None (an empty cell), and so is the class when Tr rho^n vanished.
+    """
+    cls = None if result is None else classify(result.params).value
+    if result is None or not result.valid:
+        return (False, cls) + (None,) * width
+    return (True, cls) + measure(result.params)
+
+
+def _x_measures(img: XParams) -> tuple:
+    """Negativity, concurrence, S(rho) and I_n of a valid state."""
+    info = system_entropies(img)
+    return (negativity(img), concurrence(img), info.s12, info.i_n)
 
 
 def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -252,31 +283,22 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
         "spectrum": spectrum(params).lam,
     }
     if bad is None:
+        # Not _image: a vanishing Tr rho^n fails the command here (exit 1 in main).
         result = apply_power_channel(params, args.n)
         img = result.params
+        valid, class_image, *measures = _measured(result, _x_measures, 4)
         report.update(
             class_input=classify(params).value,
             n=args.n,
             image={
-                "a": img.a,
-                "b": img.b,
-                "c_abs": abs(img.c),
-                "c_phase": cmath.phase(img.c),
-                "d_abs": abs(img.d),
-                "d_phase": cmath.phase(img.d),
-                "valid": result.valid,
+                "a": img.a, "b": img.b,
+                "c_abs": abs(img.c), "c_phase": cmath.phase(img.c),
+                "d_abs": abs(img.d), "d_phase": cmath.phase(img.d),
+                "valid": valid,
             },
-            class_image=classify(img).value,
+            class_image=class_image,
+            **dict(zip(("negativity", "concurrence", "s12", "i_n"), measures)),
         )
-        report.update(dict.fromkeys(("negativity", "concurrence", "s12", "i_n")))
-        if result.valid:
-            info = system_entropies(img)
-            report.update(
-                negativity=negativity(img),
-                concurrence=concurrence(img),
-                s12=info.s12,
-                i_n=info.i_n,
-            )
     _emit(_render(report, args.json), args.output)
     return 0 if bad is None else 2
 
@@ -294,33 +316,10 @@ def _grid(end: float, steps: int) -> list[float]:
     return [end * k / (steps - 1) for k in range(steps)]
 
 
-def _cd_row(args: argparse.Namespace, n: int, c_abs: float, d_abs: float) -> tuple:
-    params = XParams(
-        a=args.a,
-        b=args.b,
-        c=c_abs * cmath.exp(1j * args.c_phase),
-        d=d_abs * cmath.exp(1j * args.d_phase),
-    )
-    try:
-        result = apply_power_channel(params, n)
-    except ZeroDenominatorError:
-        return (c_abs, d_abs, n, False, None, None, None, None, None)
-    img = result.params
-    cls = classify(img)
-    if not result.valid:
-        return (c_abs, d_abs, n, False, cls.value, None, None, None, None)
-    info = system_entropies(img)
-    return (
-        c_abs,
-        d_abs,
-        n,
-        True,
-        cls.value,
-        negativity(img),
-        concurrence(img),
-        info.s12,
-        info.i_n,
-    )
+def _cd_row(args: argparse.Namespace, n: int, c_abs: float, d_abs: float, units) -> tuple:
+    # ``units`` holds e^{i c_phase} and e^{i d_phase}, computed once per run.
+    params = XParams(a=args.a, b=args.b, c=c_abs * units[0], d=d_abs * units[1])
+    return (c_abs, d_abs, n) + _measured(_image(params, n), _x_measures, 4)
 
 
 def _row_to_csv(row: tuple) -> str:
@@ -330,8 +329,6 @@ def _row_to_csv(row: tuple) -> str:
 def _spot_check(rows: list[tuple], recompute, seed: int) -> None:
     # A per-run guard: a random subsample of emitted rows must match fresh
     # single-point evaluations exactly.
-    if not rows:
-        return
     rng = np.random.default_rng(seed)
     count = min(32, len(rows))
     for idx in rng.choice(len(rows), size=count, replace=False):
@@ -359,13 +356,14 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     if args.c_abs_max < 0.0 or args.d_abs_max < 0.0:
         raise _UsageError("grid ends must be >= 0")
 
+    units = (cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase))
     rows = [
-        _cd_row(args, n, c_abs, d_abs)
+        _cd_row(args, n, c_abs, d_abs, units)
         for n in args.n_list
         for c_abs in c_grid
         for d_abs in d_grid
     ]
-    _spot_check(rows, lambda r: _cd_row(args, r[2], r[0], r[1]), args.seed)
+    _spot_check(rows, lambda r: _cd_row(args, r[2], r[0], r[1], units), args.seed)
     return _emit_sweep(args, options, [], _CD_HEADER, rows)
 
 
@@ -382,16 +380,10 @@ def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str
 
 def _werner_row(args: argparse.Namespace, n: int, p: float, i_s) -> tuple:
     # ``i_s`` maps a valid image to its tomographic information per direction pair.
-    blank = (None,) * (1 + args.num_dirs)
-    try:
-        result = apply_power_channel(werner(p), n)
-    except ZeroDenominatorError:
-        return (p, n, False) + blank + (None,)
-    img = result.params
-    cls = classify(img)
-    if not result.valid:
-        return (p, n, False) + blank + (cls.value,)
-    return (p, n, True, system_entropies(img).i_n) + i_s(img) + (cls.value,)
+    def information(img: XParams) -> tuple:
+        return (system_entropies(img).i_n, *i_s(img))
+    valid, cls, *values = _measured(_image(werner(p), n), information, 1 + args.num_dirs)
+    return (p, n, valid, *values, cls)
 
 
 def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -422,11 +414,8 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
         for da, db in pairs
     ]
     thresholds = [
-        {
-            "n": n,
-            "upper": werner_entanglement_threshold(n),
-            "lower": werner_entanglement_threshold_lower(n) if n % 2 == 0 else None,
-        }
+        {"n": n, "upper": werner_entanglement_threshold(n),
+         "lower": werner_entanglement_threshold_lower(n) if n % 2 == 0 else None}
         for n in args.n_list
     ]
     header = "p,n,valid,i_n," + ",".join(f"i_s_dir{k}" for k in range(args.num_dirs)) + ",class"
@@ -466,16 +455,9 @@ def cmd_tomogram(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     rep = shannon_report_from_table(table)
     first, second = marginals(table)
     report = {
-        "w_uu": table.w_uu,
-        "w_ud": table.w_ud,
-        "w_du": table.w_du,
-        "w_dd": table.w_dd,
-        "marginal_a": first,
-        "marginal_b": second,
-        "h12": rep.h12,
-        "h1": rep.h1,
-        "h2": rep.h2,
-        "i_s": rep.i_s,
+        "w_uu": table.w_uu, "w_ud": table.w_ud, "w_du": table.w_du, "w_dd": table.w_dd,
+        "marginal_a": first, "marginal_b": second,
+        "h12": rep.h12, "h1": rep.h1, "h2": rep.h2, "i_s": rep.i_s,
     }
     if args.json:
         report = {"n": args.n, "dir_a": asdict(dir_a), "dir_b": asdict(dir_b), **report}
@@ -502,6 +484,8 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, dest)
             if action.type is float and value is not None and not math.isfinite(value):
                 raise _UsageError(f"{action.option_strings[0]} must be finite, got {value}")
+        if "seed" in options and args.seed < 0:
+            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.handler(args, options)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,13 +15,10 @@ from typing import Iterable, Sequence
 from .xstate import (
     EPS_PSD,
     EPS_TRACE,
-    InvalidStateError,
-    StateClass,
     XParams,
     apply_power_channel,
     require_valid,
     spectrum,
-    validate,
     werner,
 )
 from .tomography import Direction, TomogramTable, marginals, tomogram
@@ -115,9 +112,7 @@ def werner_mutual_information(p: float, n: int) -> float:
     Requires the image to be a genuine state; equals ln 4 at p = 1 for
     every n.
     """
-    image = apply_power_channel(werner(p), n)
-    if not image.valid:
-        raise InvalidStateError(validate(image.params) or StateClass.INVALID_NOT_PSD)
+    require_valid(apply_power_channel(werner(p), n).params)
     u = (1.0 + 3.0 * p) ** n
     v = (1.0 - p) ** n
     z = u + 3.0 * v

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import xstates
 from xstates import (
     Direction,
     XParams,
@@ -48,8 +53,8 @@ class TestAnalyze:
         assert rep["validity"] == "valid"
         assert rep["class_input"] == "entangled"
         assert rep["class_image"] == "entangled"
-        assert_allclose(float(rep["negativity"]), 25 / 14, atol=1e-12)
-        assert_allclose(float(rep["s12"]), 0.4582082379714534, atol=1e-12)
+        assert_allclose(float(rep["negativity"]), 25 / 14, atol=1e-12, rtol=0)
+        assert_allclose(float(rep["s12"]), 0.4582082379714534, atol=1e-12, rtol=0)
 
     def test_json_report_matches_library(self, capsys):
         code, out, _ = run(
@@ -68,12 +73,12 @@ class TestAnalyze:
             3,
         ).params
         assert rep["validity"] == "valid"
-        assert_allclose(rep["image"]["a"], image.a, atol=1e-14)
-        assert_allclose(rep["image"]["c_abs"], abs(image.c), atol=1e-14)
-        assert_allclose(rep["image"]["d_phase"], 1.2, atol=1e-12)
-        assert_allclose(rep["negativity"], negativity(image), atol=1e-12)
-        assert_allclose(rep["concurrence"], concurrence(image), atol=1e-12)
-        assert_allclose(rep["i_n"], system_entropies(image).i_n, atol=1e-12)
+        assert_allclose(rep["image"]["a"], image.a, atol=1e-14, rtol=0)
+        assert_allclose(rep["image"]["c_abs"], abs(image.c), atol=1e-14, rtol=0)
+        assert_allclose(rep["image"]["d_phase"], 1.2, atol=1e-12, rtol=0)
+        assert_allclose(rep["negativity"], negativity(image), atol=1e-12, rtol=0)
+        assert_allclose(rep["concurrence"], concurrence(image), atol=1e-12, rtol=0)
+        assert_allclose(rep["i_n"], system_entropies(image).i_n, atol=1e-12, rtol=0)
 
     def test_invalid_state_exits_two(self, capsys):
         code, out, _ = run(
@@ -133,7 +138,7 @@ class TestAnalyze:
         )
         code, out, _ = run(capsys, "analyze", "--config", str(cfg))
         assert code == 0
-        assert_allclose(float(parse_report(out)["negativity"]), 25 / 14, atol=1e-12)
+        assert_allclose(float(parse_report(out)["negativity"]), 25 / 14, atol=1e-12, rtol=0)
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "state.cfg"
@@ -174,12 +179,12 @@ class TestTomogramCommand:
         table = tomogram(
             image, Direction(theta=0.9, psi=0.3), Direction(theta=2.0, psi=1.1)
         )
-        assert_allclose(float(rep["w_uu"]), table.w_uu, atol=1e-12)
-        assert_allclose(float(rep["w_ud"]), table.w_ud, atol=1e-12)
+        assert_allclose(float(rep["w_uu"]), table.w_uu, atol=1e-12, rtol=0)
+        assert_allclose(float(rep["w_ud"]), table.w_ud, atol=1e-12, rtol=0)
         srep = shannon_report(
             image, Direction(theta=0.9, psi=0.3), Direction(theta=2.0, psi=1.1)
         )
-        assert_allclose(float(rep["i_s"]), srep.i_s, atol=1e-12)
+        assert_allclose(float(rep["i_s"]), srep.i_s, atol=1e-12, rtol=0)
 
     def test_bell_peak_json(self, capsys):
         code, out, _ = run(
@@ -189,10 +194,10 @@ class TestTomogramCommand:
         )
         assert code == 0
         rep = json.loads(out)
-        assert_allclose(rep["w_uu"], 0.5, atol=1e-14)
-        assert_allclose(rep["w_ud"], 0.0, atol=1e-14)
-        assert_allclose(rep["marginal_a"], [0.5, 0.5], atol=1e-14)
-        assert_allclose(rep["h1"], math.log(2), atol=1e-13)
+        assert_allclose(rep["w_uu"], 0.5, atol=1e-14, rtol=0)
+        assert_allclose(rep["w_ud"], 0.0, atol=1e-14, rtol=0)
+        assert_allclose(rep["marginal_a"], [0.5, 0.5], atol=1e-14, rtol=0)
+        assert_allclose(rep["h1"], math.log(2), atol=1e-13, rtol=0)
 
     def test_second_euler_angle_accepted_but_irrelevant(self, capsys):
         base = [
@@ -230,8 +235,8 @@ class TestTomogramCommand:
         assert code == 0
         assert out == ""
         rep = parse_report(target.read_text())
-        assert_allclose(float(rep["w_uu"]), 0.25, atol=1e-14)
-        assert_allclose(float(rep["i_s"]), 0.0, atol=1e-12)
+        assert_allclose(float(rep["w_uu"]), 0.25, atol=1e-14, rtol=0)
+        assert_allclose(float(rep["i_s"]), 0.0, atol=1e-12, rtol=0)
 
 
 class TestSweepCd:
@@ -248,7 +253,7 @@ class TestSweepCd:
         assert len(lines) == 1 + 5 * 5 * 2
         first = lines[1].split(",")
         assert first[:5] == ["0", "0", "2", "true", "separable"]
-        assert_allclose(float(first[5]), 1.0, atol=1e-12)
+        assert_allclose(float(first[5]), 1.0, atol=1e-12, rtol=0)
 
     def test_rows_match_library(self, capsys, tmp_path):
         target = tmp_path / "cd.csv"
@@ -262,8 +267,8 @@ class TestSweepCd:
             c_abs, d_abs = float(parts[0]), float(parts[1])
             image = apply_power_channel(XParams(a=0.3, b=0.2, c=c_abs, d=d_abs), 2).params
             assert parts[3] == "true"
-            assert_allclose(float(parts[5]), negativity(image), atol=1e-12)
-            assert_allclose(float(parts[8]), system_entropies(image).i_n, atol=1e-12)
+            assert_allclose(float(parts[5]), negativity(image), atol=1e-12, rtol=0)
+            assert_allclose(float(parts[8]), system_entropies(image).i_n, atol=1e-12, rtol=0)
 
     def test_invalid_rows_blank_measures(self, capsys, tmp_path):
         target = tmp_path / "cd.csv"
@@ -336,10 +341,10 @@ class TestSweepWerner:
         assert len(rows) == 5 * 2
         by_key = {tuple(r.split(",")[:2]): r.split(",") for r in rows}
         bell = by_key[("1", "1")]
-        assert_allclose(float(bell[3]), LN4, atol=1e-12)
+        assert_allclose(float(bell[3]), LN4, atol=1e-12, rtol=0)
         assert bell[-1] == "entangled"
         mixed = by_key[("0", "2")]
-        assert_allclose(float(mixed[3]), 0.0, atol=1e-12)
+        assert_allclose(float(mixed[3]), 0.0, atol=1e-12, rtol=0)
         assert mixed[-1] == "separable"
 
     def test_shannon_bounded_by_quantum(self, capsys, tmp_path):
@@ -440,6 +445,10 @@ HOSTILE = {
         ["analyze", "--a", "0.25", "--b", "0.25", "--c-abs", "0", "--d-abs", "0", "--n", "1000"],
         None,
     ),
+    # numpy's default_rng rejects a negative seed with a ValueError.
+    "negative_cd_seed": (["sweep-cd", "--seed", "-1", "--steps", "2"], None),
+    "negative_werner_seed": (["sweep-werner", "--seed", "-1", "--steps", "2"], None),
+    "undecodable_config": (["analyze"], b"a = 0.3\xff\n"),
 }
 
 
@@ -448,13 +457,55 @@ def test_hostile_input_exits_one_with_one_line(name, capsys, tmp_path):
     argv, config = HOSTILE[name]
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if config is not None:
-        (tmp_path / "cfg").write_text(config)
+        (tmp_path / "cfg").write_bytes(config if isinstance(config, bytes) else config.encode())
         argv += ["--config", str(tmp_path / "cfg")]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, row", [("sweep-cd", "_cd_row"), ("sweep-werner", "_werner_row")])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_negative_seed_rejected_before_any_row(command, row, via_config, capsys, tmp_path,
+                                                monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(f"xstates.cli.{row}", no_row)
+    argv = [command, "--steps", "2"]
+    if via_config:
+        (tmp_path / "cfg").write_text("seed = -1\n")
+        argv += ["--config", str(tmp_path / "cfg")]
+    else:
+        argv += ["--seed", "-1"]
+    assert run(capsys, *argv) == (1, "", "error: --seed must be >= 0, got -1\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--a", "0.375", "--b", "0.125", "--c-abs", "0", "--d-abs", "0.25"],
+        # Larger than stdout's buffer, so the write itself fails, not only the flush.
+        ["sweep-werner", "--steps", "401"],
+    ],
+    ids=["short", "long"],
+)
+def test_full_stdout_exits_one_with_one_line(argv):
+    src = Path(xstates.__file__).resolve().parents[1]
+    # A buffered stdout, so the text can still sit in the buffer when Python exits.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xstates", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write <stdout>: ")
+    assert proc.stderr.count("\n") == 1
 
 
 # Config keys accepted by each subcommand, as listed before they were derived

@@ -31,20 +31,20 @@ from xstates import (
 
 class TestNegativity:
     def test_werner_values(self):
-        assert_allclose(negativity(werner(0.5)), 1.25, atol=1e-15)
-        assert_allclose(negativity(werner(1.0)), 2.0, atol=1e-15)
+        assert_allclose(negativity(werner(0.5)), 1.25, atol=1e-15, rtol=0)
+        assert_allclose(negativity(werner(1.0)), 2.0, atol=1e-15, rtol=0)
 
     def test_separable_states_sit_at_one(self):
         rng = np.random.default_rng(71)
         for _ in range(100):
-            assert_allclose(negativity(random_separable_params(rng)), 1.0, atol=1e-12)
+            assert_allclose(negativity(random_separable_params(rng)), 1.0, atol=1e-12, rtol=0)
 
     def test_matches_dense_trace_norm(self):
         rng = np.random.default_rng(72)
         for _ in range(200):
             p = random_valid_params(rng)
             trace_norm = np.abs(np.linalg.eigvalsh(to_dense(ppt(p)))).sum()
-            assert_allclose(negativity(p), trace_norm, atol=1e-10)
+            assert_allclose(negativity(p), trace_norm, atol=1e-10, rtol=0)
 
     def test_invalid_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -74,7 +74,7 @@ class TestSpinFlip:
 
     def test_fixed_point_survives_dense_comparison(self):
         p = XParams(a=0.3, b=0.2, c=0.12 * cmath.exp(0.7j), d=0.21 * cmath.exp(-1.1j))
-        assert_allclose(to_dense(spin_flip(p)), to_dense(p), atol=1e-15)
+        assert_allclose(to_dense(spin_flip(p)), to_dense(p), atol=1e-15, rtol=0)
 
 
 class TestConcurrence:
@@ -82,8 +82,8 @@ class TestConcurrence:
         assert concurrence(XParams(a=0.25, b=0.25, c=0.0, d=0.0)) == 0.0
 
     def test_werner_values(self):
-        assert_allclose(concurrence(werner(0.5)), 0.25, atol=1e-15)
-        assert_allclose(concurrence(werner(1.0)), 1.0, atol=1e-15)
+        assert_allclose(concurrence(werner(0.5)), 0.25, atol=1e-15, rtol=0)
+        assert_allclose(concurrence(werner(1.0)), 1.0, atol=1e-15, rtol=0)
 
     def test_separable_states_vanish(self):
         rng = np.random.default_rng(74)
@@ -100,7 +100,7 @@ class TestConcurrence:
             evals = np.linalg.eigvalsh(product)
             roots = sorted((math.sqrt(max(x, 0.0)) for x in evals), reverse=True)
             expected = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
-            assert_allclose(concurrence(p), expected, atol=1e-10)
+            assert_allclose(concurrence(p), expected, atol=1e-10, rtol=0)
 
     def test_invalid_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -143,7 +143,7 @@ class TestEntanglementReport:
     def test_separable_werner(self):
         rep = entanglement_report(werner(0.2))
         assert rep.state_class is StateClass.SEPARABLE
-        assert_allclose(rep.negativity, 1.0, atol=1e-12)
+        assert_allclose(rep.negativity, 1.0, atol=1e-12, rtol=0)
         assert rep.concurrence <= 1e-12
         assert min(rep.ppt_spectrum) >= -1e-12
 
@@ -151,10 +151,10 @@ class TestEntanglementReport:
         image = apply_power_channel(werner(0.5), 2).params
         rep = entanglement_report(image)
         assert rep.state_class is StateClass.ENTANGLED
-        assert_allclose(rep.negativity, 25 / 14, atol=1e-12)
-        assert_allclose(rep.concurrence, 2 * (12 / 28 - 1 / 28), atol=1e-12)
+        assert_allclose(rep.negativity, 25 / 14, atol=1e-12, rtol=0)
+        assert_allclose(rep.concurrence, 2 * (12 / 28 - 1 / 28), atol=1e-12, rtol=0)
         assert_allclose(
-            rep.ppt_spectrum, (13 / 28, 13 / 28, 13 / 28, -11 / 28), atol=1e-12
+            rep.ppt_spectrum, (13 / 28, 13 / 28, 13 / 28, -11 / 28), atol=1e-12, rtol=0
         )
 
     def test_invalid_input_keeps_ppt_spectrum_only(self):

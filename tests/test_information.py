@@ -47,11 +47,11 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy((1.0, 0.0, 0.0, 0.0)) == 0.0
 
     def test_uniform(self):
-        assert_allclose(von_neumann_entropy((0.25,) * 4), LN4, atol=1e-15)
+        assert_allclose(von_neumann_entropy((0.25,) * 4), LN4, atol=1e-15, rtol=0)
 
     def test_werner_half(self):
         assert_allclose(
-            von_neumann_entropy(spectrum(werner(0.5)).lam), S12_WERNER_HALF, atol=1e-12
+            von_neumann_entropy(spectrum(werner(0.5)).lam), S12_WERNER_HALF, atol=1e-12, rtol=0
         )
 
     def test_tiny_negative_clamped(self):
@@ -71,21 +71,21 @@ class TestVonNeumannEntropy:
 class TestSystemEntropies:
     def test_bell_state(self):
         info = system_entropies(werner(1.0))
-        assert_allclose(info.s12, 0.0, atol=1e-12)
-        assert_allclose((info.s1, info.s2), (LN2, LN2), atol=1e-15)
-        assert_allclose(info.i_n, LN4, atol=1e-12)
+        assert_allclose(info.s12, 0.0, atol=1e-12, rtol=0)
+        assert_allclose((info.s1, info.s2), (LN2, LN2), atol=1e-15, rtol=0)
+        assert_allclose(info.i_n, LN4, atol=1e-12, rtol=0)
 
     def test_maximally_mixed(self):
         info = system_entropies(XParams(a=0.25, b=0.25, c=0.0, d=0.0))
-        assert_allclose(info.s12, LN4, atol=1e-15)
-        assert_allclose(info.i_n, 0.0, atol=1e-14)
+        assert_allclose(info.s12, LN4, atol=1e-15, rtol=0)
+        assert_allclose(info.i_n, 0.0, atol=1e-14, rtol=0)
 
     def test_marginals_always_ln2(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             info = system_entropies(random_valid_params(rng))
-            assert_allclose((info.s1, info.s2), (LN2, LN2), atol=1e-12)
-            assert_allclose(info.i_n, info.s1 + info.s2 - info.s12, atol=1e-15)
+            assert_allclose((info.s1, info.s2), (LN2, LN2), atol=1e-12, rtol=0)
+            assert_allclose(info.i_n, info.s1 + info.s2 - info.s12, atol=1e-15, rtol=0)
 
     def test_subadditivity(self):
         rng = np.random.default_rng(32)
@@ -101,34 +101,34 @@ class TestSystemEntropies:
 class TestWernerMutualInformation:
     def test_bell_saturates_for_every_power(self):
         for n in range(1, 7):
-            assert_allclose(werner_mutual_information(1.0, n), LN4, atol=1e-12)
+            assert_allclose(werner_mutual_information(1.0, n), LN4, atol=1e-12, rtol=0)
 
     def test_white_noise_carries_nothing(self):
         for n in range(1, 7):
-            assert_allclose(werner_mutual_information(0.0, n), 0.0, atol=1e-14)
+            assert_allclose(werner_mutual_information(0.0, n), 0.0, atol=1e-14, rtol=0)
 
     def test_frozen_values(self):
-        assert_allclose(werner_mutual_information(0.5, 1), I_N_WERNER_HALF_N1, atol=1e-12)
-        assert_allclose(werner_mutual_information(0.5, 2), I_N_WERNER_HALF_N2, atol=1e-12)
+        assert_allclose(werner_mutual_information(0.5, 1), I_N_WERNER_HALF_N1, atol=1e-12, rtol=0)
+        assert_allclose(werner_mutual_information(0.5, 2), I_N_WERNER_HALF_N2, atol=1e-12, rtol=0)
 
     def test_matches_entropy_pipeline(self):
         for n in range(1, 7):
             for p in np.linspace(-1 / 3 + 1e-3, 1.0, 13):
                 image = apply_power_channel(werner(p), n).params
                 expected = system_entropies(image).i_n
-                assert_allclose(werner_mutual_information(p, n), expected, atol=1e-10)
+                assert_allclose(werner_mutual_information(p, n), expected, atol=1e-10, rtol=0)
 
     def test_even_power_outside_band(self):
         for p in (-2.5, 1.8):
             image = apply_power_channel(werner(p), 2).params
             expected = system_entropies(image).i_n
-            assert_allclose(werner_mutual_information(p, 2), expected, atol=1e-10)
+            assert_allclose(werner_mutual_information(p, 2), expected, atol=1e-10, rtol=0)
 
     def test_matches_dense_route(self):
         for n, expected in ((1, I_N_WERNER_HALF_N1), (2, I_N_WERNER_HALF_N2)):
             m = np.linalg.matrix_power(to_dense(werner(0.5)), n)
             evals = np.linalg.eigvalsh(m / np.trace(m).real)
-            assert_allclose(LN4 - von_neumann_entropy(evals), expected, atol=1e-10)
+            assert_allclose(LN4 - von_neumann_entropy(evals), expected, atol=1e-10, rtol=0)
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -149,20 +149,20 @@ class TestShannonReport:
             Direction(theta=0.7, psi=0.2),
             Direction(theta=2.1, psi=1.5),
         )
-        assert_allclose(rep.h12, LN4, atol=1e-14)
-        assert_allclose((rep.h1, rep.h2), (LN2, LN2), atol=1e-14)
-        assert_allclose(rep.i_s, 0.0, atol=1e-13)
+        assert_allclose(rep.h12, LN4, atol=1e-14, rtol=0)
+        assert_allclose((rep.h1, rep.h2), (LN2, LN2), atol=1e-14, rtol=0)
+        assert_allclose(rep.i_s, 0.0, atol=1e-13, rtol=0)
 
     def test_bell_along_z(self):
         rep = shannon_report(werner(1.0), Direction(theta=0.0), Direction(theta=0.0))
-        assert_allclose(rep.h12, LN2, atol=1e-14)
-        assert_allclose(rep.i_s, LN2, atol=1e-13)
+        assert_allclose(rep.h12, LN2, atol=1e-14, rtol=0)
+        assert_allclose(rep.i_s, LN2, atol=1e-13, rtol=0)
 
     def test_marginal_entropies_ln2(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             rep = shannon_report(random_valid_params(rng), *random_direction_pair(rng))
-            assert_allclose((rep.h1, rep.h2), (LN2, LN2), atol=1e-12)
+            assert_allclose((rep.h1, rep.h2), (LN2, LN2), atol=1e-12, rtol=0)
 
     @given(valid_params_st(), direction_st(), direction_st())
     @settings(max_examples=150, deadline=None)
@@ -216,7 +216,7 @@ class TestCheckInequalities:
             assert rec.i_s_nonnegative
             assert rec.i_n_nonnegative
             assert rec.subadditive
-            assert_allclose(rec.i_n, I_N_WERNER_HALF_N1, atol=1e-12)
+            assert_allclose(rec.i_n, I_N_WERNER_HALF_N1, atol=1e-12, rtol=0)
 
     def test_all_hold_for_channel_images(self):
         rng = np.random.default_rng(43)

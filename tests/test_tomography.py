@@ -53,17 +53,17 @@ class TestDirection:
 
 class TestSu2Matrix:
     def test_identity_at_zero(self):
-        assert_allclose(su2_matrix(Direction(theta=0.0)), np.eye(2), atol=1e-15)
+        assert_allclose(su2_matrix(Direction(theta=0.0)), np.eye(2), atol=1e-15, rtol=0)
 
     def test_antidiagonal_at_pi(self):
         u = su2_matrix(Direction(theta=math.pi))
-        assert_allclose(u, np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15)
+        assert_allclose(u, np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15, rtol=0)
 
     @given(direction_st())
     @settings(max_examples=100, deadline=None)
     def test_special_unitary(self, d):
         u = su2_matrix(d)
-        assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+        assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12, rtol=0)
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
@@ -71,24 +71,24 @@ class TestTomogram:
     def test_z_axis_reads_diagonal(self):
         p = XParams(a=0.33, b=0.17, c=0.1j, d=0.05)
         t = tomogram(p, Direction(theta=0.0), Direction(theta=0.0))
-        assert_allclose(t.as_tuple(), (0.33, 0.17, 0.17, 0.33), atol=1e-15)
+        assert_allclose(t.as_tuple(), (0.33, 0.17, 0.17, 0.33), atol=1e-15, rtol=0)
 
     def test_maximally_mixed_flat(self):
         p = XParams(a=0.25, b=0.25, c=0.0, d=0.0)
         rng = np.random.default_rng(1)
         for _ in range(10):
             da, db = random_direction_pair(rng)
-            assert_allclose(tomogram(p, da, db).as_tuple(), (0.25,) * 4, atol=1e-14)
+            assert_allclose(tomogram(p, da, db).as_tuple(), (0.25,) * 4, atol=1e-14, rtol=0)
 
     def test_bell_interference_peak(self):
         t = tomogram(werner(1.0), Direction(theta=HALF_PI), Direction(theta=HALF_PI))
-        assert_allclose(t.as_tuple(), (0.5, 0.0, 0.0, 0.5), atol=1e-15)
+        assert_allclose(t.as_tuple(), (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
 
     def test_psi_rotates_interference_away(self):
         da = Direction(theta=HALF_PI, psi=HALF_PI)
         db = Direction(theta=HALF_PI)
         assert_allclose(
-            tomogram(werner(1.0), da, db).as_tuple(), (0.25,) * 4, atol=1e-14
+            tomogram(werner(1.0), da, db).as_tuple(), (0.25,) * 4, atol=1e-14, rtol=0
         )
 
     def test_invalid_state_rejected(self):
@@ -116,7 +116,7 @@ class TestTomogram:
             shifted = tomogram_dense_oracle(
                 p, Direction(theta_a, phi_a, psi_a), Direction(theta_b, phi_b, psi_b)
             )
-            assert_allclose(plain.as_tuple(), shifted.as_tuple(), atol=1e-12)
+            assert_allclose(plain.as_tuple(), shifted.as_tuple(), atol=1e-12, rtol=0)
 
     def test_matches_dense_oracle(self):
         # closed form vs dense rotation across states, images, and directions
@@ -126,7 +126,7 @@ class TestTomogram:
             da, db = random_direction_pair(rng)
             closed = tomogram(p, da, db)
             dense = tomogram_dense_oracle(p, da, db)
-            assert_allclose(closed.as_tuple(), dense.as_tuple(), atol=1e-12)
+            assert_allclose(closed.as_tuple(), dense.as_tuple(), atol=1e-12, rtol=0)
 
 
 class TestMarginals:
@@ -135,14 +135,14 @@ class TestMarginals:
         for _ in range(100):
             t = tomogram(random_valid_params(rng), *random_direction_pair(rng))
             first, second = marginals(t)
-            assert_allclose(first, (0.5, 0.5), atol=1e-12)
-            assert_allclose(second, (0.5, 0.5), atol=1e-12)
+            assert_allclose(first, (0.5, 0.5), atol=1e-12, rtol=0)
+            assert_allclose(second, (0.5, 0.5), atol=1e-12, rtol=0)
 
     def test_sums(self):
         t = tomogram(werner(0.8), Direction(theta=0.3, psi=1.0), Direction(theta=2.0))
         first, second = marginals(t)
-        assert_allclose(first[0], t.w_uu + t.w_ud, atol=1e-15)
-        assert_allclose(second[0], t.w_uu + t.w_du, atol=1e-15)
+        assert_allclose(first[0], t.w_uu + t.w_ud, atol=1e-15, rtol=0)
+        assert_allclose(second[0], t.w_uu + t.w_du, atol=1e-15, rtol=0)
 
 
 class TestDirectionPairs:
@@ -168,15 +168,15 @@ class TestDirectionPairs:
 class TestWernerTomogram:
     def test_flat_at_zero_weight(self):
         t = werner_tomogram(0.0, 3, Direction(theta=1.0), Direction(theta=2.0))
-        assert_allclose(t.as_tuple(), (0.25,) * 4, atol=1e-15)
+        assert_allclose(t.as_tuple(), (0.25,) * 4, atol=1e-15, rtol=0)
 
     def test_z_axis_reads_image_diagonal(self):
         t = werner_tomogram(0.5, 1, Direction(theta=0.0), Direction(theta=0.0))
-        assert_allclose(t.as_tuple(), (0.375, 0.125, 0.125, 0.375), atol=1e-15)
+        assert_allclose(t.as_tuple(), (0.375, 0.125, 0.125, 0.375), atol=1e-15, rtol=0)
 
     def test_bell_peak(self):
         t = werner_tomogram(1.0, 1, Direction(theta=HALF_PI), Direction(theta=HALF_PI))
-        assert_allclose(t.as_tuple(), (0.5, 0.0, 0.0, 0.5), atol=1e-15)
+        assert_allclose(t.as_tuple(), (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
 
     def test_agrees_with_channel_pipeline(self):
         rng = np.random.default_rng(21)
@@ -186,7 +186,9 @@ class TestWernerTomogram:
                 da, db = random_direction_pair(rng)
                 direct = werner_tomogram(p, n, da, db)
                 image = apply_power_channel(werner(p), n).params
-                assert_allclose(direct.as_tuple(), tomogram(image, da, db).as_tuple(), atol=1e-12)
+                assert_allclose(
+                    direct.as_tuple(), tomogram(image, da, db).as_tuple(), atol=1e-12, rtol=0
+                )
 
     def test_invalid_image_rejected(self):
         with pytest.raises(InvalidStateError):

@@ -67,7 +67,7 @@ class TestValidate:
 class TestSpectrum:
     def test_closed_form_entries(self):
         s = spectrum(XParams(a=0.33, b=0.17, c=0.1, d=0.2))
-        assert_allclose(s.lam, (0.53, 0.27, 0.07, 0.13), atol=1e-15)
+        assert_allclose(s.lam, (0.53, 0.27, 0.07, 0.13), atol=1e-15, rtol=0)
 
     def test_phases(self):
         s = spectrum(XParams(a=0.33, b=0.17, c=0.1j, d=-0.2))
@@ -91,7 +91,7 @@ class TestSpectrum:
         for _ in range(200):
             p = random_valid_params(rng)
             evals = np.linalg.eigvalsh(to_dense(p))
-            assert_allclose(sorted(spectrum(p).lam), evals, atol=1e-10)
+            assert_allclose(sorted(spectrum(p).lam), evals, atol=1e-10, rtol=0)
 
     def test_eigenvectors_are_eigenvectors(self):
         rng = np.random.default_rng(6)
@@ -101,7 +101,7 @@ class TestSpectrum:
             m = to_dense(p)
             v = s.eigenvectors()
             for k in range(4):
-                assert_allclose(m @ v[:, k], s.lam[k] * v[:, k], atol=1e-12)
+                assert_allclose(m @ v[:, k], s.lam[k] * v[:, k], atol=1e-12, rtol=0)
 
 
 class TestPowerChannel:
@@ -118,22 +118,24 @@ class TestPowerChannel:
     def test_werner_square_closed_form(self):
         res = apply_power_channel(werner(0.5), 2)
         assert res.valid
-        assert_allclose(res.params.a, 13 / 28, atol=1e-15)
-        assert_allclose(res.params.b, 1 / 28, atol=1e-15)
+        assert_allclose(res.params.a, 13 / 28, atol=1e-15, rtol=0)
+        assert_allclose(res.params.b, 1 / 28, atol=1e-15, rtol=0)
         assert res.params.c == 0
-        assert_allclose(res.params.d, 12 / 28, atol=1e-15)
+        assert_allclose(res.params.d, 12 / 28, atol=1e-15, rtol=0)
 
     def test_phases_carried_over(self):
         p = XParams(a=0.3, b=0.2, c=0.15j, d=-0.25)
         q = apply_power_channel(p, 3).params
-        assert_allclose(cmath.phase(q.c), math.pi / 2, atol=1e-15)
-        assert_allclose(cmath.phase(q.d), math.pi, atol=1e-15)
+        assert_allclose(cmath.phase(q.c), math.pi / 2, atol=1e-15, rtol=0)
+        assert_allclose(cmath.phase(q.d), math.pi, atol=1e-15, rtol=0)
 
     def test_pure_state_fixed_point(self):
         p = XParams(a=0.5, b=0.0, c=0.0, d=0.5)
         for n in range(1, 7):
             q = apply_power_channel(p, n).params
-            assert_allclose((q.a, q.b, abs(q.c), abs(q.d)), (0.5, 0.0, 0.0, 0.5), atol=1e-14)
+            assert_allclose(
+                (q.a, q.b, abs(q.c), abs(q.d)), (0.5, 0.0, 0.0, 0.5), atol=1e-14, rtol=0
+            )
 
     def test_trace_renormalized(self):
         rng = np.random.default_rng(3)
@@ -191,7 +193,7 @@ class TestPowerChannel:
             n = int(rng.integers(1, 7))
             closed = to_dense(apply_power_channel(p, n).params)
             dense = np.linalg.matrix_power(to_dense(p), n)
-            assert_allclose(closed, dense / np.trace(dense).real, atol=1e-10)
+            assert_allclose(closed, dense / np.trace(dense).real, atol=1e-10, rtol=0)
 
     def test_image_stays_x_shaped(self):
         # the dense power has no support outside the X pattern
@@ -217,12 +219,12 @@ class TestPpt:
 
     def test_werner_ppt_spectrum(self):
         lam = sorted(spectrum(ppt(werner(0.5))).lam, reverse=True)
-        assert_allclose(lam, (0.375, 0.375, 0.375, -0.125), atol=1e-15)
+        assert_allclose(lam, (0.375, 0.375, 0.375, -0.125), atol=1e-15, rtol=0)
 
     def test_mixed_example_ppt_spectrum(self):
         p = XParams(a=0.33, b=0.17, c=0.1j, d=0.05)
         lam = sorted(spectrum(ppt(p)).lam, reverse=True)
-        assert_allclose(lam, (0.43, 0.23, 0.22, 0.12), atol=1e-15)
+        assert_allclose(lam, (0.43, 0.23, 0.22, 0.12), atol=1e-15, rtol=0)
 
 
 class TestClassify:
@@ -257,14 +259,16 @@ class TestClassify:
 class TestWerner:
     def test_parameters(self):
         p = werner(0.5)
-        assert_allclose((p.a, p.b, abs(p.c), abs(p.d)), (0.375, 0.125, 0.0, 0.25), atol=1e-15)
+        assert_allclose(
+            (p.a, p.b, abs(p.c), abs(p.d)), (0.375, 0.125, 0.0, 0.25), atol=1e-15, rtol=0
+        )
 
     def test_spectrum(self):
-        assert_allclose(spectrum(werner(0.5)).lam, (0.625, 0.125, 0.125, 0.125), atol=1e-15)
+        assert_allclose(spectrum(werner(0.5)).lam, (0.625, 0.125, 0.125, 0.125), atol=1e-15, rtol=0)
 
     def test_bell_state_at_one(self):
         p = werner(1.0)
-        assert_allclose((p.a, p.b, abs(p.c), abs(p.d)), (0.5, 0.0, 0.0, 0.5), atol=1e-15)
+        assert_allclose((p.a, p.b, abs(p.c), abs(p.d)), (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
 
     def test_validity_interval(self):
         assert is_valid(werner(-1 / 3))
@@ -279,10 +283,10 @@ class TestWerner:
 
 class TestThresholds:
     def test_linear_case(self):
-        assert_allclose(werner_entanglement_threshold(1), 1 / 3, atol=1e-15)
+        assert_allclose(werner_entanglement_threshold(1), 1 / 3, atol=1e-15, rtol=0)
 
     def test_square_case(self):
-        assert_allclose(werner_entanglement_threshold(2), 0.15470053837925146, atol=1e-15)
+        assert_allclose(werner_entanglement_threshold(2), 0.15470053837925146, atol=1e-15, rtol=0)
 
     def test_decreasing_in_n(self):
         values = [werner_entanglement_threshold(n) for n in range(1, 10)]
@@ -298,7 +302,9 @@ class TestThresholds:
             assert classify(above) is StateClass.ENTANGLED
 
     def test_lower_branch_even_only(self):
-        assert_allclose(werner_entanglement_threshold_lower(2), -2.1547005383792515, atol=1e-14)
+        assert_allclose(
+            werner_entanglement_threshold_lower(2), -2.1547005383792515, atol=1e-14, rtol=0
+        )
         with pytest.raises(ValueError):
             werner_entanglement_threshold_lower(3)
 
@@ -317,7 +323,7 @@ class TestReduced:
         for _ in range(50):
             p = random_valid_params(rng)
             for subsystem in (1, 2):
-                assert_allclose(reduced(p, subsystem), 0.5 * np.eye(2), atol=1e-12)
+                assert_allclose(reduced(p, subsystem), 0.5 * np.eye(2), atol=1e-12, rtol=0)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidStateError):
