@@ -18,6 +18,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -35,14 +36,7 @@ from .xstate import (
     werner_entanglement_threshold,
     werner_entanglement_threshold_lower,
 )
-from .tomography import (
-    Direction,
-    _pair_coefficients,
-    _weights,
-    direction_pairs,
-    marginals,
-    tomogram,
-)
+from .tomography import Direction, _pair_coefficients, direction_pairs, marginals, tomogram
 from .information import _x_information, shannon_report_from_table, system_entropies
 from .entanglement import concurrence, negativity
 
@@ -52,6 +46,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-1" as an option because its pattern for negative
+        # numbers has no exponent; "-1", "-.5" and "-1.5" already pass.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on bad flags; the contract here reserves 2 for
     # invalid physical states, so route usage problems through exit code 1.
     def error(self, message):
@@ -82,6 +82,25 @@ def _render(report: dict, as_json: bool) -> str:
     if as_json:
         return json.dumps(report, indent=2) + "\n"
     return "".join(f"{key}: {_text(value)}\n" for key, value in report.items())
+
+
+# ``json.dumps(..., indent=2)`` runs json's pure-Python encoder.  Without an
+# indent the C encoder runs, and with this item separator it lays out the
+# cells of a row as indent=2 does at depth 2.  Cells are scalars and a raw
+# newline only appears in separators, so "]" + _CELL_SEP + "[" only joins rows.
+_CELL_SEP = ",\n      "
+
+
+def _json_rows(rows: list[tuple]) -> list[str]:
+    """Nonempty rows as ``json.dumps(..., indent=2)`` writes their list one level deep.
+
+    The text comes in pieces, to be written one after another.
+    """
+    if not rows:
+        return ["[]"]
+    flat = json.dumps(rows, separators=(_CELL_SEP, ": "))[2:-2]
+    body = flat.replace("]" + _CELL_SEP + "[", "\n    ],\n    [\n      ")
+    return ["[\n    [\n      ", body, "\n    ]\n  ]"]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +158,15 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return items
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(parts: list[str], output: str | None) -> None:
+    """Write the strings in ``parts`` one after another to ``output``, or to stdout."""
     try:
         if output is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(parts)
             sys.stdout.flush()
         else:
             with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(parts)
     except OSError as exc:
         if output is None:
             # Python flushes stdout again at exit; that must not fail a second time.
@@ -299,7 +319,7 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
             class_image=class_image,
             **dict(zip(("negativity", "concurrence", "s12", "i_n"), measures)),
         )
-    _emit(_render(report, args.json), args.output)
+    _emit([_render(report, args.json)], args.output)
     return 0 if bad is None else 2
 
 
@@ -340,13 +360,14 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
                 comments: list[str], header: str, rows: list[tuple], **extra) -> int:
     """Write a sweep as CSV (comment lines, header, rows) or as its JSON mirror."""
     if args.format == "csv" and not args.json:
-        text = "\n".join([*comments, header] + [_row_to_csv(r) for r in rows]) + "\n"
+        parts = ["\n".join([*comments, header] + [_row_to_csv(r) for r in rows]) + "\n"]
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
-        payload = {"config": config, **extra, "columns": header.split(","), "rows": rows}
-        text = _render(payload, as_json=True)
-    _emit(text, args.output)
+        head = json.dumps({"config": config, **extra, "columns": header.split(",")}, indent=2)
+        # json.dumps(payload, indent=2) with "rows" as the payload's last key.
+        parts = [head[:-2] + ',\n  "rows": ', *_json_rows(rows), "\n}\n"]
+    _emit(parts, args.output)
     return 0
 
 
@@ -386,6 +407,19 @@ def _werner_row(args: argparse.Namespace, n: int, p: float, i_s) -> tuple:
     return (p, n, valid, *values, cls)
 
 
+def _werner_block(args: argparse.Namespace, n: int, p_values, coefficients) -> list[tuple]:
+    """The rows of one power: the scalar chain per weight, then I_s of all valid images at once."""
+    images = []
+
+    def defer(img: XParams) -> tuple:
+        images.append(img)
+        return (None,) * args.num_dirs  # replaced below
+
+    rows = [_werner_row(args, n, p, defer) for p in p_values]
+    values = iter(_x_information(images, coefficients).tolist())
+    return [(*row[:4], *next(values), row[-1]) if row[2] else row for row in rows]
+
+
 def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
     span = args.p_max - args.p_min
     p_values = [args.p_min + x for x in _grid(span, args.steps)]
@@ -399,13 +433,10 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     pairs = direction_pairs(args.num_dirs, args.seed)
     coefficients = [_pair_coefficients(da, db) for da, db in pairs]
 
-    def fast(img: XParams) -> tuple:
-        return tuple([_x_information(*_weights(img, k)) for k in coefficients])
-
     def public(img: XParams) -> tuple:
         return tuple(shannon_report_from_table(tomogram(img, da, db)).i_s for da, db in pairs)
 
-    rows = [_werner_row(args, n, p, fast) for n in args.n_list for p in p_values]
+    rows = [row for n in args.n_list for row in _werner_block(args, n, p_values, coefficients)]
     # Sampled rows must come out the same, bit for bit, through the public chain.
     _spot_check(rows, lambda r: _werner_row(args, r[1], r[0], public), args.seed)
 
@@ -461,7 +492,7 @@ def cmd_tomogram(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     }
     if args.json:
         report = {"n": args.n, "dir_a": asdict(dir_a), "dir_b": asdict(dir_b), **report}
-    _emit(_render(report, args.json), args.output)
+    _emit([_render(report, args.json)], args.output)
     return 0
 
 

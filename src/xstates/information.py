@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .xstate import (
     EPS_PSD,
     EPS_TRACE,
@@ -21,7 +23,7 @@ from .xstate import (
     spectrum,
     werner,
 )
-from .tomography import Direction, TomogramTable, marginals, tomogram
+from .tomography import Direction, TomogramTable, _weights, marginals, tomogram
 
 # Slack allowed before an inequality counts as violated.
 INEQ_TOL = 1e-10
@@ -141,15 +143,46 @@ def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
     )
 
 
-def _x_information(same: float, cross: float) -> float:
-    """Tomographic information of an X-state tomogram from its two weights.
+def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with weights <= 0 set to 0, and ``x ln x`` of that, elementwise.
 
-    Equals ``shannon_report_from_table(t).i_s`` bit for bit when
-    ``(same, cross) == (t.w_uu, t.w_ud)``: both marginals of such a table are
-    the same pair, so one marginal entropy serves for both.
+    The logarithm is libm's ``math.log`` per element, as in
+    :func:`von_neumann_entropy`; a zero weight takes ``ln 1 = 0``.
     """
-    h12 = von_neumann_entropy((same, cross, cross, same))
-    h1 = von_neumann_entropy((same + cross, cross + same))
+    positive = x > 0.0
+    clamped = np.where(positive, x, 0.0)
+    logs = map(math.log, np.where(positive, x, 1.0).ravel().tolist())
+    return clamped, clamped * np.fromiter(logs, float, x.size).reshape(x.shape)
+
+
+def _x_information(images: Sequence[XParams], coefficients: Sequence[tuple]) -> np.ndarray:
+    """Tomographic information of X states, one row per image, one column per pair.
+
+    ``coefficients`` holds :func:`~xstates.tomography._pair_coefficients` of
+    each direction pair.  Entry ``[i, k]`` equals
+    ``shannon_report_from_table(tomogram(images[i], *pairs[k])).i_s`` bit for
+    bit: numpy's ``+ - *`` round as Python floats do, the logarithms come
+    from ``math.log``, and the entropies accumulate in
+    :func:`von_neumann_entropy`'s order, with its checks.  Both marginals of
+    an X-state tomogram are the pair ``(same + cross, cross + same)``, so one
+    marginal entropy serves for both.  No validity check on the images: the
+    caller vouches for them.
+    """
+    state = np.array(
+        [(p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag) for p in images], dtype=float
+    ).reshape(-1, 6)
+    same, cross = _weights(*state.T[:, :, None], np.array(coefficients, dtype=float).T)
+    both = same + cross
+    for w in (same, cross, both):
+        if w.size and w.min() < -EPS_PSD:
+            raise InvalidSpectrumError(f"negative weight {w.min()} below tolerance")
+    (s, ts), (c, tc), (u, tu) = _xlogx(same), _xlogx(cross), _xlogx(both)
+    for total in (s + c + c + s, u + u):
+        off = np.abs(total - 1.0)
+        if off.size and off.max() > EPS_TRACE:
+            raise InvalidSpectrumError(f"weights sum to {total.flat[off.argmax()]}, expected 1")
+    h12 = 0.0 - ts - tc - tc - ts
+    h1 = 0.0 - tu - tu
     return h1 + h1 - h12
 
 

@@ -66,31 +66,38 @@ def _pair_coefficients(dir_a: Direction, dir_b: Direction) -> tuple:
     """Everything the closed-form tomogram needs from one direction pair.
 
     Returns ``(f_plus, f_minus, sin(theta_a) sin(theta_b) / 2,
-    e^{i(psi_a - psi_b)}, e^{i(psi_a + psi_b)})``; a sweep computes it once
-    per pair and reuses it for every state.
+    e_minus.real, e_minus.imag, e_plus.real, e_plus.imag)`` with
+    ``e_minus = e^{i(psi_a - psi_b)}`` and ``e_plus = e^{i(psi_a + psi_b)}``;
+    a sweep computes it once per pair and reuses it for every state.
     """
     ca = math.cos(0.5 * dir_a.theta) ** 2
     sa = 1.0 - ca
     cb = math.cos(0.5 * dir_b.theta) ** 2
     sb = 1.0 - cb
+    e_minus = cmath.exp(1j * (dir_a.psi - dir_b.psi))
+    e_plus = cmath.exp(1j * (dir_a.psi + dir_b.psi))
     return (
         ca * cb + sa * sb,
         ca * sb + sa * cb,
         0.5 * math.sin(dir_a.theta) * math.sin(dir_b.theta),
-        cmath.exp(1j * (dir_a.psi - dir_b.psi)),
-        cmath.exp(1j * (dir_a.psi + dir_b.psi)),
+        e_minus.real, e_minus.imag, e_plus.real, e_plus.imag,
     )
 
 
-def _weights(p: XParams, coefficients: tuple) -> tuple[float, float]:
+def _weights(a, b, c_re, c_im, d_re, d_im, coefficients):
     """The two distinct tomogram weights ``(w_uu, w_ud)`` of an X state.
 
-    No validity check: the caller vouches for ``p``.
+    The state comes as six reals, so one expression serves a single state
+    (floats) and a column of states against arrays of pair coefficients
+    (numpy broadcasting).  ``Re(c e)`` is written out as
+    ``c.re e.re - c.im e.im``, which rounds as CPython's complex product
+    does; numpy's complex product does not.  No validity check: the caller
+    vouches for the state.
     """
-    f_plus, f_minus, sin_sin, e_minus, e_plus = coefficients
-    r = sin_sin * (p.c * e_minus + p.d * e_plus).real
-    same = p.a * f_plus + p.b * f_minus + r
-    cross = p.a * f_minus + p.b * f_plus - r
+    f_plus, f_minus, sin_sin, em_re, em_im, ep_re, ep_im = coefficients
+    r = sin_sin * ((c_re * em_re - c_im * em_im) + (d_re * ep_re - d_im * ep_im))
+    same = a * f_plus + b * f_minus + r
+    cross = a * f_minus + b * f_plus - r
     return same, cross
 
 
@@ -108,7 +115,9 @@ def tomogram(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
     The second Euler angles drop out entirely.
     """
     require_valid(p)
-    same, cross = _weights(p, _pair_coefficients(dir_a, dir_b))
+    same, cross = _weights(
+        p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag, _pair_coefficients(dir_a, dir_b)
+    )
     return TomogramTable(
         w_uu=same, w_ud=cross, w_du=cross, w_dd=same, dir_a=dir_a, dir_b=dir_b
     )

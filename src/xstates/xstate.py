@@ -170,7 +170,8 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     input spectrum over the normalization 2 * sum(lam_i^n); the coherence
     phases are carried over unchanged.  Raises
     :class:`ZeroDenominatorError` when the normalization cancels to zero,
-    which can happen for odd ``n`` on non-PSD input.
+    which can happen for odd ``n`` on non-PSD input, and ``OverflowError``
+    when a power, or a sum of two powers, is too large for a float.
     """
     _check_power(n)
     s = spectrum(p)
@@ -179,12 +180,13 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
     if scale == 0.0 or abs(denom) < 1e-12 * scale:
         raise ZeroDenominatorError(f"Tr rho^{n} vanishes for {p}")
-    out = XParams(
-        a=(l1 + l4) / denom,
-        b=(l2 + l3) / denom,
-        c=(l2 - l3) / denom * s.phase_c,
-        d=(l1 - l4) / denom * s.phase_d,
-    )
+    a, b = (l1 + l4) / denom, (l2 + l3) / denom
+    c, d = (l2 - l3) / denom, (l1 - l4) / denom  # times the phases below
+    # A finite scale keeps each quotient below 1e12 in size; once a sum of
+    # powers overflows, the quotients are 0 or inf / inf = nan.
+    if not math.isfinite(a + b + c + d):
+        raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
+    out = XParams(a=a, b=b, c=c * s.phase_c, d=d * s.phase_d)
     return ChannelResult(params=out, n=n, valid=is_valid(out))
 
 

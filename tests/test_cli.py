@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from xstates import (
     tomogram,
     werner,
 )
-from xstates.cli import main
+from xstates.cli import _json_rows, main
 from xstates.information import _x_information
 
 LN4 = math.log(4.0)
@@ -401,10 +403,61 @@ class TestSweepWerner:
 
     def test_spot_check_catches_a_wrong_fast_path(self, monkeypatch):
         monkeypatch.setattr(
-            "xstates.cli._x_information", lambda *w: math.nextafter(_x_information(*w), math.inf)
+            "xstates.cli._x_information", lambda *a: np.nextafter(_x_information(*a), np.inf)
         )
         with pytest.raises(RuntimeError, match="self-check"):
             main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+
+    def test_finite_image_of_a_huge_weight_keeps_its_rows(self, capsys):
+        # Tr rho^2 overflows to inf, but the image (all zeros) is finite.
+        code, out, err = run(
+            capsys, "sweep-werner", "--p-min=1.6e154", "--p-max=1.6e154", "--n-list", "2",
+            "--steps", "2",
+        )
+        assert (code, err) == (0, "")
+        rows = [ln for ln in out.splitlines() if ln.startswith("1.6e+154,")]
+        assert rows == ["1.6e+154,2,false,,,,,,invalid_trace"] * 2
+
+
+class TestNegativeExponentArguments:
+    def test_argparse_keeps_the_attribute_that_is_widened(self):
+        assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
+
+    def test_separate_argument_equals_the_attached_form(self, capsys):
+        base = ["sweep-werner", "--steps", "3", "--num-dirs", "2", "--json"]
+        separate = run(capsys, *base, "--p-min", "-1e-1")
+        assert separate == run(capsys, *base, "--p-min=-0.1")
+        assert separate[0] == 0
+
+    def test_analyze_reaches_validation(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--a", "1e308", "--b", "-1e308", "--c-abs", "0", "--d-abs", "0"
+        )
+        assert (code, err) == (2, "")
+        assert parse_report(out)["validity"] == "invalid_trace"
+
+
+# Every cell type the sweeps emit, plus strings and floats that stress the writer.
+JSON_ROWS = {
+    "empty": [],
+    "one_cell": [(0.5,)],
+    "werner_like": [
+        (0.25, 2, True, 0.1, 1e-300, None, "entangled"),
+        (-3.0, 1, False, None, None, None, None),
+    ],
+    "cd_like": [(0.0, 0.5, 3, False, "invalid_not_psd", None, None, None, None)],
+    "odd_cells": [
+        (-0.0, 1e16, 0.1 + 0.2, 10**20, float("inf"), float("nan")),
+        ("a],\n      [b", 'q"uote\\', "caf\u00e9", "", False, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_ROWS))
+def test_json_rows_equal_json_dumps(name):
+    rows = JSON_ROWS[name]
+    text = '{\n  "rows": ' + "".join(_json_rows(rows)) + "\n}"
+    assert text == json.dumps({"rows": rows}, indent=2)
 
 
 class TestTopLevel:
@@ -449,6 +502,17 @@ HOSTILE = {
     "negative_cd_seed": (["sweep-cd", "--seed", "-1", "--steps", "2"], None),
     "negative_werner_seed": (["sweep-werner", "--seed", "-1", "--steps", "2"], None),
     "undecodable_config": (["analyze"], b"a = 0.3\xff\n"),
+    # Each power is finite but a sum of two overflows, so the image is inf / inf.
+    "overflowing_cd_diagonal_sum": (
+        ["sweep-cd", "--a", "1e154", "--b=-1e154", "--n-list", "2", "--steps", "2",
+         "--c-abs-max", "0", "--d-abs-max", "0"],
+        None,
+    ),
+    "overflowing_cd_coherence_sum": (
+        ["sweep-cd", "--a", "0.3", "--b", "0.2", "--n-list", "1", "--steps", "2",
+         "--c-abs-max", "1e308", "--d-abs-max", "1e308"],
+        None,
+    ),
 }
 
 

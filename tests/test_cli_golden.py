@@ -170,6 +170,24 @@ PINNED: dict[str, tuple[list[str], str, int]] = {
         "3104cd6a3d21e125e34a682154d372a7cf30d9df272b2959c8bdca8dbcd15ae8",
         68673,
     ),
+    # Recorded from the commit before I_s became one columnar pass per power
+    # block and JSON rows stopped going through json.dumps.
+    "sweep_werner_251x64_json": (
+        ["sweep-werner", "--steps", "251", "--num-dirs", "64", "--seed", "101", "--json"],
+        "005efcb0c606d8dca83b493e9f35a48c8849344203366d3e071e17ab81d92450",
+        2775395,
+    ),
+    "sweep_werner_invalid_rows_csv": (
+        ["sweep-werner", "--p-min=-3", "--p-max=3", "--steps", "61", "--num-dirs", "8",
+         "--n-list", "1,2,3,4,5,6,7,8"],
+        "aa457023078882b52f98a6e9f8b6e78facc1d83aa4b948907aea3cadf34633da",
+        64517,
+    ),
+    "sweep_cd_21_json": (
+        ["sweep-cd", "--steps", "21", "--n-list", "1,3", "--json"],
+        "2cf026b738801807c67d0a9933233dbc0c1c2c25f9eb81530f5f04bfaac744dc",
+        123737,
+    ),
 }
 
 

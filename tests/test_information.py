@@ -31,6 +31,7 @@ from xstates import (
     werner_mutual_information,
 )
 from xstates.information import _x_information, shannon_report_from_table
+from xstates.tomography import _pair_coefficients
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -188,22 +189,30 @@ class TestXInformation:
     def test_bell_along_z_takes_the_zero_weight_branch(self):
         t = tomogram(BELL, Z_UP, Z_UP)
         assert t.w_ud == 0.0
-        assert _x_information(t.w_uu, t.w_ud) == shannon_report_from_table(t).i_s == LN2
+        table = _x_information([BELL], [_pair_coefficients(Z_UP, Z_UP)])
+        assert table.tolist() == [[shannon_report_from_table(t).i_s]] == [[LN2]]
 
-    @given(valid_params_st(), _pole_or_any, _pole_or_any)
-    @example(BELL, Z_UP, Z_UP)
-    @example(BELL, Z_UP, Z_DOWN)
-    @example(BELL, Z_DOWN, Direction(theta=1.1, psi=0.4))
+    @given(
+        st.lists(valid_params_st(), min_size=1, max_size=4),
+        st.lists(st.tuples(_pole_or_any, _pole_or_any), min_size=1, max_size=4),
+    )
+    @example([BELL], [(Z_UP, Z_UP)])
+    @example([BELL, werner(0.3)], [(Z_UP, Z_DOWN), (Z_DOWN, Direction(theta=1.1, psi=0.4))])
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_table_chain_exactly(self, p, da, db):
-        t = tomogram(p, da, db)
-        assert _x_information(t.w_uu, t.w_ud) == shannon_report_from_table(t).i_s
+    def test_equals_the_table_chain_exactly(self, images, pairs):
+        table = _x_information(images, [_pair_coefficients(da, db) for da, db in pairs])
+        assert table.tolist() == [
+            [shannon_report_from_table(tomogram(p, da, db)).i_s for da, db in pairs]
+            for p in images
+        ]
 
     def test_keeps_the_weight_checks(self):
+        # Along z the two weights are the diagonal entries (a, b) themselves.
+        along_z = [_pair_coefficients(Z_UP, Z_UP)]
         with pytest.raises(InvalidSpectrumError):
-            _x_information(0.6, -0.1)
+            _x_information([XParams(a=0.6, b=-0.1, c=0.0, d=0.0)], along_z)
         with pytest.raises(InvalidSpectrumError):
-            _x_information(0.3, 0.3)
+            _x_information([XParams(a=0.3, b=0.3, c=0.0, d=0.0)], along_z)
 
 
 class TestCheckInequalities:

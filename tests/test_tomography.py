@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -103,6 +104,22 @@ class TestTomogram:
         assert abs(t.w_ud - t.w_du) < 1e-14
         assert abs(sum(t.as_tuple()) - 1.0) < 1e-12
         assert all(w >= -1e-12 for w in t.as_tuple())
+
+    @given(valid_params_st(), direction_st(), direction_st())
+    @example(werner(1.0), Direction(0.0), Direction(0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_weights_equal_the_complex_product_form(self, p, da, db):
+        # The weights are written in real form; CPython's complex product
+        # must give the same bits.
+        ca, cb = math.cos(0.5 * da.theta) ** 2, math.cos(0.5 * db.theta) ** 2
+        sa, sb = 1.0 - ca, 1.0 - cb
+        e_minus = cmath.exp(1j * (da.psi - db.psi))
+        e_plus = cmath.exp(1j * (da.psi + db.psi))
+        r = 0.5 * math.sin(da.theta) * math.sin(db.theta) * (p.c * e_minus + p.d * e_plus).real
+        same = p.a * (ca * cb + sa * sb) + p.b * (ca * sb + sa * cb) + r
+        cross = p.a * (ca * sb + sa * cb) + p.b * (ca * cb + sa * sb) - r
+        t = tomogram(p, da, db)
+        assert (t.w_uu, t.w_ud) == (same, cross)
 
     def test_second_euler_angle_has_no_effect(self):
         rng = np.random.default_rng(8)

@@ -180,6 +180,13 @@ class TestPowerChannel:
         with pytest.raises(ZeroDenominatorError):
             apply_power_channel(p, 3)
 
+    def test_overflowing_image_raises_overflow(self):
+        # Each power is finite, but a sum of two of them is not.
+        with pytest.raises(OverflowError, match="not finite"):
+            apply_power_channel(XParams(a=1e154, b=-1e154, c=0.0, d=0.0), 2)
+        with pytest.raises(OverflowError, match="not finite"):
+            apply_power_channel(XParams(a=0.3, b=0.2, c=1e308, d=1e308), 1)
+
     def test_bad_power_rejected(self):
         p = werner(0.2)
         for n in (0, -1, 1.5, "2"):
