@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from itertools import product, repeat
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .xstate import (
     werner_entanglement_threshold_lower,
 )
 from .tomography import Direction, _pair_coefficients, direction_pairs, marginals, tomogram
-from .information import _x_information, shannon_report_from_table, system_entropies
-from .entanglement import concurrence, negativity
+from .information import _x_entropies, _x_information, shannon_report_from_table, system_entropies
+from .entanglement import _x_entanglement, concurrence, negativity
 
 
 class _UsageError(Exception):
@@ -329,6 +330,10 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
 
 _CD_HEADER = "c_abs,d_abs,n,valid,class,negativity,concurrence,s12,i_n"
 
+# sweep-cd holds every row in memory before it writes any, about 0.5 kB a
+# row; --steps 401 with four powers makes 646,416 rows.
+_CD_MAX_ROWS = 10**7
+
 
 def _grid(end: float, steps: int) -> list[float]:
     if steps < 2:
@@ -336,14 +341,57 @@ def _grid(end: float, steps: int) -> list[float]:
     return [end * k / (steps - 1) for k in range(steps)]
 
 
-def _cd_row(args: argparse.Namespace, n: int, c_abs: float, d_abs: float, units) -> tuple:
+def _cd_state(args: argparse.Namespace, c_abs: float, d_abs: float, units) -> XParams:
     # ``units`` holds e^{i c_phase} and e^{i d_phase}, computed once per run.
-    params = XParams(a=args.a, b=args.b, c=c_abs * units[0], d=d_abs * units[1])
-    return (c_abs, d_abs, n) + _measured(_image(params, n), _x_measures, 4)
+    return XParams(a=args.a, b=args.b, c=c_abs * units[0], d=d_abs * units[1])
 
 
-def _row_to_csv(row: tuple) -> str:
-    return ",".join([_fmt(value) for value in row])
+def _cd_row(n: int, c_abs: float, d_abs: float, params: XParams, measure) -> tuple:
+    return (c_abs, d_abs, n) + _measured(_image(params, n), measure, 4)
+
+
+def _cd_block(n: int, cells) -> list[tuple]:
+    """The rows of one power.
+
+    ``cells`` holds ``(c_abs, d_abs, state)`` per grid point.  Each row runs
+    the scalar chain (power map, validity, class); the negativity,
+    concurrence, S(rho) and I_n of all valid images then come from one
+    columnar pass.
+    """
+    images = []
+
+    def defer(img: XParams) -> tuple:
+        images.append((img.a, img.b, abs(img.c), abs(img.d)))
+        return (None,) * 4  # replaced below
+
+    rows = [_cd_row(n, c_abs, d_abs, params, defer) for c_abs, d_abs, params in cells]
+    a, b, cm, dm = np.array(images, dtype=float).reshape(-1, 4).T
+    columns = (*_x_entanglement(a, b, cm, dm), *_x_entropies(a, b, cm, dm))
+    values = zip(*[col.tolist() for col in columns])
+    return [(*row[:5], *next(values)) if row[3] else row for row in rows]
+
+
+def _row_to_csv(cells) -> str:
+    """One CSV line, without its newline, from already formatted cells."""
+    return ",".join(cells)
+
+
+def _cd_csv(rows: list[tuple], c_text: list[str], d_text: list[str]) -> str:
+    """The CSV lines of one power block, its cells formatted column by column.
+
+    ``c_text`` and ``d_text`` are the formatted grid values.  Invalid rows
+    get empty measure cells.
+    """
+    n = _fmt(rows[0][2])
+    columns = zip(*[row[5:] for row in rows if row[3]])
+    measures = zip(*[map(format, col, repeat(".15g")) for col in columns])
+    blank = ("",) * 4
+    lines = [
+        _row_to_csv((c, d, n, "true", row[4], *next(measures)) if row[3]
+                    else (c, d, n, "false", _fmt(row[4]), *blank))
+        for (c, d), row in zip(product(c_text, d_text), rows)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _spot_check(rows: list[tuple], recompute, seed: int) -> None:
@@ -357,10 +405,16 @@ def _spot_check(rows: list[tuple], recompute, seed: int) -> None:
 
 
 def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
-                comments: list[str], header: str, rows: list[tuple], **extra) -> int:
-    """Write a sweep as CSV (comment lines, header, rows) or as its JSON mirror."""
+                comments: list[str], header: str, rows: list[tuple], csv_lines,
+                **extra) -> int:
+    """Write a sweep as CSV or as its JSON mirror.
+
+    The CSV is the comment lines, the header, then the text pieces of
+    ``csv_lines``, each a run of whole lines.  Only the CSV reads
+    ``csv_lines``, so a generator there formats nothing for JSON.
+    """
     if args.format == "csv" and not args.json:
-        parts = ["\n".join([*comments, header] + [_row_to_csv(r) for r in rows]) + "\n"]
+        parts = ["".join(f"{line}\n" for line in [*comments, header]), *csv_lines]
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
@@ -372,20 +426,32 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
 
 
 def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
+    # A --steps below 2 is left to _grid's message.
+    size = args.steps ** 2 * len(args.n_list)
+    if args.steps >= 2 and size > _CD_MAX_ROWS:
+        raise _UsageError(
+            f"--steps {args.steps} with {len(args.n_list)} powers makes {size} rows,"
+            f" more than the limit of {_CD_MAX_ROWS}"
+        )
     c_grid = _grid(args.c_abs_max, args.steps)
     d_grid = _grid(args.d_abs_max, args.steps)
     if args.c_abs_max < 0.0 or args.d_abs_max < 0.0:
         raise _UsageError("grid ends must be >= 0")
 
     units = (cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase))
-    rows = [
-        _cd_row(args, n, c_abs, d_abs, units)
-        for n in args.n_list
-        for c_abs in c_grid
-        for d_abs in d_grid
-    ]
-    _spot_check(rows, lambda r: _cd_row(args, r[2], r[0], r[1], units), args.seed)
-    return _emit_sweep(args, options, [], _CD_HEADER, rows)
+    cells = [(c, d, _cd_state(args, c, d, units)) for c in c_grid for d in d_grid]
+    blocks = [_cd_block(n, cells) for n in args.n_list]
+    del cells  # free the states before the text, the peak of memory, is built
+    rows = [row for block in blocks for row in block]
+    # Sampled rows must come out the same, bit for bit, through the scalar chain.
+    _spot_check(
+        rows,
+        lambda r: _cd_row(r[2], r[0], r[1], _cd_state(args, r[0], r[1], units), _x_measures),
+        args.seed,
+    )
+    c_text, d_text = [_fmt(c) for c in c_grid], [_fmt(d) for d in d_grid]
+    csv_lines = (_cd_csv(block, c_text, d_text) for block in blocks)
+    return _emit_sweep(args, options, [], _CD_HEADER, rows, csv_lines)
 
 
 def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str]:
@@ -452,7 +518,9 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     header = "p,n,valid,i_n," + ",".join(f"i_s_dir{k}" for k in range(args.num_dirs)) + ",class"
     comments = _werner_header(args, directions, thresholds)
     return _emit_sweep(
-        args, options, comments, header, rows, directions=directions, thresholds=thresholds
+        args, options, comments, header, rows,
+        (_row_to_csv(map(_fmt, row)) + "\n" for row in rows),
+        directions=directions, thresholds=thresholds,
     )
 
 

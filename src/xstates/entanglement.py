@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .xstate import StateClass, XParams, classify, ppt, require_valid, spectrum
 
 
@@ -39,6 +41,21 @@ def concurrence(p: XParams) -> float:
     require_valid(p)
     roots = sorted((abs(x) for x in spectrum(p).lam), reverse=True)
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def _x_entanglement(a, b, cm, dm) -> tuple[np.ndarray, np.ndarray]:
+    """Negativity and concurrence of valid X states, one entry per state.
+
+    The states come as columns of ``a``, ``b``, ``abs(c)`` and ``abs(d)``.
+    Each entry equals :func:`negativity` and :func:`concurrence` bit for bit:
+    numpy's ``+ -``, real ``abs`` and sorting round as Python floats do, and
+    the sums run in the same order.  No validity check: the caller vouches
+    for the states.
+    """
+    neg = np.abs(a + cm) + np.abs(a - cm) + np.abs(b + dm) + np.abs(b - dm)
+    roots = np.sort(np.abs([a + dm, b + cm, b - cm, a - dm]), axis=0)  # ascending
+    excess = roots[3] - roots[2] - roots[1] - roots[0]
+    return neg, np.where(excess > 0.0, excess, 0.0)  # max(0.0, excess)
 
 
 def entanglement_report(p: XParams) -> EntanglementReport:

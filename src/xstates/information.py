@@ -146,13 +146,46 @@ def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
 def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x`` with weights <= 0 set to 0, and ``x ln x`` of that, elementwise.
 
-    The logarithm is libm's ``math.log`` per element, as in
-    :func:`von_neumann_entropy`; a zero weight takes ``ln 1 = 0``.
+    Raises :class:`InvalidSpectrumError` for a weight below ``-EPS_PSD``, as
+    :func:`von_neumann_entropy` does.  The logarithm is libm's ``math.log``
+    per element, as there; a zero weight takes ``ln 1 = 0``.
     """
+    if x.size and x.min() < -EPS_PSD:
+        raise InvalidSpectrumError(f"negative weight {x.min()} below tolerance")
     positive = x > 0.0
     clamped = np.where(positive, x, 0.0)
     logs = map(math.log, np.where(positive, x, 1.0).ravel().tolist())
     return clamped, clamped * np.fromiter(logs, float, x.size).reshape(x.shape)
+
+
+def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """:func:`von_neumann_entropy` elementwise, of weights given in order as :func:`_xlogx` pairs.
+
+    The weight sums and the entropies accumulate in von_neumann_entropy's
+    order, so each entry equals it bit for bit, and the unit-sum check is
+    the same.
+    """
+    total = acc = 0.0
+    for clamped, xlogx in terms:
+        total = total + clamped
+        acc = acc - xlogx
+    off = np.abs(total - 1.0)
+    if off.size and off.max() > EPS_TRACE:
+        raise InvalidSpectrumError(f"weights sum to {total.flat[off.argmax()]}, expected 1")
+    return acc
+
+
+def _x_entropies(a, b, cm, dm) -> tuple[np.ndarray, np.ndarray]:
+    """``S(rho)`` and ``I_n`` of valid X states, one entry per state.
+
+    The states come as columns of ``a``, ``b``, ``abs(c)`` and ``abs(d)``.
+    Each entry equals ``system_entropies(p).s12`` and ``.i_n`` bit for bit.
+    No validity check: the caller vouches for the states.
+    """
+    s12 = _entropy(map(_xlogx, (a + dm, b + cm, b - cm, a - dm)))
+    q = _xlogx(a + b)
+    s1 = _entropy((q, q))
+    return s12, s1 + s1 - s12
 
 
 def _x_information(images: Sequence[XParams], coefficients: Sequence[tuple]) -> np.ndarray:
@@ -161,28 +194,18 @@ def _x_information(images: Sequence[XParams], coefficients: Sequence[tuple]) -> 
     ``coefficients`` holds :func:`~xstates.tomography._pair_coefficients` of
     each direction pair.  Entry ``[i, k]`` equals
     ``shannon_report_from_table(tomogram(images[i], *pairs[k])).i_s`` bit for
-    bit: numpy's ``+ - *`` round as Python floats do, the logarithms come
-    from ``math.log``, and the entropies accumulate in
-    :func:`von_neumann_entropy`'s order, with its checks.  Both marginals of
-    an X-state tomogram are the pair ``(same + cross, cross + same)``, so one
-    marginal entropy serves for both.  No validity check on the images: the
-    caller vouches for them.
+    bit: numpy's ``+ - *`` round as Python floats do, and the entropies come
+    from :func:`_entropy`.  Both marginals of an X-state tomogram are the
+    pair ``(same + cross, cross + same)``, so one marginal entropy serves for
+    both.  No validity check on the images: the caller vouches for them.
     """
     state = np.array(
         [(p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag) for p in images], dtype=float
     ).reshape(-1, 6)
     same, cross = _weights(*state.T[:, :, None], np.array(coefficients, dtype=float).T)
-    both = same + cross
-    for w in (same, cross, both):
-        if w.size and w.min() < -EPS_PSD:
-            raise InvalidSpectrumError(f"negative weight {w.min()} below tolerance")
-    (s, ts), (c, tc), (u, tu) = _xlogx(same), _xlogx(cross), _xlogx(both)
-    for total in (s + c + c + s, u + u):
-        off = np.abs(total - 1.0)
-        if off.size and off.max() > EPS_TRACE:
-            raise InvalidSpectrumError(f"weights sum to {total.flat[off.argmax()]}, expected 1")
-    h12 = 0.0 - ts - tc - tc - ts
-    h1 = 0.0 - tu - tu
+    s, c, u = _xlogx(same), _xlogx(cross), _xlogx(same + cross)
+    h12 = _entropy((s, c, c, s))
+    h1 = _entropy((u, u))
     return h1 + h1 - h12
 
 

@@ -23,8 +23,10 @@ from xstates import (
     tomogram,
     werner,
 )
+from xstates import cli
 from xstates.cli import _json_rows, main
-from xstates.information import _x_information
+from xstates.entanglement import _x_entanglement
+from xstates.information import _x_entropies, _x_information
 
 LN4 = math.log(4.0)
 
@@ -321,6 +323,44 @@ class TestSweepCd:
         assert code == 1
         assert "--steps" in err
 
+    @pytest.mark.parametrize("kernel", [_x_entanglement, _x_entropies])
+    def test_spot_check_catches_a_wrong_kernel(self, kernel, monkeypatch):
+        monkeypatch.setattr(
+            f"xstates.cli.{kernel.__name__}", lambda *a: np.nextafter(kernel(*a), np.inf)
+        )
+        # Every image of an even power is valid, and all 25 rows are checked.
+        with pytest.raises(RuntimeError, match="self-check"):
+            main(["sweep-cd", "--steps", "5", "--n-list", "2"])
+
+    def test_row_limit_by_arithmetic(self, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr("xstates.cli._grid", no_grid)
+        # The default power list has 4 powers; --steps 401 stays well inside.
+        assert 401**2 * 4 * 10 < cli._CD_MAX_ROWS
+        steps = math.isqrt(cli._CD_MAX_ROWS // 4) + 1
+        assert steps**2 * 4 > cli._CD_MAX_ROWS
+        code, out, err = run(capsys, "sweep-cd", "--steps", str(steps))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --steps {steps} with 4 powers makes {steps**2 * 4} rows,"
+            f" more than the limit of {cli._CD_MAX_ROWS}\n"
+        )
+        # One step fewer is within the limit and reaches the grid.
+        with pytest.raises(AssertionError, match="a grid was built"):
+            main(["sweep-cd", "--steps", str(steps - 1)])
+
+    @pytest.mark.parametrize("limit, code", [(63, 1), (64, 0)])
+    def test_row_limit_on_a_small_grid(self, limit, code, capsys, monkeypatch):
+        monkeypatch.setattr("xstates.cli._CD_MAX_ROWS", limit)
+        got, out, err = run(capsys, "sweep-cd", "--steps", "4")  # 4 * 4 * 4 = 64 rows
+        assert got == code
+        if code:
+            assert (out, err.count("\n")) == ("", 1) and "64 rows" in err
+        else:
+            assert (len(out.splitlines()), err) == (1 + 64, "")
+
 
 class TestSweepWerner:
     def test_structure_and_known_rows(self, capsys, tmp_path):
@@ -508,6 +548,8 @@ HOSTILE = {
          "--c-abs-max", "0", "--d-abs-max", "0"],
         None,
     ),
+    # 10^10 steps^2 times 4 powers: refused before any grid is built.
+    "too_many_cd_rows": (["sweep-cd", "--steps", "100000"], None),
     "overflowing_cd_coherence_sum": (
         ["sweep-cd", "--a", "0.3", "--b", "0.2", "--n-list", "1", "--steps", "2",
          "--c-abs-max", "1e308", "--d-abs-max", "1e308"],
@@ -530,6 +572,13 @@ def test_hostile_input_exits_one_with_one_line(name, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+# What computes a whole power block at once, beside each sweep's per-row function.
+BLOCK_WORK = {
+    "sweep-cd": ("_cd_block", "_x_entanglement", "_x_entropies"),
+    "sweep-werner": ("_werner_block", "_x_information"),
+}
+
+
 @pytest.mark.parametrize("command, row", [("sweep-cd", "_cd_row"), ("sweep-werner", "_werner_row")])
 @pytest.mark.parametrize("via_config", [False, True])
 def test_negative_seed_rejected_before_any_row(command, row, via_config, capsys, tmp_path,
@@ -537,7 +586,8 @@ def test_negative_seed_rejected_before_any_row(command, row, via_config, capsys,
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(f"xstates.cli.{row}", no_row)
+    for name in (row, *BLOCK_WORK[command]):
+        monkeypatch.setattr(f"xstates.cli.{name}", no_row)
     argv = [command, "--steps", "2"]
     if via_config:
         (tmp_path / "cfg").write_text("seed = -1\n")

@@ -188,6 +188,30 @@ PINNED: dict[str, tuple[list[str], str, int]] = {
         "2cf026b738801807c67d0a9933233dbc0c1c2c25f9eb81530f5f04bfaac744dc",
         123737,
     ),
+    # Recorded from the commit before sweep-cd measured each power block in
+    # one columnar pass and formatted its cells by column.
+    "sweep_cd_101_phases_csv": (
+        ["sweep-cd", "--steps", "101", "--c-phase", "1.1", "--d-phase", "4.2"],
+        "1999d2fcdd8acdc4d38a4172ada758386cbf9e769afda58a399b313350de83b4",
+        2980229,
+    ),
+    # Tr rho^n vanishes in every n = 1 row and at the origin for n = 2.
+    "sweep_cd_zero_denominator_csv": (
+        ["sweep-cd", "--a", "0", "--b", "0", "--steps", "3", "--n-list", "1,2"],
+        "b32990fb7f37940170abe42db9271a57ff983b6851828b340408c48a3d46ad01",
+        739,
+    ),
+    "sweep_cd_zero_denominator_json": (
+        ["sweep-cd", "--a", "0", "--b", "0", "--steps", "3", "--n-list", "1,2", "--json"],
+        "ca32aae434c6d684b1a2c9408f28246172894ba5a2b1fdfca36e4abe974eafa6",
+        2685,
+    ),
+    "sweep_cd_invalid_rows_phases_csv": (
+        ["sweep-cd", "--a", "0.4", "--b", "0.1", "--c-abs-max", "0.6", "--d-abs-max", "0.9",
+         "--c-phase", "0.3", "--d-phase", "2", "--steps", "41", "--n-list", "1,2,3,7"],
+        "bed76958c54cc97a9b26fd4c307378b15498b3f7c4ff5833215531bc01de06f4",
+        375643,
+    ),
 }
 
 

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    EDGE_STATES,
+    kernel_images_st,
     random_channel_image,
     random_separable_params,
     random_valid_params,
     valid_params_st,
+    x_columns,
 )
 from oracles import spin_flip
 from xstates import (
@@ -27,6 +30,7 @@ from xstates import (
     to_dense,
     werner,
 )
+from xstates.entanglement import _x_entanglement
 
 
 class TestNegativity:
@@ -170,3 +174,18 @@ class TestEntanglementReport:
         for _ in range(50):
             rep = entanglement_report(random_valid_params(rng))
             assert all(x >= y for x, y in zip(rep.ppt_spectrum, rep.ppt_spectrum[1:]))
+
+
+class TestXEntanglement:
+    @given(kernel_images_st())
+    @example(EDGE_STATES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_measures_exactly(self, images):
+        neg, conc = _x_entanglement(*x_columns(images))
+        # float.hex also tells -0.0 from 0.0, which print differently.
+        assert list(map(float.hex, neg.tolist())) == [negativity(p).hex() for p in images]
+        assert list(map(float.hex, conc.tolist())) == [concurrence(p).hex() for p in images]
+
+    def test_no_states(self):
+        neg, conc = _x_entanglement(*x_columns([]))
+        assert neg.shape == conc.shape == (0,)

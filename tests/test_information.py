@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    EDGE_STATES,
     direction_st,
+    kernel_images_st,
     random_channel_image,
     random_direction_pair,
     random_valid_params,
     valid_params_st,
+    x_columns,
 )
 from xstates import (
     Direction,
@@ -30,7 +33,7 @@ from xstates import (
     werner,
     werner_mutual_information,
 )
-from xstates.information import _x_information, shannon_report_from_table
+from xstates.information import _x_entropies, _x_information, shannon_report_from_table
 from xstates.tomography import _pair_coefficients
 
 LN2 = math.log(2.0)
@@ -209,10 +212,37 @@ class TestXInformation:
     def test_keeps_the_weight_checks(self):
         # Along z the two weights are the diagonal entries (a, b) themselves.
         along_z = [_pair_coefficients(Z_UP, Z_UP)]
-        with pytest.raises(InvalidSpectrumError):
+        with pytest.raises(InvalidSpectrumError, match="negative weight"):
             _x_information([XParams(a=0.6, b=-0.1, c=0.0, d=0.0)], along_z)
-        with pytest.raises(InvalidSpectrumError):
+        with pytest.raises(InvalidSpectrumError, match="weights sum"):
             _x_information([XParams(a=0.3, b=0.3, c=0.0, d=0.0)], along_z)
+
+
+class TestXEntropies:
+    @given(kernel_images_st())
+    @example(EDGE_STATES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_system_entropies_exactly(self, images):
+        s12, i_n = _x_entropies(*x_columns(images))
+        reports = [system_entropies(p) for p in images]
+        # float.hex also tells -0.0 from 0.0, which print differently.
+        assert list(map(float.hex, s12.tolist())) == [r.s12.hex() for r in reports]
+        assert list(map(float.hex, i_n.tolist())) == [r.i_n.hex() for r in reports]
+
+    def test_pure_state_takes_the_zero_weight_branch(self):
+        s12, i_n = _x_entropies(*x_columns([BELL]))
+        assert (s12.tolist(), i_n.tolist()) == ([0.0], [LN4]) == (
+            [system_entropies(BELL).s12], [system_entropies(BELL).i_n]
+        )
+
+    def test_keeps_the_weight_checks(self):
+        # a - |d| = -0.01 is below the clamp band; a + b = 0.6 breaks the unit sum.
+        for bad, message in (
+            (XParams(a=0.3, b=0.2, c=0.0, d=0.31), "negative weight"),
+            (XParams(a=0.3, b=0.3, c=0.0, d=0.0), "weights sum"),
+        ):
+            with pytest.raises(InvalidSpectrumError, match=message):
+                _x_entropies(*x_columns([BELL, bad]))
 
 
 class TestCheckInequalities:
