@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import asdict
 from itertools import product, repeat
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .xstate import (
     ChannelResult,
     XParams,
     ZeroDenominatorError,
+    _x_columns,
     apply_power_channel,
     classify,
     spectrum,
@@ -278,22 +280,34 @@ def _image(params: XParams, n: int) -> ChannelResult | None:
         return None
 
 
-def _measured(result: ChannelResult | None, measure, width: int) -> tuple:
-    """``(valid, class, *measure(image))`` for an image from :func:`_image`.
+def _evaluate(rows: Iterable[tuple], measure, width: int) -> list[tuple]:
+    """Rows ``(*cells, valid, class, *measures)`` of ``(cells, image)`` pairs, image from _image.
 
-    Only a valid image is measured.  Otherwise its ``width`` measures are
-    None (an empty cell), and so is the class when Tr rho^n vanished.
+    ``measure`` is called once, with the list of valid images, and gives ``width``
+    measures for each; only those images are kept until then.  An invalid image has
+    None (an empty cell) for each measure, and for its class too when Tr rho^n vanished.
     """
-    cls = None if result is None else classify(result.params).value
-    if result is None or not result.valid:
-        return (False, cls) + (None,) * width
-    return (True, cls) + measure(result.params)
+    heads, images = [], []
+    for cells, result in rows:
+        valid = result is not None and result.valid
+        heads.append((*cells, valid, None if result is None else classify(result.params).value))
+        if valid:
+            images.append(result.params)
+    values = iter(measure(images))
+    blank = (None,) * width
+    return [(*head, *(next(values) if head[-2] else blank)) for head in heads]
 
 
-def _x_measures(img: XParams) -> tuple:
-    """Negativity, concurrence, S(rho) and I_n of a valid state."""
-    info = system_entropies(img)
-    return (negativity(img), concurrence(img), info.s12, info.i_n)
+def _scalar_measures(images: list[XParams]) -> list[tuple]:
+    """Negativity, concurrence, S(rho) and I_n of each valid state, by the public scalar chain."""
+    infos = map(system_entropies, images)
+    return [(negativity(p), concurrence(p), e.s12, e.i_n) for p, e in zip(images, infos)]
+
+
+def _columnar_measures(images: list[XParams]) -> Iterable[tuple]:
+    """:func:`_scalar_measures` of the same states, bit for bit, from the columnar kernels."""
+    x = _x_columns(images)
+    return zip(*[col.tolist() for col in (*_x_entanglement(x), *_x_entropies(x))])
 
 
 def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -307,7 +321,7 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
         # Not _image: a vanishing Tr rho^n fails the command here (exit 1 in main).
         result = apply_power_channel(params, args.n)
         img = result.params
-        valid, class_image, *measures = _measured(result, _x_measures, 4)
+        valid, class_image, *measures = _evaluate([((), result)], _scalar_measures, 4)[0]
         report.update(
             class_input=classify(params).value,
             n=args.n,
@@ -330,9 +344,15 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
 
 _CD_HEADER = "c_abs,d_abs,n,valid,class,negativity,concurrence,s12,i_n"
 
-# sweep-cd holds every row in memory before it writes any, about 0.5 kB a
-# row; --steps 401 with four powers makes 646,416 rows.
-_CD_MAX_ROWS = 10**7
+# What a sweep may hold before it writes: sweep-cd rows (0.5 kB each) or sweep-werner I_s values.
+_MAX_SIZE = 10**7
+
+
+def _check_size(args: argparse.Namespace, size: int, unit: str, pairs: str = "") -> None:
+    # A --steps below 2 is left to _grid's message, a --num-dirs below 1 (size <= 0) to its own.
+    if args.steps >= 2 and size > _MAX_SIZE:
+        raise _UsageError(f"--steps {args.steps} with {len(args.n_list)} powers{pairs} makes"
+                          f" {size} {unit}, more than the limit of {_MAX_SIZE}")
 
 
 def _grid(end: float, steps: int) -> list[float]:
@@ -346,29 +366,9 @@ def _cd_state(args: argparse.Namespace, c_abs: float, d_abs: float, units) -> XP
     return XParams(a=args.a, b=args.b, c=c_abs * units[0], d=d_abs * units[1])
 
 
-def _cd_row(n: int, c_abs: float, d_abs: float, params: XParams, measure) -> tuple:
-    return (c_abs, d_abs, n) + _measured(_image(params, n), measure, 4)
-
-
-def _cd_block(n: int, cells) -> list[tuple]:
-    """The rows of one power.
-
-    ``cells`` holds ``(c_abs, d_abs, state)`` per grid point.  Each row runs
-    the scalar chain (power map, validity, class); the negativity,
-    concurrence, S(rho) and I_n of all valid images then come from one
-    columnar pass.
-    """
-    images = []
-
-    def defer(img: XParams) -> tuple:
-        images.append((img.a, img.b, abs(img.c), abs(img.d)))
-        return (None,) * 4  # replaced below
-
-    rows = [_cd_row(n, c_abs, d_abs, params, defer) for c_abs, d_abs, params in cells]
-    a, b, cm, dm = np.array(images, dtype=float).reshape(-1, 4).T
-    columns = (*_x_entanglement(a, b, cm, dm), *_x_entropies(a, b, cm, dm))
-    values = zip(*[col.tolist() for col in columns])
-    return [(*row[:5], *next(values)) if row[3] else row for row in rows]
+def _cd_row(n: int, c_abs: float, d_abs: float, params: XParams) -> tuple:
+    """The leading cells of one sweep-cd row, and its image for :func:`_evaluate`."""
+    return (c_abs, d_abs, n), _image(params, n)
 
 
 def _row_to_csv(cells) -> str:
@@ -426,13 +426,7 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
 
 
 def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
-    # A --steps below 2 is left to _grid's message.
-    size = args.steps ** 2 * len(args.n_list)
-    if args.steps >= 2 and size > _CD_MAX_ROWS:
-        raise _UsageError(
-            f"--steps {args.steps} with {len(args.n_list)} powers makes {size} rows,"
-            f" more than the limit of {_CD_MAX_ROWS}"
-        )
+    _check_size(args, args.steps ** 2 * len(args.n_list), "rows")
     c_grid = _grid(args.c_abs_max, args.steps)
     d_grid = _grid(args.d_abs_max, args.steps)
     if args.c_abs_max < 0.0 or args.d_abs_max < 0.0:
@@ -440,15 +434,18 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
 
     units = (cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase))
     cells = [(c, d, _cd_state(args, c, d, units)) for c in c_grid for d in d_grid]
-    blocks = [_cd_block(n, cells) for n in args.n_list]
+
+    def power_block(n: int, points: list[tuple], measure) -> list[tuple]:
+        return _evaluate((_cd_row(n, *point) for point in points), measure, 4)
+
+    def scalar(r: tuple) -> tuple:
+        return power_block(r[2], [(*r[:2], _cd_state(args, *r[:2], units))], _scalar_measures)[0]
+
+    blocks = [power_block(n, cells, _columnar_measures) for n in args.n_list]
     del cells  # free the states before the text, the peak of memory, is built
     rows = [row for block in blocks for row in block]
     # Sampled rows must come out the same, bit for bit, through the scalar chain.
-    _spot_check(
-        rows,
-        lambda r: _cd_row(r[2], r[0], r[1], _cd_state(args, r[0], r[1], units), _x_measures),
-        args.seed,
-    )
+    _spot_check(rows, scalar, args.seed)
     c_text, d_text = [_fmt(c) for c in c_grid], [_fmt(d) for d in d_grid]
     csv_lines = (_cd_csv(block, c_text, d_text) for block in blocks)
     return _emit_sweep(args, options, [], _CD_HEADER, rows, csv_lines)
@@ -465,28 +462,14 @@ def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str
     return lines
 
 
-def _werner_row(args: argparse.Namespace, n: int, p: float, i_s) -> tuple:
-    # ``i_s`` maps a valid image to its tomographic information per direction pair.
-    def information(img: XParams) -> tuple:
-        return (system_entropies(img).i_n, *i_s(img))
-    valid, cls, *values = _measured(_image(werner(p), n), information, 1 + args.num_dirs)
-    return (p, n, valid, *values, cls)
-
-
-def _werner_block(args: argparse.Namespace, n: int, p_values, coefficients) -> list[tuple]:
-    """The rows of one power: the scalar chain per weight, then I_s of all valid images at once."""
-    images = []
-
-    def defer(img: XParams) -> tuple:
-        images.append(img)
-        return (None,) * args.num_dirs  # replaced below
-
-    rows = [_werner_row(args, n, p, defer) for p in p_values]
-    values = iter(_x_information(images, coefficients).tolist())
-    return [(*row[:4], *next(values), row[-1]) if row[2] else row for row in rows]
+def _werner_row(n: int, p: float) -> tuple:
+    """The weight and power of one sweep-werner row, and its image for :func:`_evaluate`."""
+    return (p, n), _image(werner(p), n)
 
 
 def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
+    _check_size(args, args.steps * len(args.n_list) * args.num_dirs, "I_s values",
+                f" and {args.num_dirs} direction pairs")
     span = args.p_max - args.p_min
     p_values = [args.p_min + x for x in _grid(span, args.steps)]
     if args.p_max < args.p_min:
@@ -499,12 +482,22 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     pairs = direction_pairs(args.num_dirs, args.seed)
     coefficients = [_pair_coefficients(da, db) for da, db in pairs]
 
-    def public(img: XParams) -> tuple:
-        return tuple(shannon_report_from_table(tomogram(img, da, db)).i_s for da, db in pairs)
+    def columnar(images: list[XParams]) -> list[list]:
+        x = _x_columns(images)
+        return np.column_stack((_x_entropies(x)[1], _x_information(x, coefficients))).tolist()
 
-    rows = [row for n in args.n_list for row in _werner_block(args, n, p_values, coefficients)]
+    def public(images: list[XParams]) -> list[tuple]:
+        tables = ([tomogram(p, da, db) for da, db in pairs] for p in images)
+        i_s = ([shannon_report_from_table(t).i_s for t in row] for row in tables)
+        return [(system_entropies(p).i_n, *row) for p, row in zip(images, i_s)]
+
+    def power_block(n: int, weights: list[float], measure) -> list[tuple]:
+        rows = _evaluate((_werner_row(n, p) for p in weights), measure, 1 + args.num_dirs)
+        return [(*row[:3], *row[4:], row[3]) for row in rows]  # the class goes last
+
+    rows = [row for n in args.n_list for row in power_block(n, p_values, columnar)]
     # Sampled rows must come out the same, bit for bit, through the public chain.
-    _spot_check(rows, lambda r: _werner_row(args, r[1], r[0], public), args.seed)
+    _spot_check(rows, lambda r: power_block(r[1], [r[0]], public)[0], args.seed)
 
     directions = [
         {"theta_a": da.theta, "psi_a": da.psi, "theta_b": db.theta, "psi_b": db.psi}

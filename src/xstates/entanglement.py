@@ -43,15 +43,16 @@ def concurrence(p: XParams) -> float:
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
 
 
-def _x_entanglement(a, b, cm, dm) -> tuple[np.ndarray, np.ndarray]:
+def _x_entanglement(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negativity and concurrence of valid X states, one entry per state.
 
-    The states come as columns of ``a``, ``b``, ``abs(c)`` and ``abs(d)``.
+    ``x`` holds the states as :func:`~xstates.xstate._x_columns` builds them.
     Each entry equals :func:`negativity` and :func:`concurrence` bit for bit:
-    numpy's ``+ -``, real ``abs`` and sorting round as Python floats do, and
-    the sums run in the same order.  No validity check: the caller vouches
-    for the states.
+    numpy's ``+ -``, real ``abs``, ``hypot`` and sorting round as Python
+    floats do, and the sums run in the same order.  No validity check: the
+    caller vouches for the states.
     """
+    a, b, cm, dm = x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
     neg = np.abs(a + cm) + np.abs(a - cm) + np.abs(b + dm) + np.abs(b - dm)
     roots = np.sort(np.abs([a + dm, b + cm, b - cm, a - dm]), axis=0)  # ascending
     excess = roots[3] - roots[2] - roots[1] - roots[0]

@@ -175,34 +175,32 @@ def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return acc
 
 
-def _x_entropies(a, b, cm, dm) -> tuple[np.ndarray, np.ndarray]:
+def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``S(rho)`` and ``I_n`` of valid X states, one entry per state.
 
-    The states come as columns of ``a``, ``b``, ``abs(c)`` and ``abs(d)``.
+    ``x`` holds the states as :func:`~xstates.xstate._x_columns` builds them.
     Each entry equals ``system_entropies(p).s12`` and ``.i_n`` bit for bit.
     No validity check: the caller vouches for the states.
     """
+    a, b, cm, dm = x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
     s12 = _entropy(map(_xlogx, (a + dm, b + cm, b - cm, a - dm)))
     q = _xlogx(a + b)
     s1 = _entropy((q, q))
     return s12, s1 + s1 - s12
 
 
-def _x_information(images: Sequence[XParams], coefficients: Sequence[tuple]) -> np.ndarray:
-    """Tomographic information of X states, one row per image, one column per pair.
+def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
+    """Tomographic information of X states, one row per state, one column per pair.
 
-    ``coefficients`` holds :func:`~xstates.tomography._pair_coefficients` of
-    each direction pair.  Entry ``[i, k]`` equals
-    ``shannon_report_from_table(tomogram(images[i], *pairs[k])).i_s`` bit for
-    bit: numpy's ``+ - *`` round as Python floats do, and the entropies come
-    from :func:`_entropy`.  Both marginals of an X-state tomogram are the
-    pair ``(same + cross, cross + same)``, so one marginal entropy serves for
-    both.  No validity check on the images: the caller vouches for them.
+    ``x`` holds the states as :func:`~xstates.xstate._x_columns` builds them
+    and ``coefficients`` the :func:`~xstates.tomography._pair_coefficients`
+    of each pair.  Entry ``[i, k]`` is the public chain's ``i_s`` of state
+    ``i`` and pair ``k``, bit for bit: numpy's ``+ - *`` round as Python
+    floats do, and the entropies come from :func:`_entropy`.  Both marginals
+    are ``(same + cross, cross + same)``, so one entropy serves for both.
+    No validity check: the caller vouches for the states.
     """
-    state = np.array(
-        [(p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag) for p in images], dtype=float
-    ).reshape(-1, 6)
-    same, cross = _weights(*state.T[:, :, None], np.array(coefficients, dtype=float).T)
+    same, cross = _weights(*x[:, :, None], np.array(coefficients, dtype=float).T)
     s, c, u = _xlogx(same), _xlogx(cross), _xlogx(same + cross)
     h12 = _entropy((s, c, c, s))
     h1 = _entropy((u, u))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -161,6 +162,12 @@ def spectrum(p: XParams) -> XSpectrum:
     cm, dm = abs(p.c), abs(p.d)
     lam = (p.a + dm, p.b + cm, p.b - cm, p.a - dm)
     return XSpectrum(lam=lam, phase_c=_phase(p.c), phase_d=_phase(p.d))
+
+
+def _x_columns(states: list[XParams]) -> np.ndarray:
+    """The columnar kernels' input: rows a, b, Re c, Im c, Re d and Im d, one column per state."""
+    values = chain.from_iterable((p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag) for p in states)
+    return np.fromiter(values, float, 6 * len(states)).reshape(-1, 6).T
 
 
 def apply_power_channel(p: XParams, n: int) -> ChannelResult:

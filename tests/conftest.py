@@ -74,12 +74,14 @@ def valid_params_st(draw) -> XParams:
 
 
 # States on the edges of the columnar kernels' branches: pure states (the
-# 0 ln 0 branch), zero coherences, and eigenvalues a - |d| or b - |c| inside
-# the clamp band [-EPS_PSD, 0).
+# 0 ln 0 branch), zero and subnormal coherences (whose modulus comes from
+# np.hypot in the kernels and from abs in the scalar chain), and eigenvalues
+# a - |d| or b - |c| inside the clamp band [-EPS_PSD, 0).
 EDGE_STATES = [
     XParams(a=0.5, b=0.0, c=0.0, d=0.5j),
     XParams(a=0.0, b=0.5, c=-0.5, d=0.0),
     XParams(a=0.3, b=0.2, c=0.0, d=0.0),
+    XParams(a=0.3, b=0.2, c=3e-310 - 4e-310j, d=-1e-320 + 2e-300j),
     XParams(a=0.25, b=0.25, c=0.0, d=0.0),
     XParams(a=0.4, b=0.1, c=0.1 + 5e-13, d=0.2 * cmath.exp(0.7j)),
     XParams(a=0.25, b=0.25, c=0.1j, d=-(0.25 + 9e-13)),
@@ -98,11 +100,6 @@ def kernel_images_st():
     """Lists of valid states as the columnar kernels receive them."""
     one = st.one_of(valid_params_st(), clamp_band_params_st(), st.sampled_from(EDGE_STATES))
     return st.lists(one, min_size=1, max_size=8)
-
-
-def x_columns(images) -> np.ndarray:
-    """Columns ``a``, ``b``, ``abs(c)``, ``abs(d)`` of states, as sweep-cd builds them."""
-    return np.array([(p.a, p.b, abs(p.c), abs(p.d)) for p in images], dtype=float).reshape(-1, 4).T
 
 
 @st.composite

@@ -338,14 +338,14 @@ class TestSweepCd:
 
         monkeypatch.setattr("xstates.cli._grid", no_grid)
         # The default power list has 4 powers; --steps 401 stays well inside.
-        assert 401**2 * 4 * 10 < cli._CD_MAX_ROWS
-        steps = math.isqrt(cli._CD_MAX_ROWS // 4) + 1
-        assert steps**2 * 4 > cli._CD_MAX_ROWS
+        assert 401**2 * 4 * 10 < cli._MAX_SIZE
+        steps = math.isqrt(cli._MAX_SIZE // 4) + 1
+        assert steps**2 * 4 > cli._MAX_SIZE
         code, out, err = run(capsys, "sweep-cd", "--steps", str(steps))
         assert (code, out) == (1, "")
         assert err == (
             f"error: --steps {steps} with 4 powers makes {steps**2 * 4} rows,"
-            f" more than the limit of {cli._CD_MAX_ROWS}\n"
+            f" more than the limit of {cli._MAX_SIZE}\n"
         )
         # One step fewer is within the limit and reaches the grid.
         with pytest.raises(AssertionError, match="a grid was built"):
@@ -353,7 +353,7 @@ class TestSweepCd:
 
     @pytest.mark.parametrize("limit, code", [(63, 1), (64, 0)])
     def test_row_limit_on_a_small_grid(self, limit, code, capsys, monkeypatch):
-        monkeypatch.setattr("xstates.cli._CD_MAX_ROWS", limit)
+        monkeypatch.setattr("xstates.cli._MAX_SIZE", limit)
         got, out, err = run(capsys, "sweep-cd", "--steps", "4")  # 4 * 4 * 4 = 64 rows
         assert got == code
         if code:
@@ -447,6 +447,47 @@ class TestSweepWerner:
         )
         with pytest.raises(RuntimeError, match="self-check"):
             main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+
+    def test_spot_check_sees_the_columnar_i_n(self, monkeypatch):
+        monkeypatch.setattr(
+            "xstates.cli._x_entropies", lambda *a: np.nextafter(_x_entropies(*a), np.inf)
+        )
+        with pytest.raises(RuntimeError, match="self-check"):
+            main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+
+    def test_size_limit_by_arithmetic(self, capsys, monkeypatch):
+        def nothing_built(*args):
+            raise AssertionError("a grid or a direction set was built")
+
+        monkeypatch.setattr("xstates.cli._grid", nothing_built)
+        monkeypatch.setattr("xstates.cli.direction_pairs", nothing_built)
+        # The defaults are 401 steps and 6 powers; 64 direction pairs stay well inside.
+        assert 401 * 6 * 64 * 10 < cli._MAX_SIZE
+        num_dirs = cli._MAX_SIZE // (401 * 6) + 1
+        size = 401 * 6 * num_dirs
+        assert size > cli._MAX_SIZE
+        code, out, err = run(capsys, "sweep-werner", "--num-dirs", str(num_dirs))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --steps 401 with 6 powers and {num_dirs} direction pairs makes {size}"
+            f" I_s values, more than the limit of {cli._MAX_SIZE}\n"
+        )
+        # One direction pair fewer is within the limit and reaches the grid.
+        with pytest.raises(AssertionError, match="was built"):
+            main(["sweep-werner", "--num-dirs", str(num_dirs - 1)])
+
+    @pytest.mark.parametrize("limit, code", [(23, 1), (24, 0)])
+    def test_size_limit_on_a_small_grid(self, limit, code, capsys, monkeypatch):
+        monkeypatch.setattr("xstates.cli._MAX_SIZE", limit)
+        # 4 steps * 2 powers * 3 direction pairs = 24 I_s values
+        got, out, err = run(
+            capsys, "sweep-werner", "--steps", "4", "--n-list", "1,2", "--num-dirs", "3"
+        )
+        assert got == code
+        if code:
+            assert (out, err.count("\n")) == ("", 1) and "24 I_s values" in err
+        else:
+            assert (len(out.splitlines()), err) == (1 + 3 + 2 + 1 + 8, "")
 
     def test_finite_image_of_a_huge_weight_keeps_its_rows(self, capsys):
         # Tr rho^2 overflows to inf, but the image (all zeros) is finite.
@@ -550,6 +591,8 @@ HOSTILE = {
     ),
     # 10^10 steps^2 times 4 powers: refused before any grid is built.
     "too_many_cd_rows": (["sweep-cd", "--steps", "100000"], None),
+    # 401 steps times 6 powers times 10^8 direction pairs: refused before any is drawn.
+    "too_many_werner_cells": (["sweep-werner", "--num-dirs", "100000000"], None),
     "overflowing_cd_coherence_sum": (
         ["sweep-cd", "--a", "0.3", "--b", "0.2", "--n-list", "1", "--steps", "2",
          "--c-abs-max", "1e308", "--d-abs-max", "1e308"],
@@ -574,8 +617,8 @@ def test_hostile_input_exits_one_with_one_line(name, capsys, tmp_path):
 
 # What computes a whole power block at once, beside each sweep's per-row function.
 BLOCK_WORK = {
-    "sweep-cd": ("_cd_block", "_x_entanglement", "_x_entropies"),
-    "sweep-werner": ("_werner_block", "_x_information"),
+    "sweep-cd": ("_evaluate", "_x_entanglement", "_x_entropies"),
+    "sweep-werner": ("_evaluate", "_x_information", "_x_entropies"),
 }
 
 

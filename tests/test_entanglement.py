@@ -14,7 +14,6 @@ from conftest import (
     random_separable_params,
     random_valid_params,
     valid_params_st,
-    x_columns,
 )
 from oracles import spin_flip
 from xstates import (
@@ -31,6 +30,7 @@ from xstates import (
     werner,
 )
 from xstates.entanglement import _x_entanglement
+from xstates.xstate import _x_columns
 
 
 class TestNegativity:
@@ -181,11 +181,11 @@ class TestXEntanglement:
     @example(EDGE_STATES)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_scalar_measures_exactly(self, images):
-        neg, conc = _x_entanglement(*x_columns(images))
+        neg, conc = _x_entanglement(_x_columns(images))
         # float.hex also tells -0.0 from 0.0, which print differently.
         assert list(map(float.hex, neg.tolist())) == [negativity(p).hex() for p in images]
         assert list(map(float.hex, conc.tolist())) == [concurrence(p).hex() for p in images]
 
     def test_no_states(self):
-        neg, conc = _x_entanglement(*x_columns([]))
+        neg, conc = _x_entanglement(_x_columns([]))
         assert neg.shape == conc.shape == (0,)

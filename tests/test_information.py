@@ -14,7 +14,6 @@ from conftest import (
     random_direction_pair,
     random_valid_params,
     valid_params_st,
-    x_columns,
 )
 from xstates import (
     Direction,
@@ -35,6 +34,7 @@ from xstates import (
 )
 from xstates.information import _x_entropies, _x_information, shannon_report_from_table
 from xstates.tomography import _pair_coefficients
+from xstates.xstate import _x_columns
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -192,7 +192,7 @@ class TestXInformation:
     def test_bell_along_z_takes_the_zero_weight_branch(self):
         t = tomogram(BELL, Z_UP, Z_UP)
         assert t.w_ud == 0.0
-        table = _x_information([BELL], [_pair_coefficients(Z_UP, Z_UP)])
+        table = _x_information(_x_columns([BELL]), [_pair_coefficients(Z_UP, Z_UP)])
         assert table.tolist() == [[shannon_report_from_table(t).i_s]] == [[LN2]]
 
     @given(
@@ -203,7 +203,8 @@ class TestXInformation:
     @example([BELL, werner(0.3)], [(Z_UP, Z_DOWN), (Z_DOWN, Direction(theta=1.1, psi=0.4))])
     @settings(max_examples=300, deadline=None)
     def test_equals_the_table_chain_exactly(self, images, pairs):
-        table = _x_information(images, [_pair_coefficients(da, db) for da, db in pairs])
+        coefficients = [_pair_coefficients(da, db) for da, db in pairs]
+        table = _x_information(_x_columns(images), coefficients)
         assert table.tolist() == [
             [shannon_report_from_table(tomogram(p, da, db)).i_s for da, db in pairs]
             for p in images
@@ -213,9 +214,9 @@ class TestXInformation:
         # Along z the two weights are the diagonal entries (a, b) themselves.
         along_z = [_pair_coefficients(Z_UP, Z_UP)]
         with pytest.raises(InvalidSpectrumError, match="negative weight"):
-            _x_information([XParams(a=0.6, b=-0.1, c=0.0, d=0.0)], along_z)
+            _x_information(_x_columns([XParams(a=0.6, b=-0.1, c=0.0, d=0.0)]), along_z)
         with pytest.raises(InvalidSpectrumError, match="weights sum"):
-            _x_information([XParams(a=0.3, b=0.3, c=0.0, d=0.0)], along_z)
+            _x_information(_x_columns([XParams(a=0.3, b=0.3, c=0.0, d=0.0)]), along_z)
 
 
 class TestXEntropies:
@@ -223,14 +224,14 @@ class TestXEntropies:
     @example(EDGE_STATES)
     @settings(max_examples=300, deadline=None)
     def test_equals_system_entropies_exactly(self, images):
-        s12, i_n = _x_entropies(*x_columns(images))
+        s12, i_n = _x_entropies(_x_columns(images))
         reports = [system_entropies(p) for p in images]
         # float.hex also tells -0.0 from 0.0, which print differently.
         assert list(map(float.hex, s12.tolist())) == [r.s12.hex() for r in reports]
         assert list(map(float.hex, i_n.tolist())) == [r.i_n.hex() for r in reports]
 
     def test_pure_state_takes_the_zero_weight_branch(self):
-        s12, i_n = _x_entropies(*x_columns([BELL]))
+        s12, i_n = _x_entropies(_x_columns([BELL]))
         assert (s12.tolist(), i_n.tolist()) == ([0.0], [LN4]) == (
             [system_entropies(BELL).s12], [system_entropies(BELL).i_n]
         )
@@ -242,7 +243,7 @@ class TestXEntropies:
             (XParams(a=0.3, b=0.3, c=0.0, d=0.0), "weights sum"),
         ):
             with pytest.raises(InvalidSpectrumError, match=message):
-                _x_entropies(*x_columns([BELL, bad]))
+                _x_entropies(_x_columns([BELL, bad]))
 
 
 class TestCheckInequalities:
