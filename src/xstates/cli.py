@@ -344,7 +344,8 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
 
 _CD_HEADER = "c_abs,d_abs,n,valid,class,negativity,concurrence,s12,i_n"
 
-# What a sweep may hold before it writes: sweep-cd rows (0.5 kB each) or sweep-werner I_s values.
+# What a sweep may hold before it writes: sweep-cd rows (0.5 kB each), or sweep-werner
+# I_s values plus direction pairs (0.7 kB each with their coefficients).
 _MAX_SIZE = 10**7
 
 
@@ -468,8 +469,8 @@ def _werner_row(n: int, p: float) -> tuple:
 
 
 def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
-    _check_size(args, args.steps * len(args.n_list) * args.num_dirs, "I_s values",
-                f" and {args.num_dirs} direction pairs")
+    _check_size(args, (args.steps * len(args.n_list) + 1) * args.num_dirs,
+                "I_s values and direction pairs", f" and {args.num_dirs} direction pairs")
     span = args.p_max - args.p_min
     p_values = [args.p_min + x for x in _grid(span, args.steps)]
     if args.p_max < args.p_min:

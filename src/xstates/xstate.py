@@ -15,6 +15,7 @@ with general linear algebra.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,7 +52,7 @@ class StateClass(Enum):
     INVALID_TRACE = "invalid_trace"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XParams:
     """Parameter quadruple (a, b, c, d) of a two-qubit X matrix.
 
@@ -71,10 +72,8 @@ class XParams:
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "d", complex(self.d))
-        if not all(
-            math.isfinite(x)
-            for x in (self.a, self.b, self.c.real, self.c.imag, self.d.real, self.d.imag)
-        ):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)
+                and cmath.isfinite(self.c) and cmath.isfinite(self.d)):
             raise ValueError(f"X parameters must be finite, got {self}")
 
     @property
@@ -82,7 +81,7 @@ class XParams:
         return 2.0 * (self.a + self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XSpectrum:
     """Eigenvalues of an X matrix together with the coherence phases.
 
@@ -107,7 +106,7 @@ class XSpectrum:
         return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelResult:
     """Image of an X state under rho -> rho^n / Tr rho^n."""
 
@@ -181,8 +180,9 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     when a power, or a sum of two powers, is too large for a float.
     """
     _check_power(n)
-    s = spectrum(p)
-    l1, l2, l3, l4 = (x ** n for x in s.lam)
+    cm, dm = abs(p.c), abs(p.d)
+    # The powers of the spectrum() eigenvalues, without building an XSpectrum.
+    l1, l2, l3, l4 = (p.a + dm) ** n, (p.b + cm) ** n, (p.b - cm) ** n, (p.a - dm) ** n
     denom = 2.0 * (l1 + l2 + l3 + l4)
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
     if scale == 0.0 or abs(denom) < 1e-12 * scale:
@@ -193,7 +193,7 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     # powers overflows, the quotients are 0 or inf / inf = nan.
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
-    out = XParams(a=a, b=b, c=c * s.phase_c, d=d * s.phase_d)
+    out = XParams(a=a, b=b, c=c * _phase(p.c), d=d * _phase(p.d))
     return ChannelResult(params=out, n=n, valid=is_valid(out))
 
 

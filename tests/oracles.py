@@ -1,9 +1,9 @@
 """Reference implementations the tests compare the closed forms against.
 
 Each one reaches its answer by a different route from the library: a dense
-SU(2) rotation, a dense spin flip, or the Werner power sums written out by
-hand.  Eigenvalues and matrix powers need no helper: the tests call
-``numpy.linalg`` directly.
+SU(2) rotation, a dense spin flip, the Werner power sums written out by
+hand, or the power map through a built spectrum.  Eigenvalues and matrix
+powers need no helper: the tests call ``numpy.linalg`` directly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,15 @@ import numpy as np
 
 from xstates.dense import to_dense
 from xstates.tomography import Direction, TomogramTable, _pair_coefficients
-from xstates.xstate import XParams, ZeroDenominatorError, _check_power, require_valid
+from xstates.xstate import (
+    ChannelResult,
+    XParams,
+    ZeroDenominatorError,
+    _check_power,
+    is_valid,
+    require_valid,
+    spectrum,
+)
 
 
 def su2_matrix(direction: Direction) -> np.ndarray:
@@ -90,3 +98,26 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     return TomogramTable(
         w_uu=same, w_ud=cross, w_du=cross, w_dd=same, dir_a=dir_a, dir_b=dir_b
     )
+
+
+def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
+    """rho -> rho^n / Tr rho^n through an :class:`XSpectrum`, as the library once computed it.
+
+    Raises each eigenvalue in ``spectrum(p).lam`` to the power ``n`` and puts
+    the image's coherences back on the spectrum's phases.  Every float
+    operation is the library's, in the same order, so the two must agree
+    bit for bit, and raise the same exceptions.
+    """
+    _check_power(n)
+    s = spectrum(p)
+    l1, l2, l3, l4 = (x**n for x in s.lam)
+    denom = 2.0 * (l1 + l2 + l3 + l4)
+    scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
+    if scale == 0.0 or abs(denom) < 1e-12 * scale:
+        raise ZeroDenominatorError(f"Tr rho^{n} vanishes for {p}")
+    a, b = (l1 + l4) / denom, (l2 + l3) / denom
+    c, d = (l2 - l3) / denom, (l1 - l4) / denom
+    if not math.isfinite(a + b + c + d):
+        raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
+    out = XParams(a=a, b=b, c=c * s.phase_c, d=d * s.phase_d)
+    return ChannelResult(params=out, n=n, valid=is_valid(out))

@@ -462,15 +462,16 @@ class TestSweepWerner:
         monkeypatch.setattr("xstates.cli._grid", nothing_built)
         monkeypatch.setattr("xstates.cli.direction_pairs", nothing_built)
         # The defaults are 401 steps and 6 powers; 64 direction pairs stay well inside.
-        assert 401 * 6 * 64 * 10 < cli._MAX_SIZE
-        num_dirs = cli._MAX_SIZE // (401 * 6) + 1
-        size = 401 * 6 * num_dirs
+        # Each pair counts once, beside its 401 * 6 I_s values.
+        assert (401 * 6 + 1) * 64 * 10 < cli._MAX_SIZE
+        num_dirs = cli._MAX_SIZE // (401 * 6 + 1) + 1
+        size = (401 * 6 + 1) * num_dirs
         assert size > cli._MAX_SIZE
         code, out, err = run(capsys, "sweep-werner", "--num-dirs", str(num_dirs))
         assert (code, out) == (1, "")
         assert err == (
             f"error: --steps 401 with 6 powers and {num_dirs} direction pairs makes {size}"
-            f" I_s values, more than the limit of {cli._MAX_SIZE}\n"
+            f" I_s values and direction pairs, more than the limit of {cli._MAX_SIZE}\n"
         )
         # One direction pair fewer is within the limit and reaches the grid.
         with pytest.raises(AssertionError, match="was built"):
@@ -479,15 +480,30 @@ class TestSweepWerner:
     @pytest.mark.parametrize("limit, code", [(23, 1), (24, 0)])
     def test_size_limit_on_a_small_grid(self, limit, code, capsys, monkeypatch):
         monkeypatch.setattr("xstates.cli._MAX_SIZE", limit)
-        # 4 steps * 2 powers * 3 direction pairs = 24 I_s values
+        # 7 steps * 1 power * 3 direction pairs = 21 I_s values, plus the 3 pairs
         got, out, err = run(
-            capsys, "sweep-werner", "--steps", "4", "--n-list", "1,2", "--num-dirs", "3"
+            capsys, "sweep-werner", "--steps", "7", "--n-list", "1", "--num-dirs", "3"
         )
         assert got == code
         if code:
-            assert (out, err.count("\n")) == ("", 1) and "24 I_s values" in err
+            assert (out, err.count("\n")) == ("", 1)
+            assert "24 I_s values and direction pairs" in err
         else:
-            assert (len(out.splitlines()), err) == (1 + 3 + 2 + 1 + 8, "")
+            assert (len(out.splitlines()), err) == (1 + 3 + 1 + 1 + 7, "")
+
+    def test_direction_pairs_count_toward_the_limit(self, capsys, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("direction pairs were built")
+
+        monkeypatch.setattr("xstates.cli.direction_pairs", no_pairs)
+        # 10^7 I_s values, at the limit, but 5 * 10^6 pairs of about 0.7 kB each.
+        argv = ["sweep-werner", "--steps", "2", "--n-list", "1", "--num-dirs", "5000000"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err == (
+            "error: --steps 2 with 1 powers and 5000000 direction pairs makes 15000000"
+            f" I_s values and direction pairs, more than the limit of {cli._MAX_SIZE}\n"
+        )
 
     def test_finite_image_of_a_huge_weight_keeps_its_rows(self, capsys):
         # Tr rho^2 overflows to inf, but the image (all zeros) is finite.
@@ -593,6 +609,10 @@ HOSTILE = {
     "too_many_cd_rows": (["sweep-cd", "--steps", "100000"], None),
     # 401 steps times 6 powers times 10^8 direction pairs: refused before any is drawn.
     "too_many_werner_cells": (["sweep-werner", "--num-dirs", "100000000"], None),
+    # 10^7 I_s values, at the limit, but the 5 * 10^6 direction pairs count too.
+    "too_many_werner_pairs": (
+        ["sweep-werner", "--steps", "2", "--n-list", "1", "--num-dirs", "5000000"], None
+    ),
     "overflowing_cd_coherence_sum": (
         ["sweep-cd", "--a", "0.3", "--b", "0.2", "--n-list", "1", "--steps", "2",
          "--c-abs-max", "1e308", "--d-abs-max", "1e308"],

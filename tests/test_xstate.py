@@ -1,13 +1,18 @@
 import cmath
+import copy
 import math
+import pickle
+import sys
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import params_from_weights, random_valid_params, valid_params_st
+from conftest import EDGE_STATES, params_from_weights, random_valid_params, valid_params_st
+from oracles import power_channel_via_spectrum
 from xstates import (
     StateClass,
     XParams,
@@ -57,11 +62,80 @@ class TestValidate:
         p = XParams(a=0.1, b=0.1, c=0.5, d=0.5)
         assert validate(p) is StateClass.INVALID_TRACE
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            XParams(a=math.nan, b=0.25, c=0.0, d=0.0)
-        with pytest.raises(ValueError):
-            XParams(a=0.25, b=0.25, c=complex(0, math.inf), d=0.0)
+
+
+# The six real components of an X state, in the order a, b, Re c, Im c, Re d, Im d.
+PARTS = ("a", "b", "re_c", "im_c", "re_d", "im_d")
+
+
+def _parts(p: XParams) -> tuple:
+    return (p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag)
+
+
+def _mixed_with(part: str, value: float) -> XParams:
+    """The maximally mixed state with one real component set to ``value``."""
+    x = dict(zip(PARTS, (0.25, 0.25, 0.0, 0.0, 0.0, 0.0)), **{part: value})
+    return XParams(
+        a=x["a"], b=x["b"], c=complex(x["re_c"], x["im_c"]), d=complex(x["re_d"], x["im_d"])
+    )
+
+
+_P = XParams(a=0.3, b=0.2, c=0.1j, d=-0.05)
+SLOTTED = [_P, spectrum(_P), apply_power_channel(_P, 3)]
+
+
+class TestXParams:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("part", PARTS)
+    def test_non_finite_rejected(self, part, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            _mixed_with(part, value)
+
+    @pytest.mark.parametrize(
+        "value", [sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324],
+        ids=["max", "-max", "subnormal", "-subnormal"],
+    )
+    @pytest.mark.parametrize("part", PARTS)
+    def test_extreme_finite_accepted(self, part, value):
+        p = _mixed_with(part, value)
+        assert _parts(p)[PARTS.index(part)] == value
+
+    def test_int_and_float_inputs_coerced(self):
+        p = XParams(a=1, b=0, c=0.5, d=-2)
+        assert [type(x) for x in (p.a, p.b, p.c, p.d)] == [float, float, complex, complex]
+        assert (p.a, p.b, p.c, p.d) == (1.0, 0.0, 0.5 + 0j, -2 + 0j)
+        q = replace(p, b=3, c=1)
+        assert (type(q.b), type(q.c)) == (float, complex)
+
+    @pytest.mark.parametrize("obj", SLOTTED, ids=lambda obj: type(obj).__name__)
+    def test_fields_are_frozen(self, obj):
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+
+    @pytest.mark.parametrize("obj", SLOTTED, ids=lambda obj: type(obj).__name__)
+    def test_slots_leave_no_instance_dict(self, obj):
+        assert not hasattr(obj, "__dict__")
+        # A name that is not a field raises TypeError on Python 3.11: the frozen
+        # __setattr__ calls super() with the class as it was before slots were added.
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 1
+
+    @pytest.mark.parametrize("obj", SLOTTED, ids=lambda obj: type(obj).__name__)
+    def test_pickle_and_deepcopy_keep_equality_and_hash(self, obj):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin is not obj
+            assert twin == obj
+            assert hash(twin) == hash(obj)
+
+    def test_asdict_and_replace(self):
+        p, s, r = SLOTTED
+        assert asdict(p) == {"a": 0.3, "b": 0.2, "c": 0.1j, "d": -0.05 + 0j}
+        assert asdict(s) == {"lam": s.lam, "phase_c": s.phase_c, "phase_d": s.phase_d}
+        assert asdict(r) == {"params": asdict(r.params), "n": 3, "valid": True}
+        assert replace(p, d=0.05) == XParams(a=0.3, b=0.2, c=0.1j, d=0.05)
+        assert replace(s, phase_d=1j).phase_d == 1j
+        assert replace(r, valid=False) == type(r)(params=r.params, n=3, valid=False)
 
 
 class TestSpectrum:
@@ -102,6 +176,47 @@ class TestSpectrum:
             v = s.eigenvectors()
             for k in range(4):
                 assert_allclose(m @ v[:, k], s.lam[k] * v[:, k], atol=1e-12, rtol=0)
+
+
+_tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308])
+_wide = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e12, 1e12))
+
+
+@st.composite
+def _tiny_coherences_st(draw) -> XParams:
+    p = draw(valid_params_st())
+    return XParams(
+        a=p.a, b=p.b, c=complex(draw(_tiny), draw(_tiny)), d=complex(draw(_tiny), draw(_tiny))
+    )
+
+
+@st.composite
+def _invalid_st(draw) -> XParams:
+    """Any finite parameters: mostly not a state, often with |lambda| > 1."""
+    c = abs(draw(_wide)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    d = abs(draw(_wide)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return XParams(a=draw(_wide), b=draw(_wide), c=c, d=d)
+
+
+def power_map_inputs_st():
+    """(state, power) pairs: valid, edge and tiny-coherence states, and invalid ones at odd n."""
+    any_n = st.integers(1, 60)
+    odd_n = st.integers(0, 29).map(lambda k: 2 * k + 1)
+    return st.one_of(
+        st.tuples(valid_params_st(), any_n),
+        st.tuples(st.sampled_from(EDGE_STATES), any_n),
+        st.tuples(_tiny_coherences_st(), any_n),
+        st.tuples(_invalid_st(), odd_n),
+    )
+
+
+def _outcome(power_map, p: XParams, n: int):
+    """Every field of the image as float.hex strings, or the type of the exception raised."""
+    try:
+        r = power_map(p, n)
+    except (ZeroDenominatorError, OverflowError) as exc:
+        return type(exc)
+    return (r.n, r.valid, *map(float.hex, _parts(r.params)))
 
 
 class TestPowerChannel:
@@ -186,6 +301,15 @@ class TestPowerChannel:
             apply_power_channel(XParams(a=1e154, b=-1e154, c=0.0, d=0.0), 2)
         with pytest.raises(OverflowError, match="not finite"):
             apply_power_channel(XParams(a=0.3, b=0.2, c=1e308, d=1e308), 1)
+
+    @given(power_map_inputs_st())
+    @example((XParams(a=0.0, b=0.0, c=0.0, d=0.5), 3))  # Tr rho^3 = 0
+    @example((XParams(a=1e154, b=-1e154, c=0.0, d=0.0), 2))  # a sum of powers overflows
+    @example((XParams(a=0.3, b=0.2, c=1e308, d=-1e308j), 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit_as_through_the_spectrum(self, case):
+        p, n = case
+        assert _outcome(apply_power_channel, p, n) == _outcome(power_channel_via_spectrum, p, n)
 
     def test_bad_power_rejected(self):
         p = werner(0.2)
