@@ -21,13 +21,13 @@ import os
 import re
 import sys
 from dataclasses import asdict
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import Iterable
 
 import numpy as np
 
 from .xstate import (
-    ChannelResult,
+    StateClass,
     XParams,
     ZeroDenominatorError,
     _x_columns,
@@ -161,7 +161,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return items
 
 
-def _emit(parts: list[str], output: str | None) -> None:
+def _emit(parts: Iterable[str], output: str | None) -> None:
     """Write the strings in ``parts`` one after another to ``output``, or to stdout."""
     try:
         if output is None:
@@ -272,27 +272,33 @@ def _state(args: argparse.Namespace) -> XParams:
 # analyze, and the power-map image helpers that both sweeps share
 
 
-def _image(params: XParams, n: int) -> ChannelResult | None:
+def _image(params: XParams, n: int) -> XParams | None:
     """The image of ``params`` under rho -> rho^n / Tr rho^n; None if Tr rho^n vanishes."""
     try:
-        return apply_power_channel(params, n)
+        return apply_power_channel(params, n).params
     except ZeroDenominatorError:
         return None
+
+
+# The classes of a genuine density matrix; classify gives the others to invalid input.
+_VALID_CLASSES = (StateClass.SEPARABLE, StateClass.ENTANGLED)
 
 
 def _evaluate(rows: Iterable[tuple], measure, width: int) -> list[tuple]:
     """Rows ``(*cells, valid, class, *measures)`` of ``(cells, image)`` pairs, image from _image.
 
+    Validity and class come from one :func:`classify` verdict per image.
     ``measure`` is called once, with the list of valid images, and gives ``width``
     measures for each; only those images are kept until then.  An invalid image has
     None (an empty cell) for each measure, and for its class too when Tr rho^n vanished.
     """
     heads, images = [], []
-    for cells, result in rows:
-        valid = result is not None and result.valid
-        heads.append((*cells, valid, None if result is None else classify(result.params).value))
+    for cells, image in rows:
+        cls = None if image is None else classify(image)
+        valid = cls in _VALID_CLASSES
+        heads.append((*cells, valid, None if cls is None else cls.value))
         if valid:
-            images.append(result.params)
+            images.append(image)
     values = iter(measure(images))
     blank = (None,) * width
     return [(*head, *(next(values) if head[-2] else blank)) for head in heads]
@@ -315,13 +321,12 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
     bad = validate(params)
     report: dict = {
         "validity": "valid" if bad is None else bad.value,
-        "spectrum": spectrum(params).lam,
+        "spectrum": spectrum(params),
     }
     if bad is None:
         # Not _image: a vanishing Tr rho^n fails the command here (exit 1 in main).
-        result = apply_power_channel(params, args.n)
-        img = result.params
-        valid, class_image, *measures = _evaluate([((), result)], _scalar_measures, 4)[0]
+        img = apply_power_channel(params, args.n).params
+        valid, class_image, *measures = _evaluate([((), img)], _scalar_measures, 4)[0]
         report.update(
             class_input=classify(params).value,
             n=args.n,
@@ -360,6 +365,13 @@ def _grid(end: float, steps: int) -> list[float]:
     if steps < 2:
         raise _UsageError(f"--steps must be >= 2, got {steps}")
     return [end * k / (steps - 1) for k in range(steps)]
+
+
+def _check_grid(values: list[float], what: str, steps: int) -> None:
+    # end * k overflows before the division by steps - 1 brings it back in range.
+    if not all(map(math.isfinite, values)):
+        raise _UsageError(f"{what} over --steps {steps} overflows a grid value"
+                          " (end * k / (steps - 1))")
 
 
 def _cd_state(args: argparse.Namespace, c_abs: float, d_abs: float, units) -> XParams:
@@ -411,11 +423,11 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
     """Write a sweep as CSV or as its JSON mirror.
 
     The CSV is the comment lines, the header, then the text pieces of
-    ``csv_lines``, each a run of whole lines.  Only the CSV reads
-    ``csv_lines``, so a generator there formats nothing for JSON.
+    ``csv_lines``, each a run of whole lines.  A generator there formats
+    each piece as it is written, and nothing at all for JSON.
     """
     if args.format == "csv" and not args.json:
-        parts = ["".join(f"{line}\n" for line in [*comments, header]), *csv_lines]
+        parts = chain(["".join(f"{line}\n" for line in [*comments, header])], csv_lines)
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
@@ -432,6 +444,8 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     d_grid = _grid(args.d_abs_max, args.steps)
     if args.c_abs_max < 0.0 or args.d_abs_max < 0.0:
         raise _UsageError("grid ends must be >= 0")
+    _check_grid(c_grid, f"--c-abs-max {args.c_abs_max}", args.steps)
+    _check_grid(d_grid, f"--d-abs-max {args.d_abs_max}", args.steps)
 
     units = (cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase))
     cells = [(c, d, _cd_state(args, c, d, units)) for c in c_grid for d in d_grid]
@@ -443,7 +457,7 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
         return power_block(r[2], [(*r[:2], _cd_state(args, *r[:2], units))], _scalar_measures)[0]
 
     blocks = [power_block(n, cells, _columnar_measures) for n in args.n_list]
-    del cells  # free the states before the text, the peak of memory, is built
+    del cells  # free the states before the CSV text is formatted, one block at a time
     rows = [row for block in blocks for row in block]
     # Sampled rows must come out the same, bit for bit, through the scalar chain.
     _spot_check(rows, scalar, args.seed)
@@ -477,6 +491,7 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
         raise _UsageError(f"--p-max {args.p_max} is below --p-min {args.p_min}")
     if not math.isfinite(span):
         raise _UsageError(f"--p-max - --p-min must be finite, got {span}")
+    _check_grid(p_values, f"--p-max - --p-min = {span}", args.steps)
     if args.num_dirs < 1:
         raise _UsageError(f"--num-dirs must be >= 1, got {args.num_dirs}")
 
@@ -538,13 +553,13 @@ def cmd_tomogram(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     if bad is not None:
         print(f"error: not a valid density matrix ({bad.value})", file=sys.stderr)
         return 2
-    result = apply_power_channel(params, args.n)
-    if not result.valid:
-        cls = validate(result.params)
-        print(f"error: power-map image is not a valid state ({cls.value})", file=sys.stderr)
+    image = apply_power_channel(params, args.n).params
+    bad = validate(image)
+    if bad is not None:
+        print(f"error: power-map image is not a valid state ({bad.value})", file=sys.stderr)
         return 2
 
-    table = tomogram(result.params, dir_a, dir_b)
+    table = tomogram(image, dir_a, dir_b)
     rep = shannon_report_from_table(table)
     first, second = marginals(table)
     report = {

@@ -39,7 +39,7 @@ def concurrence(p: XParams) -> float:
     other three, floored at zero.
     """
     require_valid(p)
-    roots = sorted((abs(x) for x in spectrum(p).lam), reverse=True)
+    roots = sorted((abs(x) for x in spectrum(p)), reverse=True)
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
 
 
@@ -66,7 +66,7 @@ def entanglement_report(p: XParams) -> EntanglementReport:
     plain arithmetic) but carry no measures.
     """
     cls = classify(p)
-    ppt_lam = tuple(sorted(spectrum(ppt(p)).lam, reverse=True))
+    ppt_lam = tuple(sorted(spectrum(ppt(p)), reverse=True))
     if cls in (StateClass.INVALID_TRACE, StateClass.INVALID_NOT_PSD):
         return EntanglementReport(
             state_class=cls, negativity=None, concurrence=None, ppt_spectrum=ppt_lam

@@ -96,7 +96,7 @@ def system_entropies(p: XParams) -> InfoReport:
     trace-normalized X state they equal ln 2.
     """
     require_valid(p)
-    s12 = von_neumann_entropy(spectrum(p).lam)
+    s12 = von_neumann_entropy(spectrum(p))
     q = p.a + p.b
     s1 = von_neumann_entropy((q, q))
     s2 = s1

@@ -82,37 +82,16 @@ class XParams:
 
 
 @dataclass(frozen=True, slots=True)
-class XSpectrum:
-    """Eigenvalues of an X matrix together with the coherence phases.
-
-    ``lam`` is ordered (a+|d|, b+|c|, b-|c|, a-|d|); the phases fix the
-    eigenvectors, which mix only the outer pair (1, 4) and the inner
-    pair (2, 3) of basis states.
-    """
-
-    lam: tuple[float, float, float, float]
-    phase_c: complex
-    phase_d: complex
-
-    def eigenvectors(self) -> np.ndarray:
-        """Return the four eigenvectors as columns, ordered like ``lam``."""
-        pc, pd = self.phase_c, self.phase_d
-        r = 1.0 / math.sqrt(2.0)
-        v = np.zeros((4, 4), dtype=complex)
-        v[:, 0] = (r, 0, 0, r * pd.conjugate())
-        v[:, 1] = (0, r, r * pc.conjugate(), 0)
-        v[:, 2] = (0, -r * pc, r, 0)
-        v[:, 3] = (-r * pd, 0, 0, r)
-        return v
-
-
-@dataclass(frozen=True, slots=True)
 class ChannelResult:
     """Image of an X state under rho -> rho^n / Tr rho^n."""
 
     params: XParams
     n: int
-    valid: bool
+
+    @property
+    def valid(self) -> bool:
+        """Whether the image is a genuine density matrix; see :func:`is_valid`."""
+        return is_valid(self.params)
 
 
 def _check_power(n: int) -> None:
@@ -152,15 +131,14 @@ def require_valid(p: XParams) -> None:
         raise InvalidStateError(bad)
 
 
-def spectrum(p: XParams) -> XSpectrum:
-    """Closed-form spectrum of the X matrix.
+def spectrum(p: XParams) -> tuple[float, float, float, float]:
+    """Closed-form eigenvalues of the X matrix, ordered (a+|d|, b+|c|, b-|c|, a-|d|).
 
     The outer block contributes a +- |d|, the inner block b +- |c|; no
     diagonalization is performed.
     """
     cm, dm = abs(p.c), abs(p.d)
-    lam = (p.a + dm, p.b + cm, p.b - cm, p.a - dm)
-    return XSpectrum(lam=lam, phase_c=_phase(p.c), phase_d=_phase(p.d))
+    return (p.a + dm, p.b + cm, p.b - cm, p.a - dm)
 
 
 def _x_columns(states: list[XParams]) -> np.ndarray:
@@ -181,7 +159,7 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     """
     _check_power(n)
     cm, dm = abs(p.c), abs(p.d)
-    # The powers of the spectrum() eigenvalues, without building an XSpectrum.
+    # The powers of the spectrum() eigenvalues, in its order.
     l1, l2, l3, l4 = (p.a + dm) ** n, (p.b + cm) ** n, (p.b - cm) ** n, (p.a - dm) ** n
     denom = 2.0 * (l1 + l2 + l3 + l4)
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
@@ -194,7 +172,7 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
     out = XParams(a=a, b=b, c=c * _phase(p.c), d=d * _phase(p.d))
-    return ChannelResult(params=out, n=n, valid=is_valid(out))
+    return ChannelResult(params=out, n=n)
 
 
 def ppt(p: XParams) -> XParams:

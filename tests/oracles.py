@@ -2,8 +2,9 @@
 
 Each one reaches its answer by a different route from the library: a dense
 SU(2) rotation, a dense spin flip, the Werner power sums written out by
-hand, or the power map through a built spectrum.  Eigenvalues and matrix
-powers need no helper: the tests call ``numpy.linalg`` directly.
+hand, or the power map through ``spectrum`` and phases of its own.
+Eigenvalues and matrix powers need no helper: the tests call
+``numpy.linalg`` directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from xstates.xstate import (
     XParams,
     ZeroDenominatorError,
     _check_power,
-    is_valid,
     require_valid,
     spectrum,
 )
@@ -100,17 +100,21 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     )
 
 
-def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
-    """rho -> rho^n / Tr rho^n through an :class:`XSpectrum`, as the library once computed it.
+def _unit(z: complex) -> complex:
+    """``z / |z|``, and 1 at zero."""
+    return z / abs(z) if z else complex(1.0)
 
-    Raises each eigenvalue in ``spectrum(p).lam`` to the power ``n`` and puts
-    the image's coherences back on the spectrum's phases.  Every float
-    operation is the library's, in the same order, so the two must agree
-    bit for bit, and raise the same exceptions.
+
+def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
+    """rho -> rho^n / Tr rho^n through ``spectrum(p)``, as the library once computed it.
+
+    Raises each eigenvalue in ``spectrum(p)`` to the power ``n`` and puts the
+    image's coherences back on the input's phases, computed here.  Every
+    float operation is the library's, in the same order, so the two must
+    agree bit for bit, and raise the same exceptions.
     """
     _check_power(n)
-    s = spectrum(p)
-    l1, l2, l3, l4 = (x**n for x in s.lam)
+    l1, l2, l3, l4 = (x**n for x in spectrum(p))
     denom = 2.0 * (l1 + l2 + l3 + l4)
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
     if scale == 0.0 or abs(denom) < 1e-12 * scale:
@@ -119,5 +123,5 @@ def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
     c, d = (l2 - l3) / denom, (l1 - l4) / denom
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
-    out = XParams(a=a, b=b, c=c * s.phase_c, d=d * s.phase_d)
-    return ChannelResult(params=out, n=n, valid=is_valid(out))
+    out = XParams(a=a, b=b, c=c * _unit(p.c), d=d * _unit(p.d))
+    return ChannelResult(params=out, n=n)

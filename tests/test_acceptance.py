@@ -110,7 +110,7 @@ def test_criterion_02_closed_form_matches_dense_power():
 
 def test_criterion_03_werner_separability_boundary():
     boundary = werner(1.0 / 3.0)
-    min_ppt = min(spectrum(ppt(boundary)).lam)
+    min_ppt = min(spectrum(ppt(boundary)))
     below = classify(werner(1.0 / 3.0 - 1e-9))
     above = classify(werner(1.0 / 3.0 + 1e-9))
     at = classify(boundary)

@@ -323,6 +323,20 @@ class TestSweepCd:
         assert code == 1
         assert "--steps" in err
 
+    def test_one_validity_check_per_row(self, monkeypatch):
+        validate = xstates.xstate.validate
+        calls = []
+        monkeypatch.setattr("xstates.xstate.validate", lambda p: calls.append(p) or validate(p))
+        # |c| = 0.2 > b is not PSD: its images are invalid at n = 3 and valid at n = 2.
+        points = [(c, d, XParams(a=0.33, b=0.17, c=c, d=d)) for c in (0.0, 0.2) for d in (0.0, 0.1)]
+        for n, valid in ((2, [True] * 4), (3, [True, True, False, False])):
+            images = [apply_power_channel(p, n).params for *_, p in points]
+            calls.clear()
+            rows = cli._evaluate((cli._cd_row(n, *point) for point in points),
+                                 cli._columnar_measures, 4)
+            assert [row[3] for row in rows] == valid
+            assert calls == images  # once per row, on its image
+
     @pytest.mark.parametrize("kernel", [_x_entanglement, _x_entropies])
     def test_spot_check_catches_a_wrong_kernel(self, kernel, monkeypatch):
         monkeypatch.setattr(
@@ -618,6 +632,13 @@ HOSTILE = {
          "--c-abs-max", "1e308", "--d-abs-max", "1e308"],
         None,
     ),
+    # end * k overflows in end * k / (steps - 1), though the grid value would be finite.
+    "overflowing_cd_grid": (["sweep-cd", "--c-abs-max", "1e308", "--steps", "3", "--n-list", "2"],
+                            None),
+    "overflowing_werner_grid": (
+        ["sweep-werner", "--p-min", "-1e308", "--p-max", "0", "--steps", "3", "--n-list", "1"],
+        None,
+    ),
 }
 
 
@@ -658,6 +679,21 @@ def test_negative_seed_rejected_before_any_row(command, row, via_config, capsys,
     else:
         argv += ["--seed", "-1"]
     assert run(capsys, *argv) == (1, "", "error: --seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("name", ["overflowing_cd_grid", "overflowing_werner_grid"])
+def test_overflowing_grid_rejected_before_any_row(name, capsys, monkeypatch):
+    argv = HOSTILE[name][0]
+    row = {"sweep-cd": "_cd_row", "sweep-werner": "_werner_row"}[argv[0]]
+
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    for fn in (row, *BLOCK_WORK[argv[0]], "XParams", "werner"):
+        monkeypatch.setattr(f"xstates.cli.{fn}", no_row)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: --\S.* over --steps 3 overflows a grid value .*\n", err)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "ChannelResult", "Direction", "EPS_PSD", "EPS_TRACE", "EntanglementReport",
     "InequalityCheck", "InfoReport", "InvalidAngleError", "InvalidSpectrumError",
     "InvalidStateError", "ShannonReport", "StateClass", "TomogramTable", "XParams",
-    "XSpectrum", "ZeroDenominatorError", "apply_power_channel", "check_inequalities",
+    "ZeroDenominatorError", "apply_power_channel", "check_inequalities",
     "classify", "concurrence", "direction_pairs", "entanglement_report", "is_valid",
     "marginals", "negativity", "ppt", "reduced", "shannon_report",
     "shannon_report_from_table", "spectrum", "system_entropies", "to_dense", "tomogram",

@@ -55,7 +55,7 @@ class TestVonNeumannEntropy:
 
     def test_werner_half(self):
         assert_allclose(
-            von_neumann_entropy(spectrum(werner(0.5)).lam), S12_WERNER_HALF, atol=1e-12, rtol=0
+            von_neumann_entropy(spectrum(werner(0.5))), S12_WERNER_HALF, atol=1e-12, rtol=0
         )
 
     def test_tiny_negative_clamped(self):

@@ -81,7 +81,7 @@ def _mixed_with(part: str, value: float) -> XParams:
 
 
 _P = XParams(a=0.3, b=0.2, c=0.1j, d=-0.05)
-SLOTTED = [_P, spectrum(_P), apply_power_channel(_P, 3)]
+SLOTTED = [_P, apply_power_channel(_P, 3)]
 
 
 class TestXParams:
@@ -129,53 +129,45 @@ class TestXParams:
             assert hash(twin) == hash(obj)
 
     def test_asdict_and_replace(self):
-        p, s, r = SLOTTED
+        p, r = SLOTTED
         assert asdict(p) == {"a": 0.3, "b": 0.2, "c": 0.1j, "d": -0.05 + 0j}
-        assert asdict(s) == {"lam": s.lam, "phase_c": s.phase_c, "phase_d": s.phase_d}
-        assert asdict(r) == {"params": asdict(r.params), "n": 3, "valid": True}
+        assert asdict(r) == {"params": asdict(r.params), "n": 3}
         assert replace(p, d=0.05) == XParams(a=0.3, b=0.2, c=0.1j, d=0.05)
-        assert replace(s, phase_d=1j).phase_d == 1j
-        assert replace(r, valid=False) == type(r)(params=r.params, n=3, valid=False)
+        assert replace(r, n=5) == type(r)(params=r.params, n=5)
+        with pytest.raises(TypeError):
+            replace(r, valid=False)
+
+    def test_channel_result_valid_reads_its_image(self):
+        bad = XParams(a=0.3, b=0.2, c=0.25, d=0.0)  # not PSD: the image at odd n is not either
+        for params, expected in ((_P, True), (bad, False)):
+            r = apply_power_channel(params, 3)
+            assert r.valid is expected
+            assert r.valid is is_valid(r.params)
+            assert type(r)(params=params, n=1).valid is expected
+        # TypeError on Python 3.11, as for any name that is not a field.
+        with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+            r.valid = True
 
 
 class TestSpectrum:
     def test_closed_form_entries(self):
-        s = spectrum(XParams(a=0.33, b=0.17, c=0.1, d=0.2))
-        assert_allclose(s.lam, (0.53, 0.27, 0.07, 0.13), atol=1e-15, rtol=0)
-
-    def test_phases(self):
-        s = spectrum(XParams(a=0.33, b=0.17, c=0.1j, d=-0.2))
-        assert s.phase_c == 1j
-        assert s.phase_d == -1.0
-
-    def test_zero_coherence_phase_convention(self):
-        s = spectrum(XParams(a=0.25, b=0.25, c=0.0, d=0.0))
-        assert s.phase_c == 1.0
-        assert s.phase_d == 1.0
+        lam = spectrum(XParams(a=0.33, b=0.17, c=0.1, d=0.2))
+        assert type(lam) is tuple and len(lam) == 4
+        assert_allclose(lam, (0.53, 0.27, 0.07, 0.13), atol=1e-15, rtol=0)
 
     def test_pair_ordering(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            s = spectrum(random_valid_params(rng))
-            assert s.lam[0] >= s.lam[3]
-            assert s.lam[1] >= s.lam[2]
+            lam = spectrum(random_valid_params(rng))
+            assert lam[0] >= lam[3]
+            assert lam[1] >= lam[2]
 
     def test_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             p = random_valid_params(rng)
             evals = np.linalg.eigvalsh(to_dense(p))
-            assert_allclose(sorted(spectrum(p).lam), evals, atol=1e-10, rtol=0)
-
-    def test_eigenvectors_are_eigenvectors(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            p = random_valid_params(rng)
-            s = spectrum(p)
-            m = to_dense(p)
-            v = s.eigenvectors()
-            for k in range(4):
-                assert_allclose(m @ v[:, k], s.lam[k] * v[:, k], atol=1e-12, rtol=0)
+            assert_allclose(sorted(spectrum(p)), evals, atol=1e-10, rtol=0)
 
 
 _tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308])
@@ -243,6 +235,19 @@ class TestPowerChannel:
         q = apply_power_channel(p, 3).params
         assert_allclose(cmath.phase(q.c), math.pi / 2, atol=1e-15, rtol=0)
         assert_allclose(cmath.phase(q.d), math.pi, atol=1e-15, rtol=0)
+
+    def test_zero_coherence_phase_convention(self):
+        # phase(0) = 1: a zero coherence maps to exactly 0j, never to nan.
+        for n in (1, 2, 3, 8):
+            q = apply_power_channel(XParams(a=0.25, b=0.25, c=0.0, d=0.0), n).params
+            assert (q.c, q.d) == (0j, 0j)
+            q = apply_power_channel(XParams(a=0.3, b=0.2, c=-0.0, d=0.1j), n).params
+            assert q.c == 0j and cmath.phase(q.d) == math.pi / 2
+
+    def test_makes_no_validity_check(self, monkeypatch):
+        monkeypatch.setattr("xstates.xstate.validate", lambda p: pytest.fail("validate called"))
+        for p, n in ((_P, 3), (XParams(a=0.33, b=0.17, c=0.2, d=0.1), 3), (werner(0.5), 2)):
+            apply_power_channel(p, n)
 
     def test_pure_state_fixed_point(self):
         p = XParams(a=0.5, b=0.0, c=0.0, d=0.5)
@@ -349,12 +354,12 @@ class TestPpt:
         assert ppt(ppt(p)) == p
 
     def test_werner_ppt_spectrum(self):
-        lam = sorted(spectrum(ppt(werner(0.5))).lam, reverse=True)
+        lam = sorted(spectrum(ppt(werner(0.5))), reverse=True)
         assert_allclose(lam, (0.375, 0.375, 0.375, -0.125), atol=1e-15, rtol=0)
 
     def test_mixed_example_ppt_spectrum(self):
         p = XParams(a=0.33, b=0.17, c=0.1j, d=0.05)
-        lam = sorted(spectrum(ppt(p)).lam, reverse=True)
+        lam = sorted(spectrum(ppt(p)), reverse=True)
         assert_allclose(lam, (0.43, 0.23, 0.22, 0.12), atol=1e-15, rtol=0)
 
 
@@ -395,7 +400,7 @@ class TestWerner:
         )
 
     def test_spectrum(self):
-        assert_allclose(spectrum(werner(0.5)).lam, (0.625, 0.125, 0.125, 0.125), atol=1e-15, rtol=0)
+        assert_allclose(spectrum(werner(0.5)), (0.625, 0.125, 0.125, 0.125), atol=1e-15, rtol=0)
 
     def test_bell_state_at_one(self):
         p = werner(1.0)
@@ -408,7 +413,7 @@ class TestWerner:
         assert not is_valid(werner(1.0 + 1e-6))
 
     def test_ppt_boundary_at_one_third(self):
-        lam = spectrum(ppt(werner(1 / 3))).lam
+        lam = spectrum(ppt(werner(1 / 3)))
         assert abs(min(lam)) < 1e-12
 
 
