@@ -7,21 +7,9 @@ its negativity exceeds 1, exactly when its concurrence is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .xstate import StateClass, XParams, classify, ppt, require_valid, spectrum
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Classification plus measures; measures are None for invalid input."""
-
-    state_class: StateClass
-    negativity: float | None
-    concurrence: float | None
-    ppt_spectrum: tuple[float, float, float, float]
+from .xstate import XParams, require_valid, spectrum
 
 
 def negativity(p: XParams) -> float:
@@ -57,23 +45,3 @@ def _x_entanglement(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     roots = np.sort(np.abs([a + dm, b + cm, b - cm, a - dm]), axis=0)  # ascending
     excess = roots[3] - roots[2] - roots[1] - roots[0]
     return neg, np.where(excess > 0.0, excess, 0.0)  # max(0.0, excess)
-
-
-def entanglement_report(p: XParams) -> EntanglementReport:
-    """Classify ``p`` and attach its measures.
-
-    Invalid parameter sets keep their partial-transpose spectrum (it is
-    plain arithmetic) but carry no measures.
-    """
-    cls = classify(p)
-    ppt_lam = tuple(sorted(spectrum(ppt(p)), reverse=True))
-    if cls in (StateClass.INVALID_TRACE, StateClass.INVALID_NOT_PSD):
-        return EntanglementReport(
-            state_class=cls, negativity=None, concurrence=None, ppt_spectrum=ppt_lam
-        )
-    return EntanglementReport(
-        state_class=cls,
-        negativity=negativity(p),
-        concurrence=concurrence(p),
-        ppt_spectrum=ppt_lam,
-    )

@@ -28,8 +28,6 @@ from .tomography import Direction, TomogramTable, _weights, marginals, tomogram
 # Slack allowed before an inequality counts as violated.
 INEQ_TOL = 1e-10
 
-_LN4 = math.log(4.0)
-
 
 class InvalidSpectrumError(ValueError):
     """Raised for eigenvalue/probability sets that are not a distribution."""
@@ -84,7 +82,7 @@ def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
         total += x
         if x > 0.0:
             acc -= x * math.log(x)
-    if abs(total - 1.0) > EPS_TRACE:
+    if not abs(total - 1.0) <= EPS_TRACE:  # NaN fails too
         raise InvalidSpectrumError(f"weights sum to {total}, expected 1")
     return acc
 
@@ -106,30 +104,11 @@ def system_entropies(p: XParams) -> InfoReport:
 def werner_mutual_information(p: float, n: int) -> float:
     """Quantum mutual information of the power-map image of a Werner state.
 
-    Closed form over the power sums u = (1+3p)^n, v = (1-p)^n with
-    normalization z = u + 3v:
-
-        I = ln 4 - ln z + (u ln u + 3 v ln v) / z.
-
-    Requires the image to be a genuine state; equals ln 4 at p = 1 for
-    every n.
+    The general X-state chain at ``werner(p)``: the power map, then
+    :func:`system_entropies`.  Requires the image to be a genuine state;
+    equals ln 4 at p = 1 for every n.
     """
-    require_valid(apply_power_channel(werner(p), n).params)
-    u = (1.0 + 3.0 * p) ** n
-    v = (1.0 - p) ** n
-    z = u + 3.0 * v
-    t = 0.0
-    if u > 0.0:
-        t += u * math.log(u)
-    if v > 0.0:
-        t += 3.0 * v * math.log(v)
-    return _LN4 - math.log(z) + t / z
-
-
-def shannon_report(p: XParams, dir_a: Direction, dir_b: Direction) -> ShannonReport:
-    """Shannon entropies of the tomogram of ``p`` for one direction pair."""
-    table = tomogram(p, dir_a, dir_b)
-    return shannon_report_from_table(table)
+    return system_entropies(apply_power_channel(werner(p), n).params).i_n
 
 
 def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
@@ -218,7 +197,7 @@ def check_inequalities(
     info = system_entropies(p)
     out = []
     for dir_a, dir_b in pairs:
-        rep = shannon_report(p, dir_a, dir_b)
+        rep = shannon_report_from_table(tomogram(p, dir_a, dir_b))
         out.append(
             InequalityCheck(
                 dir_a=dir_a,

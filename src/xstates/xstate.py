@@ -222,16 +222,3 @@ def werner_entanglement_threshold_lower(n: int) -> float:
     if n % 2:
         raise ValueError("lower threshold exists only for even powers")
     return 1.0 + 4.0 / (3.0 ** (1.0 / n) - 3.0)
-
-
-def reduced(p: XParams, subsystem: int) -> np.ndarray:
-    """Reduced density matrix of one qubit.
-
-    Both partial traces of an X matrix are diagonal with equal entries
-    a + b, so every valid X state has maximally mixed marginals.
-    """
-    if subsystem not in (1, 2):
-        raise ValueError(f"subsystem must be 1 or 2, got {subsystem!r}")
-    require_valid(p)
-    q = p.a + p.b
-    return np.array([[q, 0.0], [0.0, q]])

@@ -2,7 +2,8 @@
 
 Each one reaches its answer by a different route from the library: a dense
 SU(2) rotation, a dense spin flip, the Werner power sums written out by
-hand, or the power map through ``spectrum`` and phases of its own.
+hand for the tomogram and the mutual information, or the power map through
+``spectrum`` and phases of its own.
 Eigenvalues and matrix powers need no helper: the tests call
 ``numpy.linalg`` directly.
 """
@@ -98,6 +99,28 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     return TomogramTable(
         w_uu=same, w_ud=cross, w_du=cross, w_dd=same, dir_a=dir_a, dir_b=dir_b
     )
+
+
+def werner_i_n_closed_form(p: float, n: int) -> float:
+    """Quantum mutual information of the power-map image of a Werner state.
+
+    The closed form over the power sums u = (1+3p)^n and v = (1-p)^n with
+    normalization z = u + 3v,
+
+        I = ln 4 - ln z + (u ln u + 3 v ln v) / z,
+
+    written without the channel or the spectrum.  Only for powers whose
+    sums stay finite, and for images that are genuine states.
+    """
+    u = (1.0 + 3.0 * p) ** n
+    v = (1.0 - p) ** n
+    z = u + 3.0 * v
+    t = 0.0
+    if u > 0.0:
+        t += u * math.log(u)
+    if v > 0.0:
+        t += 3.0 * v * math.log(v)
+    return math.log(4.0) - math.log(z) + t / z
 
 
 def _unit(z: complex) -> complex:

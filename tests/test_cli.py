@@ -18,10 +18,11 @@ from xstates import (
     apply_power_channel,
     concurrence,
     negativity,
-    shannon_report,
+    shannon_report_from_table,
     system_entropies,
     tomogram,
     werner,
+    werner_mutual_information,
 )
 from xstates import cli
 from xstates.cli import _json_rows, main
@@ -185,10 +186,8 @@ class TestTomogramCommand:
         )
         assert_allclose(float(rep["w_uu"]), table.w_uu, atol=1e-12, rtol=0)
         assert_allclose(float(rep["w_ud"]), table.w_ud, atol=1e-12, rtol=0)
-        srep = shannon_report(
-            image, Direction(theta=0.9, psi=0.3), Direction(theta=2.0, psi=1.1)
-        )
-        assert_allclose(float(rep["i_s"]), srep.i_s, atol=1e-12, rtol=0)
+        i_s = shannon_report_from_table(table).i_s
+        assert_allclose(float(rep["i_s"]), i_s, atol=1e-12, rtol=0)
 
     def test_bell_peak_json(self, capsys):
         code, out, _ = run(
@@ -454,6 +453,21 @@ class TestSweepWerner:
         assert payload["thresholds"][0]["lower"] is not None
         assert len(payload["directions"]) == 2
         assert len(payload["rows"]) == 3
+
+    def test_i_n_equals_the_library_bit_for_bit(self, capsys):
+        # JSON floats round-trip, so == compares every bit; at n = 511 and 600
+        # the Werner closed form's power sums overflow near p = 1.
+        code, out, _ = run(
+            capsys,
+            "sweep-werner", "--p-min", "0.9", "--p-max", "1", "--steps", "5",
+            "--n-list", "1,2,511,600", "--num-dirs", "1", "--json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 20
+        assert all(
+            valid and i_n == werner_mutual_information(p, n) for p, n, valid, i_n, *_ in rows
+        )
 
     def test_spot_check_catches_a_wrong_fast_path(self, monkeypatch):
         monkeypatch.setattr(

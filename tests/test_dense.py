@@ -6,12 +6,11 @@ from xstates import XParams, to_dense, werner
 
 # The public names of the package: closed forms only, plus ``to_dense``.
 PUBLIC_NAMES = [
-    "ChannelResult", "Direction", "EPS_PSD", "EPS_TRACE", "EntanglementReport",
-    "InequalityCheck", "InfoReport", "InvalidAngleError", "InvalidSpectrumError",
-    "InvalidStateError", "ShannonReport", "StateClass", "TomogramTable", "XParams",
-    "ZeroDenominatorError", "apply_power_channel", "check_inequalities",
-    "classify", "concurrence", "direction_pairs", "entanglement_report", "is_valid",
-    "marginals", "negativity", "ppt", "reduced", "shannon_report",
+    "ChannelResult", "Direction", "EPS_PSD", "EPS_TRACE", "InequalityCheck",
+    "InfoReport", "InvalidAngleError", "InvalidSpectrumError", "InvalidStateError",
+    "ShannonReport", "StateClass", "TomogramTable", "XParams", "ZeroDenominatorError",
+    "apply_power_channel", "check_inequalities", "classify", "concurrence",
+    "direction_pairs", "is_valid", "marginals", "negativity", "ppt",
     "shannon_report_from_table", "spectrum", "system_entropies", "to_dense", "tomogram",
     "validate", "von_neumann_entropy", "werner", "werner_entanglement_threshold",
     "werner_entanglement_threshold_lower", "werner_mutual_information",

@@ -23,9 +23,9 @@ from xstates import (
     apply_power_channel,
     classify,
     concurrence,
-    entanglement_report,
     negativity,
     ppt,
+    spectrum,
     to_dense,
     werner,
 )
@@ -144,36 +144,26 @@ class TestMeasureConsistency:
 
 
 class TestEntanglementReport:
+    """Class, measures and PPT spectrum of one state, each from its own public call."""
+
     def test_separable_werner(self):
-        rep = entanglement_report(werner(0.2))
-        assert rep.state_class is StateClass.SEPARABLE
-        assert_allclose(rep.negativity, 1.0, atol=1e-12, rtol=0)
-        assert rep.concurrence <= 1e-12
-        assert min(rep.ppt_spectrum) >= -1e-12
+        p = werner(0.2)
+        assert classify(p) is StateClass.SEPARABLE
+        assert_allclose(negativity(p), 1.0, atol=1e-12, rtol=0)
+        assert concurrence(p) <= 1e-12
+        assert min(spectrum(ppt(p))) >= -1e-12
 
     def test_channel_image(self):
         image = apply_power_channel(werner(0.5), 2).params
-        rep = entanglement_report(image)
-        assert rep.state_class is StateClass.ENTANGLED
-        assert_allclose(rep.negativity, 25 / 14, atol=1e-12, rtol=0)
-        assert_allclose(rep.concurrence, 2 * (12 / 28 - 1 / 28), atol=1e-12, rtol=0)
+        assert classify(image) is StateClass.ENTANGLED
+        assert_allclose(negativity(image), 25 / 14, atol=1e-12, rtol=0)
+        assert_allclose(concurrence(image), 2 * (12 / 28 - 1 / 28), atol=1e-12, rtol=0)
         assert_allclose(
-            rep.ppt_spectrum, (13 / 28, 13 / 28, 13 / 28, -11 / 28), atol=1e-12, rtol=0
+            sorted(spectrum(ppt(image)), reverse=True),
+            (13 / 28, 13 / 28, 13 / 28, -11 / 28),
+            atol=1e-12,
+            rtol=0,
         )
-
-    def test_invalid_input_keeps_ppt_spectrum_only(self):
-        rep = entanglement_report(XParams(a=0.33, b=0.17, c=0.2, d=0.1))
-        assert rep.state_class is StateClass.INVALID_NOT_PSD
-        assert rep.negativity is None
-        assert rep.concurrence is None
-        assert len(rep.ppt_spectrum) == 4
-        assert all(x >= y for x, y in zip(rep.ppt_spectrum, rep.ppt_spectrum[1:]))
-
-    def test_spectrum_sorted_descending(self):
-        rng = np.random.default_rng(78)
-        for _ in range(50):
-            rep = entanglement_report(random_valid_params(rng))
-            assert all(x >= y for x, y in zip(rep.ppt_spectrum, rep.ppt_spectrum[1:]))
 
 
 class TestXEntanglement:

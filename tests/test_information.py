@@ -15,6 +15,7 @@ from conftest import (
     random_valid_params,
     valid_params_st,
 )
+from oracles import werner_i_n_closed_form
 from xstates import (
     Direction,
     InvalidSpectrumError,
@@ -23,7 +24,7 @@ from xstates import (
     apply_power_channel,
     check_inequalities,
     direction_pairs,
-    shannon_report,
+    shannon_report_from_table,
     spectrum,
     system_entropies,
     to_dense,
@@ -32,7 +33,7 @@ from xstates import (
     werner,
     werner_mutual_information,
 )
-from xstates.information import _x_entropies, _x_information, shannon_report_from_table
+from xstates.information import _x_entropies, _x_information
 from xstates.tomography import _pair_coefficients
 from xstates.xstate import _x_columns
 
@@ -68,8 +69,9 @@ class TestVonNeumannEntropy:
             von_neumann_entropy((1.0 + 1e-6, -1e-6, 0.0, 0.0))
 
     def test_bad_sum_rejected(self):
-        with pytest.raises(InvalidSpectrumError):
-            von_neumann_entropy((0.5, 0.5, 0.5, 0.0))
+        for weights in ((0.5, 0.5, 0.5, 0.0), (math.nan,) * 4, (0.5, 0.5, math.nan)):
+            with pytest.raises(InvalidSpectrumError):
+                von_neumann_entropy(weights)
 
 
 class TestSystemEntropies:
@@ -118,15 +120,20 @@ class TestWernerMutualInformation:
     def test_matches_entropy_pipeline(self):
         for n in range(1, 7):
             for p in np.linspace(-1 / 3 + 1e-3, 1.0, 13):
-                image = apply_power_channel(werner(p), n).params
-                expected = system_entropies(image).i_n
+                expected = werner_i_n_closed_form(p, n)
                 assert_allclose(werner_mutual_information(p, n), expected, atol=1e-10, rtol=0)
 
     def test_even_power_outside_band(self):
         for p in (-2.5, 1.8):
-            image = apply_power_channel(werner(p), 2).params
-            expected = system_entropies(image).i_n
+            expected = werner_i_n_closed_form(p, 2)
             assert_allclose(werner_mutual_information(p, 2), expected, atol=1e-10, rtol=0)
+
+    def test_bell_saturates_at_high_powers(self):
+        # Powers where werner_i_n_closed_form's sums overflow: it returns inf
+        # at n = 511 and raises OverflowError from n = 512.
+        for n in (511, 512, 600, 10_000):
+            assert abs(werner_mutual_information(1.0, n) - LN4) <= 1e-14
+        assert math.isfinite(werner_mutual_information(0.9, 600))
 
     def test_matches_dense_route(self):
         for n, expected in ((1, I_N_WERNER_HALF_N1), (2, I_N_WERNER_HALF_N2)):
@@ -148,30 +155,32 @@ class TestWernerMutualInformation:
 
 class TestShannonReport:
     def test_maximally_mixed(self):
-        rep = shannon_report(
+        rep = shannon_report_from_table(tomogram(
             XParams(a=0.25, b=0.25, c=0.0, d=0.0),
             Direction(theta=0.7, psi=0.2),
             Direction(theta=2.1, psi=1.5),
-        )
+        ))
         assert_allclose(rep.h12, LN4, atol=1e-14, rtol=0)
         assert_allclose((rep.h1, rep.h2), (LN2, LN2), atol=1e-14, rtol=0)
         assert_allclose(rep.i_s, 0.0, atol=1e-13, rtol=0)
 
     def test_bell_along_z(self):
-        rep = shannon_report(werner(1.0), Direction(theta=0.0), Direction(theta=0.0))
+        z_up = Direction(theta=0.0)
+        rep = shannon_report_from_table(tomogram(werner(1.0), z_up, z_up))
         assert_allclose(rep.h12, LN2, atol=1e-14, rtol=0)
         assert_allclose(rep.i_s, LN2, atol=1e-13, rtol=0)
 
     def test_marginal_entropies_ln2(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
-            rep = shannon_report(random_valid_params(rng), *random_direction_pair(rng))
+            table = tomogram(random_valid_params(rng), *random_direction_pair(rng))
+            rep = shannon_report_from_table(table)
             assert_allclose((rep.h1, rep.h2), (LN2, LN2), atol=1e-12, rtol=0)
 
     @given(valid_params_st(), direction_st(), direction_st())
     @settings(max_examples=150, deadline=None)
     def test_bounded_by_quantum_information(self, p, da, db):
-        rep = shannon_report(p, da, db)
+        rep = shannon_report_from_table(tomogram(p, da, db))
         info = system_entropies(p)
         assert rep.i_s <= info.i_n + 1e-10
         assert rep.i_s >= -1e-10

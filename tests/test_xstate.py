@@ -21,7 +21,6 @@ from xstates import (
     classify,
     is_valid,
     ppt,
-    reduced,
     spectrum,
     to_dense,
     validate,
@@ -29,7 +28,6 @@ from xstates import (
     werner_entanglement_threshold,
     werner_entanglement_threshold_lower,
 )
-from xstates.xstate import InvalidStateError
 
 
 class TestValidate:
@@ -451,20 +449,3 @@ class TestThresholds:
             outside = apply_power_channel(werner(p_low - 1e-6), n).params
             assert classify(inside) is StateClass.SEPARABLE
             assert classify(outside) is StateClass.ENTANGLED
-
-
-class TestReduced:
-    def test_maximally_mixed_marginals(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            p = random_valid_params(rng)
-            for subsystem in (1, 2):
-                assert_allclose(reduced(p, subsystem), 0.5 * np.eye(2), atol=1e-12, rtol=0)
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(InvalidStateError):
-            reduced(XParams(a=0.4, b=0.2, c=0, d=0), 1)
-
-    def test_bad_subsystem(self):
-        with pytest.raises(ValueError):
-            reduced(werner(0.5), 3)
