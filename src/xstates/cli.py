@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import asdict
 from itertools import chain, product, repeat
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -92,18 +92,22 @@ def _render(report: dict, as_json: bool) -> str:
 # cells of a row as indent=2 does at depth 2.  Cells are scalars and a raw
 # newline only appears in separators, so "]" + _CELL_SEP + "[" only joins rows.
 _CELL_SEP = ",\n      "
+_ROW_SEP = "\n    ],\n    [\n      "
 
 
-def _json_rows(rows: list[tuple]) -> list[str]:
-    """Nonempty rows as ``json.dumps(..., indent=2)`` writes their list one level deep.
+def _json_rows(blocks: Iterable[list[tuple]]) -> Iterator[str]:
+    """Rows as ``json.dumps(..., indent=2)`` writes their list one level deep.
 
+    The rows come in nonempty blocks, and each block is encoded on its own.
     The text comes in pieces, to be written one after another.
     """
-    if not rows:
-        return ["[]"]
-    flat = json.dumps(rows, separators=(_CELL_SEP, ": "))[2:-2]
-    body = flat.replace("]" + _CELL_SEP + "[", "\n    ],\n    [\n      ")
-    return ["[\n    [\n      ", body, "\n    ]\n  ]"]
+    yield "[\n    [\n      "
+    for k, block in enumerate(blocks):
+        if k:
+            yield _ROW_SEP
+        yield json.dumps(block, separators=(_CELL_SEP, ": "))[2:-2].replace(
+            "]" + _CELL_SEP + "[", _ROW_SEP)
+    yield "\n    ]\n  ]"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +141,7 @@ def _load_config(path: str, options: dict[str, argparse.Action]) -> dict:
             raise _UsageError(f"unknown {key} {value!r}")
         try:
             out[key] = value if action.type is None else action.type(value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise _UsageError(f"config key {key!r}: {exc}")
     return out
 
@@ -150,14 +154,15 @@ def _require(args: argparse.Namespace, option: str):
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
+    # argparse prints an ArgumentTypeError's own message, not the function's name.
     try:
         items = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not items:
-        raise ValueError("empty power list")
+        raise argparse.ArgumentTypeError("empty power list")
     if any(n < 1 for n in items):
-        raise ValueError(f"powers must be >= 1, got {items}")
+        raise argparse.ArgumentTypeError(f"powers must be >= 1, got {items}")
     return items
 
 
@@ -269,15 +274,7 @@ def _state(args: argparse.Namespace) -> XParams:
 
 
 # ---------------------------------------------------------------------------
-# analyze, and the power-map image helpers that both sweeps share
-
-
-def _image(params: XParams, n: int) -> XParams | None:
-    """The image of ``params`` under rho -> rho^n / Tr rho^n; None if Tr rho^n vanishes."""
-    try:
-        return apply_power_channel(params, n).params
-    except ZeroDenominatorError:
-        return None
+# analyze, and the row evaluator that both sweeps share
 
 
 # The classes of a genuine density matrix; classify gives the others to invalid input.
@@ -285,7 +282,7 @@ _VALID_CLASSES = (StateClass.SEPARABLE, StateClass.ENTANGLED)
 
 
 def _evaluate(rows: Iterable[tuple], measure, width: int) -> list[tuple]:
-    """Rows ``(*cells, valid, class, *measures)`` of ``(cells, image)`` pairs, image from _image.
+    """Rows ``(*cells, valid, class, *measures)`` of ``(cells, image)`` pairs from :func:`_cd_row`.
 
     Validity and class come from one :func:`classify` verdict per image.
     ``measure`` is called once, with the list of valid images, and gives ``width``
@@ -324,7 +321,7 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
         "spectrum": spectrum(params),
     }
     if bad is None:
-        # Not _image: a vanishing Tr rho^n fails the command here (exit 1 in main).
+        # Not _cd_row: a vanishing Tr rho^n fails the command here (exit 1 in main).
         img = apply_power_channel(params, args.n).params
         valid, class_image, *measures = _evaluate([((), img)], _scalar_measures, 4)[0]
         report.update(
@@ -374,14 +371,16 @@ def _check_grid(values: list[float], what: str, steps: int) -> None:
                           " (end * k / (steps - 1))")
 
 
-def _cd_state(args: argparse.Namespace, c_abs: float, d_abs: float, units) -> XParams:
-    # ``units`` holds e^{i c_phase} and e^{i d_phase}, computed once per run.
-    return XParams(a=args.a, b=args.b, c=c_abs * units[0], d=d_abs * units[1])
+def _cd_row(n: int, cells: tuple, state: XParams) -> tuple:
+    """The leading cells ``(*cells, n)`` of one row, and the image of ``state`` for _evaluate.
 
-
-def _cd_row(n: int, c_abs: float, d_abs: float, params: XParams) -> tuple:
-    """The leading cells of one sweep-cd row, and its image for :func:`_evaluate`."""
-    return (c_abs, d_abs, n), _image(params, n)
+    The image is None where Tr rho^n vanishes.  Both sweeps make their rows
+    here; the name stays because bench/tracer.py times the row stage by it.
+    """
+    try:
+        return (*cells, n), apply_power_channel(state, n).params
+    except ZeroDenominatorError:
+        return (*cells, n), None
 
 
 def _row_to_csv(cells) -> str:
@@ -407,24 +406,40 @@ def _cd_csv(rows: list[tuple], c_text: list[str], d_text: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spot_check(rows: list[tuple], recompute, seed: int) -> None:
-    # A per-run guard: a random subsample of emitted rows must match fresh
-    # single-point evaluations exactly.
-    rng = np.random.default_rng(seed)
-    count = min(32, len(rows))
-    for idx in rng.choice(len(rows), size=count, replace=False):
-        if recompute(rows[idx]) != rows[idx]:
+def _sweep(args: argparse.Namespace, points: list[tuple], fast, public,
+           width: int) -> list[list[tuple]]:
+    """One block of rows per power in ``--n-list``, over ``points`` of ``(cells, state)``.
+
+    ``fast`` gives each block's ``width`` measures through :func:`_evaluate`;
+    ``public`` gives the same ones for the spot check.
+    """
+    blocks = [_evaluate((_cd_row(n, *point) for point in points), fast, width)
+              for n in args.n_list]
+    _spot_check(args, blocks, points, public, width)
+    return blocks
+
+
+def _spot_check(args: argparse.Namespace, blocks: list[list[tuple]], points: list[tuple],
+                public, width: int) -> None:
+    # A per-run guard: a random subsample of rows must match, bit for bit,
+    # fresh single-point evaluations through the public chain.
+    total = len(blocks) * len(points)
+    rng = np.random.default_rng(args.seed)
+    for idx in rng.choice(total, size=min(32, total), replace=False):
+        k, j = divmod(idx, len(points))
+        if _evaluate([_cd_row(args.n_list[k], *points[j])], public, width)[0] != blocks[k][j]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 
 def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
-                comments: list[str], header: str, rows: list[tuple], csv_lines,
+                comments: list[str], header: str, blocks: Iterable[list[tuple]], csv_lines,
                 **extra) -> int:
     """Write a sweep as CSV or as its JSON mirror.
 
     The CSV is the comment lines, the header, then the text pieces of
-    ``csv_lines``, each a run of whole lines.  A generator there formats
-    each piece as it is written, and nothing at all for JSON.
+    ``csv_lines``, each a run of whole lines.  JSON takes its rows from
+    ``blocks``.  Each of the two is only iterated if its format is written,
+    so generators there format each piece as it is written.
     """
     if args.format == "csv" and not args.json:
         parts = chain(["".join(f"{line}\n" for line in [*comments, header])], csv_lines)
@@ -433,7 +448,7 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
         head = json.dumps({"config": config, **extra, "columns": header.split(",")}, indent=2)
         # json.dumps(payload, indent=2) with "rows" as the payload's last key.
-        parts = [head[:-2] + ',\n  "rows": ', *_json_rows(rows), "\n}\n"]
+        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(blocks), ["\n}\n"])
     _emit(parts, args.output)
     return 0
 
@@ -447,23 +462,14 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     _check_grid(c_grid, f"--c-abs-max {args.c_abs_max}", args.steps)
     _check_grid(d_grid, f"--d-abs-max {args.d_abs_max}", args.steps)
 
-    units = (cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase))
-    cells = [(c, d, _cd_state(args, c, d, units)) for c in c_grid for d in d_grid]
-
-    def power_block(n: int, points: list[tuple], measure) -> list[tuple]:
-        return _evaluate((_cd_row(n, *point) for point in points), measure, 4)
-
-    def scalar(r: tuple) -> tuple:
-        return power_block(r[2], [(*r[:2], _cd_state(args, *r[:2], units))], _scalar_measures)[0]
-
-    blocks = [power_block(n, cells, _columnar_measures) for n in args.n_list]
-    del cells  # free the states before the CSV text is formatted, one block at a time
-    rows = [row for block in blocks for row in block]
-    # Sampled rows must come out the same, bit for bit, through the scalar chain.
-    _spot_check(rows, scalar, args.seed)
+    c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
+    points = [((c, d), XParams(a=args.a, b=args.b, c=c * c_unit, d=d * d_unit))
+              for c in c_grid for d in d_grid]
+    blocks = _sweep(args, points, _columnar_measures, _scalar_measures, 4)
+    del points  # free the states before the text is formatted, one block at a time
     c_text, d_text = [_fmt(c) for c in c_grid], [_fmt(d) for d in d_grid]
     csv_lines = (_cd_csv(block, c_text, d_text) for block in blocks)
-    return _emit_sweep(args, options, [], _CD_HEADER, rows, csv_lines)
+    return _emit_sweep(args, options, [], _CD_HEADER, blocks, csv_lines)
 
 
 def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str]:
@@ -475,11 +481,6 @@ def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str
             line += f" lower = {_fmt(t['lower'])}"
         lines.append(line)
     return lines
-
-
-def _werner_row(n: int, p: float) -> tuple:
-    """The weight and power of one sweep-werner row, and its image for :func:`_evaluate`."""
-    return (p, n), _image(werner(p), n)
 
 
 def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -507,13 +508,10 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
         i_s = ([shannon_report_from_table(t).i_s for t in row] for row in tables)
         return [(system_entropies(p).i_n, *row) for p, row in zip(images, i_s)]
 
-    def power_block(n: int, weights: list[float], measure) -> list[tuple]:
-        rows = _evaluate((_werner_row(n, p) for p in weights), measure, 1 + args.num_dirs)
-        return [(*row[:3], *row[4:], row[3]) for row in rows]  # the class goes last
-
-    rows = [row for n in args.n_list for row in power_block(n, p_values, columnar)]
-    # Sampled rows must come out the same, bit for bit, through the public chain.
-    _spot_check(rows, lambda r: power_block(r[1], [r[0]], public)[0], args.seed)
+    blocks = _sweep(args, [((p,), werner(p)) for p in p_values], columnar, public,
+                    1 + args.num_dirs)
+    # The class goes last, one block at a time as it is written.
+    ordered = ([(*row[:3], *row[4:], row[3]) for row in block] for block in blocks)
 
     directions = [
         {"theta_a": da.theta, "psi_a": da.psi, "theta_b": db.theta, "psi_b": db.psi}
@@ -527,8 +525,8 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     header = "p,n,valid,i_n," + ",".join(f"i_s_dir{k}" for k in range(args.num_dirs)) + ",class"
     comments = _werner_header(args, directions, thresholds)
     return _emit_sweep(
-        args, options, comments, header, rows,
-        (_row_to_csv(map(_fmt, row)) + "\n" for row in rows),
+        args, options, comments, header, ordered,
+        (_row_to_csv(map(_fmt, row)) + "\n" for block in ordered for row in block),
         directions=directions, thresholds=thresholds,
     )
 

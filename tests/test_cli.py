@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,9 +329,10 @@ class TestSweepCd:
         calls = []
         monkeypatch.setattr("xstates.xstate.validate", lambda p: calls.append(p) or validate(p))
         # |c| = 0.2 > b is not PSD: its images are invalid at n = 3 and valid at n = 2.
-        points = [(c, d, XParams(a=0.33, b=0.17, c=c, d=d)) for c in (0.0, 0.2) for d in (0.0, 0.1)]
+        points = [((c, d), XParams(a=0.33, b=0.17, c=c, d=d))
+                  for c in (0.0, 0.2) for d in (0.0, 0.1)]
         for n, valid in ((2, [True] * 4), (3, [True, True, False, False])):
-            images = [apply_power_channel(p, n).params for *_, p in points]
+            images = [apply_power_channel(p, n).params for _, p in points]
             calls.clear()
             rows = cli._evaluate((cli._cd_row(n, *point) for point in points),
                                  cli._columnar_measures, 4)
@@ -344,6 +347,23 @@ class TestSweepCd:
         # Every image of an even power is valid, and all 25 rows are checked.
         with pytest.raises(RuntimeError, match="self-check"):
             main(["sweep-cd", "--steps", "5", "--n-list", "2"])
+
+    def test_spot_check_recomputes_the_drawn_power_and_point(self, capsys, monkeypatch):
+        cd_row = cli._cd_row
+        calls = []
+
+        def recording(n, cells, state):
+            calls.append((n, cells))
+            return cd_row(n, cells, state)
+
+        monkeypatch.setattr("xstates.cli._cd_row", recording)
+        assert run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--seed", "8")[0] == 0
+        # 3 blocks of 25 rows are made first, power by power, then 32 rows are recomputed.
+        axis = (0.0, 0.125, 0.25, 0.375, 0.5)
+        grid = [(c, d) for c in axis for d in axis]
+        assert calls[:75] == [(n, cells) for n in (2, 3, 4) for cells in grid]
+        drawn = map(divmod, np.random.default_rng(8).choice(75, 32, replace=False), repeat(25))
+        assert calls[75:] == [((2, 3, 4)[k], grid[j]) for k, j in drawn]
 
     def test_row_limit_by_arithmetic(self, capsys, monkeypatch):
         def no_grid(*args):
@@ -564,7 +584,6 @@ class TestNegativeExponentArguments:
 
 # Every cell type the sweeps emit, plus strings and floats that stress the writer.
 JSON_ROWS = {
-    "empty": [],
     "one_cell": [(0.5,)],
     "werner_like": [
         (0.25, 2, True, 0.1, 1e-300, None, "entangled"),
@@ -581,8 +600,24 @@ JSON_ROWS = {
 @pytest.mark.parametrize("name", sorted(JSON_ROWS))
 def test_json_rows_equal_json_dumps(name):
     rows = JSON_ROWS[name]
-    text = '{\n  "rows": ' + "".join(_json_rows(rows)) + "\n}"
-    assert text == json.dumps({"rows": rows}, indent=2)
+    # One block, and every split into two nonempty blocks.
+    for blocks in [[rows]] + [[rows[:k], rows[k:]] for k in range(1, len(rows))]:
+        text = '{\n  "rows": ' + "".join(_json_rows(blocks)) + "\n}"
+        assert text == json.dumps({"rows": rows}, indent=2)
+
+
+def test_json_rows_are_encoded_one_power_at_a_time(capsys, monkeypatch):
+    sizes = []
+
+    def dumps(obj, **kwargs):
+        if isinstance(obj, list):
+            sizes.append(len(obj))
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(**{**vars(json), "dumps": dumps}))
+    code, out, _ = run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 75
+    assert sizes == [25, 25, 25]
 
 
 class TestTopLevel:
@@ -597,6 +632,10 @@ class TestTopLevel:
 
 HOSTILE = {
     "nan_flag": (["analyze", "--a", "nan", "--b", "0.25", "--c-abs", "0", "--d-abs", "0"], None),
+    "negative_d_abs": (
+        ["analyze", "--a", "0.25", "--b", "0.25", "--c-abs", "0", "--d-abs", "-0.1"], None
+    ),
+    "empty_n_list": (["sweep-cd", "--n-list", ","], None),
     "inf_grid_end": (["sweep-cd", "--c-abs-max", "inf"], None),
     "nan_weight": (["sweep-werner", "--p-min", "nan"], None),
     "inf_weight": (["sweep-werner", "--p-max", "inf"], None),
@@ -677,7 +716,8 @@ BLOCK_WORK = {
 }
 
 
-@pytest.mark.parametrize("command, row", [("sweep-cd", "_cd_row"), ("sweep-werner", "_werner_row")])
+# Both sweeps make their rows through _cd_row.
+@pytest.mark.parametrize("command, row", [("sweep-cd", "_cd_row"), ("sweep-werner", "_cd_row")])
 @pytest.mark.parametrize("via_config", [False, True])
 def test_negative_seed_rejected_before_any_row(command, row, via_config, capsys, tmp_path,
                                                 monkeypatch):
@@ -698,12 +738,10 @@ def test_negative_seed_rejected_before_any_row(command, row, via_config, capsys,
 @pytest.mark.parametrize("name", ["overflowing_cd_grid", "overflowing_werner_grid"])
 def test_overflowing_grid_rejected_before_any_row(name, capsys, monkeypatch):
     argv = HOSTILE[name][0]
-    row = {"sweep-cd": "_cd_row", "sweep-werner": "_werner_row"}[argv[0]]
-
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    for fn in (row, *BLOCK_WORK[argv[0]], "XParams", "werner"):
+    for fn in ("_cd_row", *BLOCK_WORK[argv[0]], "XParams", "werner"):
         monkeypatch.setattr(f"xstates.cli.{fn}", no_row)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

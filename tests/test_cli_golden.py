@@ -32,6 +32,12 @@ PHASED_STATE = [
     "--d-abs", "0.15", "--d-phase", "1.2",
 ]
 BAD_STATE = ["--a", "0.33", "--b", "0.17", "--c-abs", "0.2", "--d-abs", "0.1"]
+# Valid, with its trace 1e-9 below 1; dividing by that trace at n = 1 pushes
+# a - |d| of the image just past -EPS_PSD, so the image is not PSD.
+EDGE_IMAGE_STATE = [
+    "--a", "1e-06", "--b", "0.49999899950000004", "--c-abs", "0",
+    "--d-abs", "1.000000999999999e-06", "--n", "1",
+]
 DIRS = ["--theta-a", "0.9", "--psi-a", "0.3", "--theta-b", "2.0", "--psi-b", "1.1"]
 
 # name -> (argv, config text or None)
@@ -58,6 +64,7 @@ CASES: dict[str, tuple[list[str], str | None]] = {
         None,
     ),
     "analyze_bad_float_flag": (["analyze", *BELL_STATE, "--c-phase", "x"], None),
+    "analyze_invalid_image": (["analyze", *EDGE_IMAGE_STATE], None),
     # tomogram
     "tomogram_text": (["tomogram", *BELL_STATE, "--n", "2", *DIRS], None),
     "tomogram_json": (
@@ -75,6 +82,9 @@ CASES: dict[str, tuple[list[str], str | None]] = {
         "a = 0.25\nb = 0.25\nc_abs = 0\nd_abs = 0\ntheta_a = 1.0\ntheta_b = 0.5\n",
     ),
     "tomogram_invalid_state": (["tomogram", *BAD_STATE, *DIRS], None),
+    "tomogram_invalid_image": (
+        ["tomogram", *EDGE_IMAGE_STATE, "--theta-a", "1", "--theta-b", "1"], None
+    ),
     "tomogram_theta_out_of_range": (
         ["tomogram", *BELL_STATE, "--theta-a", "4.0", "--theta-b", "1.0"],
         None,
