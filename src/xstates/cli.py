@@ -389,17 +389,16 @@ def _row_to_csv(cells) -> str:
 
 
 def _cd_csv(rows: list[tuple], c_text: list[str], d_text: list[str]) -> str:
-    """The CSV lines of one power block, its cells formatted column by column.
+    """The CSV lines of one power block.
 
     ``c_text`` and ``d_text`` are the formatted grid values.  Invalid rows
     get empty measure cells.
     """
     n = _fmt(rows[0][2])
-    columns = zip(*[row[5:] for row in rows if row[3]])
-    measures = zip(*[map(format, col, repeat(".15g")) for col in columns])
+    spec = repeat(".15g")
     blank = ("",) * 4
     lines = [
-        _row_to_csv((c, d, n, "true", row[4], *next(measures)) if row[3]
+        _row_to_csv((c, d, n, "true", row[4], *map(format, row[5:], spec)) if row[3]
                     else (c, d, n, "false", _fmt(row[4]), *blank))
         for (c, d), row in zip(product(c_text, d_text), rows)
     ]
@@ -432,17 +431,16 @@ def _spot_check(args: argparse.Namespace, blocks: list[list[tuple]], points: lis
 
 
 def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
-                comments: list[str], header: str, blocks: Iterable[list[tuple]], csv_lines,
+                comments: list[str], header: str, blocks: Iterable[list[tuple]], csv_block,
                 **extra) -> int:
-    """Write a sweep as CSV or as its JSON mirror.
+    """Write a sweep's blocks of rows as CSV or as its JSON mirror, one block at a time.
 
-    The CSV is the comment lines, the header, then the text pieces of
-    ``csv_lines``, each a run of whole lines.  JSON takes its rows from
-    ``blocks``.  Each of the two is only iterated if its format is written,
-    so generators there format each piece as it is written.
+    The CSV is the comment lines, the header, then ``csv_block`` of each block:
+    that block's lines as one string.
     """
     if args.format == "csv" and not args.json:
-        parts = chain(["".join(f"{line}\n" for line in [*comments, header])], csv_lines)
+        parts = chain(["".join(f"{line}\n" for line in [*comments, header])],
+                      map(csv_block, blocks))
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
@@ -468,8 +466,8 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     blocks = _sweep(args, points, _columnar_measures, _scalar_measures, 4)
     del points  # free the states before the text is formatted, one block at a time
     c_text, d_text = [_fmt(c) for c in c_grid], [_fmt(d) for d in d_grid]
-    csv_lines = (_cd_csv(block, c_text, d_text) for block in blocks)
-    return _emit_sweep(args, options, [], _CD_HEADER, blocks, csv_lines)
+    return _emit_sweep(args, options, [], _CD_HEADER, blocks,
+                       lambda block: _cd_csv(block, c_text, d_text))
 
 
 def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str]:
@@ -526,7 +524,7 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     comments = _werner_header(args, directions, thresholds)
     return _emit_sweep(
         args, options, comments, header, ordered,
-        (_row_to_csv(map(_fmt, row)) + "\n" for block in ordered for row in block),
+        lambda block: "".join(_row_to_csv(map(_fmt, row)) + "\n" for row in block),
         directions=directions, thresholds=thresholds,
     )
 
@@ -579,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise _UsageError("a command is required (analyze, sweep-cd, sweep-werner, tomogram)")
+            raise _UsageError(f"a command is required ({', '.join(commands)})")
         sub = commands[args.command]
         # What a config file may set: every option but help, --json and --config.
         options = {a.dest: a for a in sub._actions if a.dest not in ("help", "json", "config")}

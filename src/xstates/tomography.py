@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -139,7 +140,7 @@ _KRONECKER_ALPHAS = (
 )
 
 
-def _pair_from_unit_cube(x: tuple[float, float, float, float]) -> tuple[Direction, Direction]:
+def _pair_from_unit_cube(x: list[float]) -> tuple[Direction, Direction]:
     # arccos maps a uniform variate to a sphere-uniform polar angle
     theta_a = math.acos(1.0 - 2.0 * x[0])
     theta_b = math.acos(1.0 - 2.0 * x[1])
@@ -154,16 +155,12 @@ def direction_pairs(count: int, seed: int) -> list[tuple[Direction, Direction]]:
     The first half walks a low-discrepancy Kronecker sequence on the
     (theta_a, theta_b, psi_a, psi_b) cube, the rest is drawn from a PRNG
     seeded with ``seed``; the same arguments always give the same list.
+    ``count`` must be a positive ``int`` (not a ``bool``).
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    pairs = []
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     n_grid = (count + 1) // 2
-    for k in range(1, n_grid + 1):
-        x = tuple(math.modf(k * alpha)[0] for alpha in _KRONECKER_ALPHAS)
-        pairs.append(_pair_from_unit_cube(x))
-    rng = np.random.default_rng(seed)
-    while len(pairs) < count:
-        x = tuple(rng.uniform(0.0, 1.0, size=4))
-        pairs.append(_pair_from_unit_cube(x))
-    return pairs
+    kronecker = ([math.modf(k * alpha)[0] for alpha in _KRONECKER_ALPHAS]
+                 for k in range(1, n_grid + 1))
+    drawn = np.random.default_rng(seed).uniform(0.0, 1.0, size=(count - n_grid, 4)).tolist()
+    return [_pair_from_unit_cube(x) for x in chain(kronecker, drawn)]

@@ -140,7 +140,7 @@ def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
     l1, l2, l3, l4 = (x**n for x in spectrum(p))
     denom = 2.0 * (l1 + l2 + l3 + l4)
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
-    if scale == 0.0 or abs(denom) < 1e-12 * scale:
+    if denom == 0.0 or abs(denom) < 1e-12 * scale:
         raise ZeroDenominatorError(f"Tr rho^{n} vanishes for {p}")
     a, b = (l1 + l4) / denom, (l2 + l3) / denom
     c, d = (l2 - l3) / denom, (l1 - l4) / denom

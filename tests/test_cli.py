@@ -365,6 +365,13 @@ class TestSweepCd:
         drawn = map(divmod, np.random.default_rng(8).choice(75, 32, replace=False), repeat(25))
         assert calls[75:] == [((2, 3, 4)[k], grid[j]) for k, j in drawn]
 
+    def test_trace_cancelling_below_the_guards_underflow_gives_invalid_rows(self, capsys):
+        # Tr rho^7 is exactly 0 at every point; at |d| = 1.4e-45, 1e-12 * scale is 0 too.
+        code, out, err = run(capsys, "sweep-cd", "--a", "0", "--b", "0", "--c-abs-max", "0",
+                             "--d-abs-max", "1.4e-45", "--steps", "2", "--n-list", "7")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["0,0,7,false,,,,,", "0,1.4e-45,7,false,,,,,"] * 2
+
     def test_row_limit_by_arithmetic(self, capsys, monkeypatch):
         def no_grid(*args):
             raise AssertionError("a grid was built")
@@ -618,6 +625,37 @@ def test_json_rows_are_encoded_one_power_at_a_time(capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--json")
     assert code == 0 and len(json.loads(out)["rows"]) == 75
     assert sizes == [25, 25, 25]
+
+
+def _csv_cell(value) -> str:
+    """A JSON row value as the CSV writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return format(value, ".15g")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-cd", "--steps", "7", "--n-list", "2,3", "--c-phase", "0.7", "--d-phase", "-1.3"],
+    ["sweep-cd", "--steps", "11", "--n-list", "3"],
+    ["sweep-cd", "--a", "0", "--b", "0", "--steps", "5", "--n-list", "1,2"],
+    ["sweep-werner", "--p-min=-3", "--num-dirs", "3"],
+], ids=["cd_phases", "cd_odd_power", "cd_zero_diagonal", "werner_negative_weights"])
+def test_csv_and_json_agree_cell_by_cell(argv, capsys):
+    code, csv_text, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_text, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(json_text)
+    header, *lines = [ln for ln in csv_text.splitlines() if not ln.startswith("#")]
+    assert header.split(",") == payload["columns"]
+    assert [ln.split(",") for ln in lines] == [
+        [_csv_cell(x) for x in row] for row in payload["rows"]]
+    # Each sweep here has invalid rows, with an empty measure cell.
+    assert any("" in ln.split(",") for ln in lines)
 
 
 class TestTopLevel:

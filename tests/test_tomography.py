@@ -178,8 +178,9 @@ class TestDirectionPairs:
                 assert 0.0 <= d.theta <= math.pi
 
     def test_count_validated(self):
-        with pytest.raises(ValueError):
-            direction_pairs(0, 0)
+        for count in (0, -1, 3.0, 2.5, "3", True, False, None):
+            with pytest.raises(ValueError, match="count must be a positive integer"):
+                direction_pairs(count, 0)
 
 
 class TestWernerTomogram:

@@ -294,9 +294,11 @@ class TestPowerChannel:
         assert validate(res.params) is StateClass.INVALID_NOT_PSD
 
     def test_zero_denominator(self):
-        p = XParams(a=0.0, b=0.0, c=0.0, d=0.5)  # spectrum (0.5, 0, 0, -0.5)
-        with pytest.raises(ZeroDenominatorError):
-            apply_power_channel(p, 3)
+        # Spectrum (|d|, 0, 0, -|d|): Tr rho^n is exactly 0 at odd n.  At |d| = 1.4e-45,
+        # 1e-12 * scale underflows to 0 as well.
+        for d, n in ((0.5, 3), (1.401298464324817e-45, 7)):
+            with pytest.raises(ZeroDenominatorError):
+                apply_power_channel(XParams(a=0.0, b=0.0, c=0.0, d=d), n)
 
     def test_overflowing_image_raises_overflow(self):
         # Each power is finite, but a sum of two of them is not.
@@ -307,6 +309,7 @@ class TestPowerChannel:
 
     @given(power_map_inputs_st())
     @example((XParams(a=0.0, b=0.0, c=0.0, d=0.5), 3))  # Tr rho^3 = 0
+    @example((XParams(a=0.0, b=0.0, c=0.0, d=1.401298464324817e-45), 7))  # 1e-12 * scale = 0
     @example((XParams(a=1e154, b=-1e154, c=0.0, d=0.0), 2))  # a sum of powers overflows
     @example((XParams(a=0.3, b=0.2, c=1e308, d=-1e308j), 1))
     @settings(max_examples=300, deadline=None)
