@@ -10,7 +10,6 @@ from .xstate import (
     ZeroDenominatorError,
     apply_power_channel,
     classify,
-    is_valid,
     ppt,
     spectrum,
     validate,
@@ -62,7 +61,6 @@ __all__ = [
     "classify",
     "concurrence",
     "direction_pairs",
-    "is_valid",
     "marginals",
     "negativity",
     "ppt",

@@ -252,8 +252,9 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     for q, which in (("a", "first"), ("b", "second")):
         add(f"--theta-{q}", type=float, help=f"polar angle, {which} qubit (radians)")
         add(f"--phi-{q}", type=float, default=0.0,
-            help=f"second Euler angle, {which} qubit (no effect)")
-        add(f"--psi-{q}", type=float, default=0.0, help=f"third Euler angle, {which} qubit")
+            help=f"second Euler angle, {which} qubit (no effect)" + _DEFAULT)
+        add(f"--psi-{q}", type=float, default=0.0,
+            help=f"third Euler angle, {which} qubit" + _DEFAULT)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_tomogram)
 

@@ -51,16 +51,12 @@ class ShannonReport:
     h1: float
     h2: float
     i_s: float
-    dir_a: Direction
-    dir_b: Direction
 
 
 @dataclass(frozen=True)
 class InequalityCheck:
     """Information inequalities evaluated for one direction pair."""
 
-    dir_a: Direction
-    dir_b: Direction
     i_s: float
     i_n: float
     i_s_le_i_n: bool
@@ -113,13 +109,11 @@ def werner_mutual_information(p: float, n: int) -> float:
 
 def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
     """Shannon entropies of an already-computed tomogram."""
-    h12 = von_neumann_entropy(table.as_tuple())
+    h12 = von_neumann_entropy(table)
     first, second = marginals(table)
     h1 = von_neumann_entropy(first)
     h2 = von_neumann_entropy(second)
-    return ShannonReport(
-        h12=h12, h1=h1, h2=h2, i_s=h1 + h2 - h12, dir_a=table.dir_a, dir_b=table.dir_b
-    )
+    return ShannonReport(h12=h12, h1=h1, h2=h2, i_s=h1 + h2 - h12)
 
 
 def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +185,9 @@ def check_inequalities(
 ) -> list[InequalityCheck]:
     """Evaluate the information inequalities for each direction pair.
 
-    A violation beyond INEQ_TOL is reported in the returned records, not
-    raised; for genuine states none is expected.
+    Returns one record per pair, in the order of ``pairs``.  A violation
+    beyond INEQ_TOL is reported in the records, not raised; for genuine
+    states none is expected.
     """
     info = system_entropies(p)
     out = []
@@ -200,8 +195,6 @@ def check_inequalities(
         rep = shannon_report_from_table(tomogram(p, dir_a, dir_b))
         out.append(
             InequalityCheck(
-                dir_a=dir_a,
-                dir_b=dir_b,
                 i_s=rep.i_s,
                 i_n=info.i_n,
                 i_s_le_i_n=rep.i_s <= info.i_n + INEQ_TOL,

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class Direction:
             raise InvalidAngleError(f"theta must lie in [0, pi], got {self.theta}")
 
 
-@dataclass(frozen=True)
-class TomogramTable:
+class TomogramTable(NamedTuple):
     """Joint spin-projection probabilities for one direction pair.
 
     Outcomes are labeled u (up) and d (down) for the first and second qubit
@@ -56,11 +56,6 @@ class TomogramTable:
     w_ud: float
     w_du: float
     w_dd: float
-    dir_a: Direction
-    dir_b: Direction
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w_uu, self.w_ud, self.w_du, self.w_dd)
 
 
 def _pair_coefficients(dir_a: Direction, dir_b: Direction) -> tuple:
@@ -119,9 +114,7 @@ def tomogram(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
     same, cross = _weights(
         p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag, _pair_coefficients(dir_a, dir_b)
     )
-    return TomogramTable(
-        w_uu=same, w_ud=cross, w_du=cross, w_dd=same, dir_a=dir_a, dir_b=dir_b
-    )
+    return TomogramTable(same, cross, cross, same)
 
 
 def marginals(table: TomogramTable) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -155,10 +148,13 @@ def direction_pairs(count: int, seed: int) -> list[tuple[Direction, Direction]]:
     The first half walks a low-discrepancy Kronecker sequence on the
     (theta_a, theta_b, psi_a, psi_b) cube, the rest is drawn from a PRNG
     seeded with ``seed``; the same arguments always give the same list.
-    ``count`` must be a positive ``int`` (not a ``bool``).
+    ``count`` must be a positive ``int`` and ``seed`` a non-negative one
+    (neither a ``bool``).
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     n_grid = (count + 1) // 2
     kronecker = ([math.modf(k * alpha)[0] for alpha in _KRONECKER_ALPHAS]
                  for k in range(1, n_grid + 1))

@@ -88,11 +88,6 @@ class ChannelResult:
     params: XParams
     n: int
 
-    @property
-    def valid(self) -> bool:
-        """Whether the image is a genuine density matrix; see :func:`is_valid`."""
-        return is_valid(self.params)
-
 
 def _check_power(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -118,10 +113,6 @@ def validate(p: XParams) -> StateClass | None:
     if p.a - abs(p.d) < -EPS_PSD or p.b - abs(p.c) < -EPS_PSD:
         return StateClass.INVALID_NOT_PSD
     return None
-
-
-def is_valid(p: XParams) -> bool:
-    return validate(p) is None
 
 
 def require_valid(p: XParams) -> None:

@@ -44,14 +44,7 @@ def tomogram_dense_oracle(p: XParams, dir_a: Direction, dir_b: Direction) -> Tom
     require_valid(p)
     u = np.kron(su2_matrix(dir_a), su2_matrix(dir_b))
     w = np.diag(u @ to_dense(p) @ u.conj().T).real
-    return TomogramTable(
-        w_uu=float(w[0]),
-        w_ud=float(w[1]),
-        w_du=float(w[2]),
-        w_dd=float(w[3]),
-        dir_a=dir_a,
-        dir_b=dir_b,
-    )
+    return TomogramTable(*map(float, w))
 
 
 def spin_flip(p: XParams) -> XParams:
@@ -96,9 +89,7 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     )
     same = hi * f_plus + lo * f_minus + r
     cross = hi * f_minus + lo * f_plus - r
-    return TomogramTable(
-        w_uu=same, w_ud=cross, w_du=cross, w_dd=same, dir_a=dir_a, dir_b=dir_b
-    )
+    return TomogramTable(same, cross, cross, same)
 
 
 def werner_i_n_closed_form(p: float, n: int) -> float:

@@ -34,6 +34,7 @@ from xstates import (
     system_entropies,
     to_dense,
     tomogram,
+    validate,
     werner,
     werner_entanglement_threshold,
     werner_mutual_information,
@@ -196,7 +197,7 @@ def test_criterion_07_entropic_inequalities():
         worst_neg = min(worst_neg, i_n)
         for da, db in pairs:
             table = tomogram(p, da, db)
-            worst_norm = max(worst_norm, abs(sum(table.as_tuple()) - 1.0))
+            worst_norm = max(worst_norm, abs(sum(table) - 1.0))
             i_s = shannon_report_from_table(table).i_s
             worst_excess = max(worst_excess, i_s - i_n)
             worst_neg = min(worst_neg, i_s)
@@ -224,7 +225,7 @@ def test_criterion_08_entropy_decreases_along_powers():
         entropies = []
         for n in range(1, 7):
             result = apply_power_channel(p, n)
-            assert result.valid
+            assert validate(result.params) is None
             entropies.append(system_entropies(result.params).s12)
         for lo, hi in zip(entropies, entropies[1:]):
             worst_rise = max(worst_rise, hi - lo)
@@ -271,7 +272,7 @@ def test_criterion_10_measures_agree_with_classifier_on_grid():
                 except ZeroDenominatorError:
                     invalid += 1
                     continue
-                if not result.valid:
+                if validate(result.params) is not None:
                     invalid += 1
                     continue
                 img = result.params

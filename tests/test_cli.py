@@ -667,6 +667,31 @@ class TestTopLevel:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [None, "analyze", "sweep-cd", "sweep-werner", "tomogram"])
+    def test_help_lists_every_option_and_default(self, command, capsys):
+        # argparse fills in %(default)s only when it prints the help.
+        parser, commands = cli._build_parser()
+        parser = parser if command is None else commands[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        entries, flag = {}, None  # one help entry per option, its wrapped lines joined
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                flag = line.split()[0].rstrip(",")
+                entries[flag] = line
+            elif line.startswith("   ") and flag:
+                entries[flag] += line
+            else:
+                flag = None
+        options = [a for a in parser._actions if a.option_strings]
+        assert sorted(entries) == sorted(a.option_strings[0] for a in options)
+        for action in options:
+            entry = " ".join(entries[action.option_strings[0]].split())
+            assert set(action.option_strings) <= set(entry.replace(",", " ").split())
+            if action.nargs != 0 and action.default is not None:
+                assert entry.endswith(f"(default {action.default})"), entry
+
 
 HOSTILE = {
     "nan_flag": (["analyze", "--a", "nan", "--b", "0.25", "--c-abs", "0", "--d-abs", "0"], None),

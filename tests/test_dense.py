@@ -10,7 +10,7 @@ PUBLIC_NAMES = [
     "InfoReport", "InvalidAngleError", "InvalidSpectrumError", "InvalidStateError",
     "ShannonReport", "StateClass", "TomogramTable", "XParams", "ZeroDenominatorError",
     "apply_power_channel", "check_inequalities", "classify", "concurrence",
-    "direction_pairs", "is_valid", "marginals", "negativity", "ppt",
+    "direction_pairs", "marginals", "negativity", "ppt",
     "shannon_report_from_table", "spectrum", "system_entropies", "to_dense", "tomogram",
     "validate", "von_neumann_entropy", "werner", "werner_entanglement_threshold",
     "werner_entanglement_threshold_lower", "werner_mutual_information",

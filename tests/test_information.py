@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from conftest import (
 from oracles import werner_i_n_closed_form
 from xstates import (
     Direction,
+    InequalityCheck,
     InvalidSpectrumError,
     InvalidStateError,
+    ShannonReport,
     XParams,
     apply_power_channel,
     check_inequalities,
@@ -58,6 +61,10 @@ class TestVonNeumannEntropy:
         assert_allclose(
             von_neumann_entropy(spectrum(werner(0.5))), S12_WERNER_HALF, atol=1e-12, rtol=0
         )
+
+    def test_accepts_a_tomogram_table(self):
+        t = tomogram(werner(0.5), Direction(theta=0.7, psi=0.2), Direction(theta=2.1))
+        assert von_neumann_entropy(t) == von_neumann_entropy(tuple(t))
 
     def test_tiny_negative_clamped(self):
         # the -1e-13 weight clamps to zero instead of raising
@@ -154,6 +161,9 @@ class TestWernerMutualInformation:
 
 
 class TestShannonReport:
+    def test_holds_only_the_entropies(self):
+        assert [f.name for f in fields(ShannonReport)] == ["h12", "h1", "h2", "i_s"]
+
     def test_maximally_mixed(self):
         rep = shannon_report_from_table(tomogram(
             XParams(a=0.25, b=0.25, c=0.0, d=0.0),
@@ -276,6 +286,15 @@ class TestCheckInequalities:
                 r.i_s_le_i_n and r.i_s_nonnegative and r.i_n_nonnegative and r.subadditive
                 for r in records
             )
+
+    def test_kth_record_belongs_to_the_kth_pair(self):
+        # The order ties a record to its pair, so no record copies the directions.
+        assert {"dir_a", "dir_b"}.isdisjoint(f.name for f in fields(InequalityCheck))
+        p = random_channel_image(np.random.default_rng(45))
+        pairs = direction_pairs(6, 7)
+        records = check_inequalities(p, pairs)
+        assert records == [check_inequalities(p, [pair])[0] for pair in pairs]
+        assert len({r.i_s for r in records}) == len(pairs)
 
     def test_boundary_equality_tolerated(self):
         records = check_inequalities(

@@ -69,28 +69,31 @@ class TestSu2Matrix:
 
 
 class TestTomogram:
+    def test_table_is_the_four_weights(self):
+        t = tomogram(werner(1.0), Direction(0.0), Direction(0.0))
+        assert t == (0.5, 0.0, 0.0, 0.5)
+        assert type(t)._fields == ("w_uu", "w_ud", "w_du", "w_dd")
+
     def test_z_axis_reads_diagonal(self):
         p = XParams(a=0.33, b=0.17, c=0.1j, d=0.05)
         t = tomogram(p, Direction(theta=0.0), Direction(theta=0.0))
-        assert_allclose(t.as_tuple(), (0.33, 0.17, 0.17, 0.33), atol=1e-15, rtol=0)
+        assert_allclose(t, (0.33, 0.17, 0.17, 0.33), atol=1e-15, rtol=0)
 
     def test_maximally_mixed_flat(self):
         p = XParams(a=0.25, b=0.25, c=0.0, d=0.0)
         rng = np.random.default_rng(1)
         for _ in range(10):
             da, db = random_direction_pair(rng)
-            assert_allclose(tomogram(p, da, db).as_tuple(), (0.25,) * 4, atol=1e-14, rtol=0)
+            assert_allclose(tomogram(p, da, db), (0.25,) * 4, atol=1e-14, rtol=0)
 
     def test_bell_interference_peak(self):
         t = tomogram(werner(1.0), Direction(theta=HALF_PI), Direction(theta=HALF_PI))
-        assert_allclose(t.as_tuple(), (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
+        assert_allclose(t, (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
 
     def test_psi_rotates_interference_away(self):
         da = Direction(theta=HALF_PI, psi=HALF_PI)
         db = Direction(theta=HALF_PI)
-        assert_allclose(
-            tomogram(werner(1.0), da, db).as_tuple(), (0.25,) * 4, atol=1e-14, rtol=0
-        )
+        assert_allclose(tomogram(werner(1.0), da, db), (0.25,) * 4, atol=1e-14, rtol=0)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -102,8 +105,8 @@ class TestTomogram:
         t = tomogram(p, da, db)
         assert abs(t.w_uu - t.w_dd) < 1e-14
         assert abs(t.w_ud - t.w_du) < 1e-14
-        assert abs(sum(t.as_tuple()) - 1.0) < 1e-12
-        assert all(w >= -1e-12 for w in t.as_tuple())
+        assert abs(sum(t) - 1.0) < 1e-12
+        assert all(w >= -1e-12 for w in t)
 
     @given(valid_params_st(), direction_st(), direction_st())
     @example(werner(1.0), Direction(0.0), Direction(0.0))
@@ -133,7 +136,7 @@ class TestTomogram:
             shifted = tomogram_dense_oracle(
                 p, Direction(theta_a, phi_a, psi_a), Direction(theta_b, phi_b, psi_b)
             )
-            assert_allclose(plain.as_tuple(), shifted.as_tuple(), atol=1e-12, rtol=0)
+            assert_allclose(plain, shifted, atol=1e-12, rtol=0)
 
     def test_matches_dense_oracle(self):
         # closed form vs dense rotation across states, images, and directions
@@ -143,7 +146,7 @@ class TestTomogram:
             da, db = random_direction_pair(rng)
             closed = tomogram(p, da, db)
             dense = tomogram_dense_oracle(p, da, db)
-            assert_allclose(closed.as_tuple(), dense.as_tuple(), atol=1e-12, rtol=0)
+            assert_allclose(closed, dense, atol=1e-12, rtol=0)
 
 
 class TestMarginals:
@@ -182,19 +185,25 @@ class TestDirectionPairs:
             with pytest.raises(ValueError, match="count must be a positive integer"):
                 direction_pairs(count, 0)
 
+    def test_seed_validated(self):
+        # None would draw from OS entropy and True would act as seed 1.
+        for seed in (None, True, False, -1, 1.5, "3"):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                direction_pairs(3, seed)
+
 
 class TestWernerTomogram:
     def test_flat_at_zero_weight(self):
         t = werner_tomogram(0.0, 3, Direction(theta=1.0), Direction(theta=2.0))
-        assert_allclose(t.as_tuple(), (0.25,) * 4, atol=1e-15, rtol=0)
+        assert_allclose(t, (0.25,) * 4, atol=1e-15, rtol=0)
 
     def test_z_axis_reads_image_diagonal(self):
         t = werner_tomogram(0.5, 1, Direction(theta=0.0), Direction(theta=0.0))
-        assert_allclose(t.as_tuple(), (0.375, 0.125, 0.125, 0.375), atol=1e-15, rtol=0)
+        assert_allclose(t, (0.375, 0.125, 0.125, 0.375), atol=1e-15, rtol=0)
 
     def test_bell_peak(self):
         t = werner_tomogram(1.0, 1, Direction(theta=HALF_PI), Direction(theta=HALF_PI))
-        assert_allclose(t.as_tuple(), (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
+        assert_allclose(t, (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
 
     def test_agrees_with_channel_pipeline(self):
         rng = np.random.default_rng(21)
@@ -204,9 +213,7 @@ class TestWernerTomogram:
                 da, db = random_direction_pair(rng)
                 direct = werner_tomogram(p, n, da, db)
                 image = apply_power_channel(werner(p), n).params
-                assert_allclose(
-                    direct.as_tuple(), tomogram(image, da, db).as_tuple(), atol=1e-12, rtol=0
-                )
+                assert_allclose(direct, tomogram(image, da, db), atol=1e-12, rtol=0)
 
     def test_invalid_image_rejected(self):
         with pytest.raises(InvalidStateError):

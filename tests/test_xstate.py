@@ -19,7 +19,6 @@ from xstates import (
     ZeroDenominatorError,
     apply_power_channel,
     classify,
-    is_valid,
     ppt,
     spectrum,
     to_dense,
@@ -34,7 +33,6 @@ class TestValidate:
     def test_valid_state(self):
         p = XParams(a=0.33, b=0.17, c=0.1, d=0.2)
         assert validate(p) is None
-        assert is_valid(p)
 
     def test_trace_violation(self):
         p = XParams(a=0.4, b=0.2, c=0.0, d=0.0)
@@ -137,14 +135,13 @@ class TestXParams:
 
     def test_channel_result_valid_reads_its_image(self):
         bad = XParams(a=0.3, b=0.2, c=0.25, d=0.0)  # not PSD: the image at odd n is not either
-        for params, expected in ((_P, True), (bad, False)):
+        for params, expected in ((_P, None), (bad, StateClass.INVALID_NOT_PSD)):
             r = apply_power_channel(params, 3)
-            assert r.valid is expected
-            assert r.valid is is_valid(r.params)
-            assert type(r)(params=params, n=1).valid is expected
-        # TypeError on Python 3.11, as for any name that is not a field.
-        with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
-            r.valid = True
+            assert validate(r.params) is expected
+            assert validate(type(r)(params=params, n=1).params) is expected
+        # Validity is validate(result.params); the result holds no copy of it.
+        assert [f.name for f in fields(r)] == ["params", "n"]
+        assert not hasattr(r, "valid")
 
 
 class TestSpectrum:
@@ -206,7 +203,7 @@ def _outcome(power_map, p: XParams, n: int):
         r = power_map(p, n)
     except (ZeroDenominatorError, OverflowError) as exc:
         return type(exc)
-    return (r.n, r.valid, *map(float.hex, _parts(r.params)))
+    return (r.n, validate(r.params), *map(float.hex, _parts(r.params)))
 
 
 class TestPowerChannel:
@@ -222,7 +219,7 @@ class TestPowerChannel:
 
     def test_werner_square_closed_form(self):
         res = apply_power_channel(werner(0.5), 2)
-        assert res.valid
+        assert validate(res.params) is None
         assert_allclose(res.params.a, 13 / 28, atol=1e-15, rtol=0)
         assert_allclose(res.params.b, 1 / 28, atol=1e-15, rtol=0)
         assert res.params.c == 0
@@ -285,12 +282,11 @@ class TestPowerChannel:
         p = XParams(a=a, b=b, c=cm, d=dm)
         if max(abs(a) + dm, abs(b) + cm) < 1e-3:
             return  # essentially the zero matrix; nothing to normalize
-        assert apply_power_channel(p, 2 * half_n).valid
+        assert validate(apply_power_channel(p, 2 * half_n).params) is None
 
     def test_odd_power_can_invalidate(self):
         p = XParams(a=0.33, b=0.17, c=0.2, d=0.1)  # not PSD
         res = apply_power_channel(p, 3)
-        assert not res.valid
         assert validate(res.params) is StateClass.INVALID_NOT_PSD
 
     def test_zero_denominator(self):
@@ -408,10 +404,10 @@ class TestWerner:
         assert_allclose((p.a, p.b, abs(p.c), abs(p.d)), (0.5, 0.0, 0.0, 0.5), atol=1e-15, rtol=0)
 
     def test_validity_interval(self):
-        assert is_valid(werner(-1 / 3))
-        assert is_valid(werner(1.0))
-        assert not is_valid(werner(-1 / 3 - 1e-6))
-        assert not is_valid(werner(1.0 + 1e-6))
+        assert validate(werner(-1 / 3)) is None
+        assert validate(werner(1.0)) is None
+        assert validate(werner(-1 / 3 - 1e-6)) is not None
+        assert validate(werner(1.0 + 1e-6)) is not None
 
     def test_ppt_boundary_at_one_third(self):
         lam = spectrum(ppt(werner(1 / 3)))
