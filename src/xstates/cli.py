@@ -30,6 +30,7 @@ from .xstate import (
     StateClass,
     XParams,
     ZeroDenominatorError,
+    _x_classify,
     _x_columns,
     apply_power_channel,
     classify,
@@ -39,7 +40,9 @@ from .xstate import (
     werner_entanglement_threshold,
     werner_entanglement_threshold_lower,
 )
-from .tomography import Direction, _pair_coefficients, direction_pairs, marginals, tomogram
+from .tomography import (
+    Direction, InvalidAngleError, _pair_coefficients, direction_pairs, marginals, tomogram,
+)
 from .information import _x_entropies, _x_information, shannon_report_from_table, system_entropies
 from .entanglement import _x_entanglement, concurrence, negativity
 
@@ -278,28 +281,37 @@ def _state(args: argparse.Namespace) -> XParams:
 # analyze, and the row evaluator that both sweeps share
 
 
-# The classes of a genuine density matrix; classify gives the others to invalid input.
-_VALID_CLASSES = (StateClass.SEPARABLE, StateClass.ENTANGLED)
+# The cells (valid, class) of each classify verdict, at its index in list(StateClass),
+# then those of a row without an image because Tr rho^n vanished.
+_CLASSES = list(StateClass)
+_VERDICTS = [(k < 2, cls.value) for k, cls in enumerate(_CLASSES)] + [(False, None)]
 
 
-def _evaluate(rows: Iterable[tuple], measure, width: int) -> list[tuple]:
+def _evaluate(rows: Iterable[tuple], measure, width: int, columnar: bool = False) -> list[tuple]:
     """Rows ``(*cells, valid, class, *measures)`` of ``(cells, image)`` pairs from :func:`_cd_row`.
 
-    Validity and class come from one :func:`classify` verdict per image.
-    ``measure`` is called once, with the list of valid images, and gives ``width``
-    measures for each; only those images are kept until then.  An invalid image has
-    None (an empty cell) for each measure, and for its class too when Tr rho^n vanished.
+    Columnar, the validity and class of every image come from one :func:`_x_classify`
+    pass, and ``measure`` is called with the columns of the valid images, taken from
+    that pass's input.  Otherwise they come from one :func:`classify` verdict per
+    image, and ``measure`` is called with the list of valid images.  Either way it
+    gives ``width`` measures for each.  An invalid image has None (an empty cell) for
+    each measure, and for its class too when Tr rho^n vanished.
     """
-    heads, images = [], []
-    for cells, image in rows:
-        cls = None if image is None else classify(image)
-        valid = cls in _VALID_CLASSES
-        heads.append((*cells, valid, None if cls is None else cls.value))
-        if valid:
-            images.append(image)
-    values = iter(measure(images))
+    heads, images = zip(*rows)
+    present = [p for p in images if p is not None]
+    if columnar:
+        x = _x_columns(present)
+        index = _x_classify(x)
+        kept = x[:, index < 2]
+        index = index.tolist()
+    else:
+        index = [_CLASSES.index(classify(p)) for p in present]
+        kept = [p for p, k in zip(present, index) if k < 2]
+    index = iter(index)
+    verdicts = [_VERDICTS[-1 if p is None else next(index)] for p in images]
+    values = iter(measure(kept))
     blank = (None,) * width
-    return [(*head, *(next(values) if head[-2] else blank)) for head in heads]
+    return [(*head, *v, *(next(values) if v[0] else blank)) for head, v in zip(heads, verdicts)]
 
 
 def _scalar_measures(images: list[XParams]) -> list[tuple]:
@@ -308,9 +320,8 @@ def _scalar_measures(images: list[XParams]) -> list[tuple]:
     return [(negativity(p), concurrence(p), e.s12, e.i_n) for p, e in zip(images, infos)]
 
 
-def _columnar_measures(images: list[XParams]) -> Iterable[tuple]:
-    """:func:`_scalar_measures` of the same states, bit for bit, from the columnar kernels."""
-    x = _x_columns(images)
+def _columnar_measures(x: np.ndarray) -> Iterable[tuple]:
+    """:func:`_scalar_measures`, bit for bit, from the columnar kernels on the states' columns ``x``."""
     return zip(*[col.tolist() for col in (*_x_entanglement(x), *_x_entropies(x))])
 
 
@@ -410,10 +421,10 @@ def _sweep(args: argparse.Namespace, points: list[tuple], fast, public,
            width: int) -> list[list[tuple]]:
     """One block of rows per power in ``--n-list``, over ``points`` of ``(cells, state)``.
 
-    ``fast`` gives each block's ``width`` measures through :func:`_evaluate`;
-    ``public`` gives the same ones for the spot check.
+    ``fast`` gives each block's ``width`` measures through the columnar :func:`_evaluate`;
+    ``public`` gives the same ones for the spot check, which also checks the class.
     """
-    blocks = [_evaluate((_cd_row(n, *point) for point in points), fast, width)
+    blocks = [_evaluate((_cd_row(n, *point) for point in points), fast, width, columnar=True)
               for n in args.n_list]
     _spot_check(args, blocks, points, public, width)
     return blocks
@@ -498,8 +509,7 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     pairs = direction_pairs(args.num_dirs, args.seed)
     coefficients = [_pair_coefficients(da, db) for da, db in pairs]
 
-    def columnar(images: list[XParams]) -> list[list]:
-        x = _x_columns(images)
+    def columnar(x: np.ndarray) -> list[list]:
         return np.column_stack((_x_entropies(x)[1], _x_information(x, coefficients))).tolist()
 
     def public(images: list[XParams]) -> list[tuple]:
@@ -545,6 +555,10 @@ def cmd_tomogram(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     params = _state(args)
     dir_a = _direction(args, "a")
     dir_b = _direction(args, "b")
+    try:
+        _pair_coefficients(dir_a, dir_b)
+    except InvalidAngleError as exc:
+        raise _UsageError(str(exc))
 
     bad = validate(params)
     if bad is not None:

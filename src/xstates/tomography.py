@@ -64,14 +64,20 @@ def _pair_coefficients(dir_a: Direction, dir_b: Direction) -> tuple:
     Returns ``(f_plus, f_minus, sin(theta_a) sin(theta_b) / 2,
     e_minus.real, e_minus.imag, e_plus.real, e_plus.imag)`` with
     ``e_minus = e^{i(psi_a - psi_b)}`` and ``e_plus = e^{i(psi_a + psi_b)}``;
-    a sweep computes it once per pair and reuses it for every state.
+    a sweep computes it once per pair and reuses it for every state.  Raises
+    :class:`InvalidAngleError` when ``psi_a - psi_b`` or ``psi_a + psi_b``
+    overflows.
     """
+    psi_minus, psi_plus = dir_a.psi - dir_b.psi, dir_a.psi + dir_b.psi
+    if not (math.isfinite(psi_minus) and math.isfinite(psi_plus)):
+        raise InvalidAngleError(f"psi_a - psi_b and psi_a + psi_b must be finite,"
+                                f" got {psi_minus} and {psi_plus}")
     ca = math.cos(0.5 * dir_a.theta) ** 2
     sa = 1.0 - ca
     cb = math.cos(0.5 * dir_b.theta) ** 2
     sb = 1.0 - cb
-    e_minus = cmath.exp(1j * (dir_a.psi - dir_b.psi))
-    e_plus = cmath.exp(1j * (dir_a.psi + dir_b.psi))
+    e_minus = cmath.exp(1j * psi_minus)
+    e_plus = cmath.exp(1j * psi_plus)
     return (
         ca * cb + sa * sb,
         ca * sb + sa * cb,

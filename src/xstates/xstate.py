@@ -46,6 +46,7 @@ class InvalidStateError(ValueError):
 class StateClass(Enum):
     """Separability verdict for an X-state parameter set."""
 
+    # The classes of a valid state come first; _x_classify gives a verdict as its index.
     SEPARABLE = "separable"
     ENTANGLED = "entangled"
     INVALID_NOT_PSD = "invalid_not_psd"
@@ -67,13 +68,15 @@ class XParams:
     c: complex
     d: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "d", complex(self.d))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)
-                and cmath.isfinite(self.c) and cmath.isfinite(self.d)):
+    # Written out because the generated __init__ would set every field before
+    # the conversion sets it again; sweeps build one XParams per row.
+    def __init__(self, a: float, b: float, c: complex, d: complex):
+        a, b, c, d = float(a), float(b), complex(c), complex(d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
             raise ValueError(f"X parameters must be finite, got {self}")
 
     @property
@@ -94,9 +97,9 @@ def _check_power(n: int) -> None:
         raise ValueError(f"power must be a positive integer, got {n!r}")
 
 
-def _phase(z: complex) -> complex:
-    # Phase convention: phase(0) = 1 keeps formulas well defined at zero.
-    m = abs(z)
+def _phase(z: complex, m: float) -> complex:
+    # The phase of z, given m = abs(z).  Phase convention: phase(0) = 1 keeps
+    # formulas well defined at zero.
     return z / m if m else complex(1.0)
 
 
@@ -162,8 +165,7 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     # powers overflows, the quotients are 0 or inf / inf = nan.
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
-    out = XParams(a=a, b=b, c=c * _phase(p.c), d=d * _phase(p.d))
-    return ChannelResult(params=out, n=n)
+    return ChannelResult(XParams(a, b, c * _phase(p.c, cm), d * _phase(p.d, dm)), n)
 
 
 def ppt(p: XParams) -> XParams:
@@ -184,6 +186,23 @@ def classify(p: XParams) -> StateClass:
     if p.a - abs(p.c) < -EPS_PSD or p.b - abs(p.d) < -EPS_PSD:
         return StateClass.ENTANGLED
     return StateClass.SEPARABLE
+
+
+def _x_classify(x: np.ndarray) -> np.ndarray:
+    """:func:`classify` of each state, as its index in ``list(StateClass)``.
+
+    ``x`` holds the states as :func:`_x_columns` builds them.  The tests are
+    classify's own, in its order, on the same floats: numpy's ``+ - *``,
+    comparisons and ``hypot`` round as Python floats and ``abs`` of a complex
+    do.  The valid classes come first, so a state is valid where the index is
+    below 2.
+    """
+    a, b, cm, dm = x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
+    return np.select(
+        [np.abs(2.0 * (a + b) - 1.0) > EPS_TRACE,
+         (a - dm < -EPS_PSD) | (b - cm < -EPS_PSD),
+         (a - cm < -EPS_PSD) | (b - dm < -EPS_PSD)],
+        [3, 2, 1], 0)
 
 
 def werner(p: float) -> XParams:

@@ -18,6 +18,7 @@ from xstates import (
     Direction,
     XParams,
     apply_power_channel,
+    classify,
     concurrence,
     negativity,
     shannon_report_from_table,
@@ -30,6 +31,7 @@ from xstates import cli
 from xstates.cli import _json_rows, main
 from xstates.entanglement import _x_entanglement
 from xstates.information import _x_entropies, _x_information
+from xstates.xstate import _x_classify
 
 LN4 = math.log(4.0)
 
@@ -324,7 +326,7 @@ class TestSweepCd:
         assert code == 1
         assert "--steps" in err
 
-    def test_one_validity_check_per_row(self, monkeypatch):
+    def test_fast_path_classifies_without_scalar_validate(self, monkeypatch):
         validate = xstates.xstate.validate
         calls = []
         monkeypatch.setattr("xstates.xstate.validate", lambda p: calls.append(p) or validate(p))
@@ -332,12 +334,31 @@ class TestSweepCd:
         points = [((c, d), XParams(a=0.33, b=0.17, c=c, d=d))
                   for c in (0.0, 0.2) for d in (0.0, 0.1)]
         for n, valid in ((2, [True] * 4), (3, [True, True, False, False])):
-            images = [apply_power_channel(p, n).params for _, p in points]
+            classes = [classify(apply_power_channel(p, n).params).value for _, p in points]
             calls.clear()
             rows = cli._evaluate((cli._cd_row(n, *point) for point in points),
-                                 cli._columnar_measures, 4)
+                                 cli._columnar_measures, 4, columnar=True)
             assert [row[3] for row in rows] == valid
-            assert calls == images  # once per row, on its image
+            assert [row[4] for row in rows] == classes
+            assert calls == []  # the class of the whole block comes from _x_classify
+
+    def test_spot_check_catches_a_wrong_class(self, monkeypatch):
+        # Swap separable with entangled, or not PSD with bad trace, in one row that
+        # the spot check draws: block k, grid point j.
+        drawn = np.random.default_rng(0).choice(2 * 25, size=32, replace=False)[0]
+        k, j = divmod(int(drawn), 25)
+        blocks = []
+
+        def one_flipped(x):
+            index = _x_classify(x)
+            if len(blocks) == k:
+                index[j] ^= 1
+            blocks.append(x)
+            return index
+
+        monkeypatch.setattr("xstates.cli._x_classify", one_flipped)
+        with pytest.raises(RuntimeError, match="self-check"):
+            main(["sweep-cd", "--steps", "5", "--n-list", "1,3"])
 
     @pytest.mark.parametrize("kernel", [_x_entanglement, _x_entropies])
     def test_spot_check_catches_a_wrong_kernel(self, kernel, monkeypatch):
@@ -720,6 +741,12 @@ HOSTILE = {
     ),
     "overflowing_werner_power": (
         ["sweep-werner", "--p-min", "-5", "--n-list", "800", "--steps", "2"], None
+    ),
+    # Each psi is finite, but psi_a - psi_b overflows.
+    "overflowing_psi_difference": (
+        ["tomogram", "--a", "0.3", "--b", "0.2", "--c-abs", "0.1", "--d-abs", "0.1",
+         "--theta-a", "1", "--theta-b", "1", "--psi-a", "1e308", "--psi-b", "-1e308"],
+        None,
     ),
     "underflowing_trace": (
         ["analyze", "--a", "0.25", "--b", "0.25", "--c-abs", "0", "--d-abs", "0", "--n", "1000"],

@@ -99,6 +99,12 @@ class TestTomogram:
         with pytest.raises(InvalidStateError):
             tomogram(XParams(a=0.33, b=0.17, c=0.2, d=0.1), Direction(0.5), Direction(0.5))
 
+    @pytest.mark.parametrize("psi_b", [1e308, -1e308], ids=["sum", "difference"])
+    def test_overflowing_angle_sum_rejected(self, psi_b):
+        # Each angle is finite, but psi_a + psi_b or psi_a - psi_b is not.
+        with pytest.raises(InvalidAngleError, match="must be finite"):
+            tomogram(werner(0.5), Direction(1.0, psi=1e308), Direction(1.0, psi=psi_b))
+
     @given(valid_params_st(), direction_st(), direction_st())
     @settings(max_examples=150, deadline=None)
     def test_outcome_symmetry_and_normalization(self, p, da, db):

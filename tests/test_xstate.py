@@ -11,9 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import EDGE_STATES, params_from_weights, random_valid_params, valid_params_st
+from conftest import (
+    EDGE_STATES,
+    clamp_band_params_st,
+    params_from_weights,
+    random_valid_params,
+    valid_params_st,
+)
 from oracles import power_channel_via_spectrum
 from xstates import (
+    EPS_PSD,
+    EPS_TRACE,
     StateClass,
     XParams,
     ZeroDenominatorError,
@@ -27,6 +35,7 @@ from xstates import (
     werner_entanglement_threshold,
     werner_entanglement_threshold_lower,
 )
+from xstates.xstate import _x_classify, _x_columns
 
 
 class TestValidate:
@@ -387,6 +396,83 @@ class TestClassify:
             d=abs(p.d) * cmath.exp(1j * ph_d),
         )
         assert classify(rotated) is classify(p)
+
+
+def _across(below, x: float) -> tuple[float, float]:
+    """Adjacent floats, near ``x``, where ``below`` turns from true to false as they grow."""
+    if below(x):
+        while below(up := math.nextafter(x, math.inf)):
+            x = up
+        return x, up
+    while not below(down := math.nextafter(x, -math.inf)):
+        x = down
+    return down, x
+
+
+# The margins of classify: a diagonal entry minus the modulus of a coherence
+# against -EPS_PSD (a - |d| and b - |c| test positivity, a - |c| and b - |d| the
+# partial transpose), and 2(a + b) - 1 against +-EPS_TRACE.
+MARGINS = ("a-|d|", "b-|c|", "a-|c|", "b-|d|", "trace+", "trace-")
+
+
+def _boundary_pair(margin: str, x: float, c: complex, d: complex) -> tuple[XParams, XParams]:
+    """Two states one ulp apart, on either side of ``margin``'s boundary.
+
+    The entry in ``margin`` moves and the other diagonal entry is 0.5 minus
+    it; for the trace, ``x`` is ``a`` and ``b`` moves.
+    """
+    if margin.startswith("trace"):
+        if margin == "trace+":
+            below = lambda b: 2.0 * (x + b) - 1.0 <= EPS_TRACE  # noqa: E731
+        else:
+            below = lambda b: 2.0 * (x + b) - 1.0 < -EPS_TRACE  # noqa: E731
+        start = 0.5 - x + (0.5 if margin == "trace+" else -0.5) * EPS_TRACE
+        return tuple(XParams(a=x, b=b, c=c, d=d) for b in _across(below, start))
+    m = abs(c if margin.endswith("|c|") else d)
+    states = []
+    for v in _across(lambda v: v - m < -EPS_PSD, m - EPS_PSD):
+        a, b = (v, 0.5 - v) if margin[0] == "a" else (0.5 - v, v)
+        states.append(XParams(a=a, b=b, c=c, d=d))
+    return tuple(states)
+
+
+# A modulus m near EPS_PSD would put the boundary v = m - EPS_PSD near 0, where
+# the walk to it takes billions of ulps of v.
+_coherence = st.builds(lambda m, phase: m * cmath.exp(1j * phase),
+                       st.one_of(st.just(0.0), st.floats(0.01, 0.25)),
+                       st.floats(0.0, 2.0 * math.pi))
+
+
+@st.composite
+def _boundary_st(draw) -> XParams:
+    """A state one ulp to either side of one of classify's boundaries."""
+    # An a near 0.5 would do the same to b at the trace boundary.
+    pair = _boundary_pair(draw(st.sampled_from(MARGINS)), draw(st.floats(0.125, 0.375)),
+                          draw(_coherence), draw(_coherence))
+    return pair[draw(st.integers(0, 1))]
+
+
+class TestColumnarClassify:
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_one_ulp_decides(self, margin):
+        # The coherence in the margin is the larger, so only that margin is near 0.
+        big, small = 0.15 * cmath.exp(0.4j), 0.1 * cmath.exp(-2j)
+        c, d = (big, small) if margin.endswith("|c|") else (small, big)
+        lo, hi = _boundary_pair(margin, 0.3, c, d)
+        assert classify(lo) is not classify(hi)
+        index = _x_classify(_x_columns([lo, hi])).tolist()
+        assert [list(StateClass)[k] for k in index] == [classify(lo), classify(hi)]
+
+    @given(st.lists(st.one_of(valid_params_st(), clamp_band_params_st(), _invalid_st(),
+                              st.sampled_from(EDGE_STATES), _boundary_st()),
+                    min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_classify(self, states):
+        index = _x_classify(_x_columns(states))
+        assert [list(StateClass)[k] for k in index.tolist()] == [classify(p) for p in states]
+
+    def test_empty(self):
+        assert _x_classify(_x_columns([])).shape == (0,)
 
 
 class TestWerner:
