@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import os
@@ -86,7 +87,7 @@ def _text(value) -> str:
 def _render(report: dict, as_json: bool) -> str:
     """A report as indented JSON, or as one ``key: value`` line per entry."""
     if as_json:
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     return "".join(f"{key}: {_text(value)}\n" for key, value in report.items())
 
 
@@ -108,7 +109,7 @@ def _json_rows(blocks: Iterable[list[tuple]]) -> Iterator[str]:
     for k, block in enumerate(blocks):
         if k:
             yield _ROW_SEP
-        yield json.dumps(block, separators=(_CELL_SEP, ": "))[2:-2].replace(
+        yield json.dumps(block, separators=(_CELL_SEP, ": "), allow_nan=False)[2:-2].replace(
             "]" + _CELL_SEP + "[", _ROW_SEP)
     yield "\n    ]\n  ]"
 
@@ -328,10 +329,11 @@ def _columnar_measures(x: np.ndarray) -> Iterable[tuple]:
 def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
     params = _state(args)
     bad = validate(params)
-    report: dict = {
-        "validity": "valid" if bad is None else bad.value,
-        "spectrum": spectrum(params),
-    }
+    lam = spectrum(params)
+    if args.json:
+        # An invalid state's eigenvalue can overflow; JSON has no inf, so it reads null.
+        lam = [x if math.isfinite(x) else None for x in lam]
+    report: dict = {"validity": "valid" if bad is None else bad.value, "spectrum": lam}
     if bad is None:
         # Not _cd_row: a vanishing Tr rho^n fails the command here (exit 1 in main).
         img = apply_power_channel(params, args.n).params
@@ -456,7 +458,8 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
-        head = json.dumps({"config": config, **extra, "columns": header.split(",")}, indent=2)
+        head = json.dumps({"config": config, **extra, "columns": header.split(",")}, indent=2,
+                          allow_nan=False)
         # json.dumps(payload, indent=2) with "rows" as the payload's last key.
         parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(blocks), ["\n}\n"])
     _emit(parts, args.output)
@@ -605,7 +608,15 @@ def main(argv: list[str] | None = None) -> int:
                 raise _UsageError(f"{action.option_strings[0]} must be finite, got {value}")
         if "seed" in options and args.seed < 0:
             raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-        return args.handler(args, options)
+        # A command makes no reference cycles, but a sweep allocates enough rows
+        # for the cyclic collector to scan them all again and again; pause it.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return args.handler(args, options)
+        finally:
+            if enabled:
+                gc.enable()
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -69,19 +69,38 @@ class XParams:
     d: complex
 
     # Written out because the generated __init__ would set every field before
-    # the conversion sets it again; sweeps build one XParams per row.
+    # the conversion sets it again.  Sweeps build one XParams per grid point
+    # here; their power-map images come from _image instead.
     def __init__(self, a: float, b: float, c: complex, d: complex):
         a, b, c, d = float(a), float(b), complex(c), complex(d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_C(self, c)
+        _SET_D(self, d)
         if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
             raise ValueError(f"X parameters must be finite, got {self}")
 
     @property
     def trace(self) -> float:
         return 2.0 * (self.a + self.b)
+
+
+# The slots' own setters: they get past the frozen __setattr__ without its name lookup.
+_SET_A, _SET_B, _SET_C, _SET_D = (XParams.__dict__[name].__set__ for name in "abcd")
+
+
+def _image(a: float, b: float, c: complex, d: complex) -> XParams:
+    """An XParams built without __init__'s conversions and finiteness test.
+
+    Only for fields that are already a finite float, float, complex and
+    complex: apply_power_channel's image, once its overflow guard has passed.
+    """
+    p = object.__new__(XParams)
+    _SET_A(p, a)
+    _SET_B(p, b)
+    _SET_C(p, c)
+    _SET_D(p, d)
+    return p
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +184,7 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     # powers overflows, the quotients are 0 or inf / inf = nan.
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
-    return ChannelResult(XParams(a, b, c * _phase(p.c, cm), d * _phase(p.d, dm)), n)
+    return ChannelResult(_image(a, b, c * _phase(p.c, cm), d * _phase(p.d, dm)), n)
 
 
 def ppt(p: XParams) -> XParams:

@@ -1,8 +1,9 @@
-"""Shared randomized-state generators and the acceptance summary hook."""
+"""Shared randomized-state generators, a strict JSON reader and the acceptance summary hook."""
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -105,6 +106,15 @@ def kernel_images_st():
 @st.composite
 def direction_st(draw) -> Direction:
     return Direction(theta=draw(_polar), phi=draw(_angle), psi=draw(_angle))
+
+
+def strict_json_loads(text: str):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity, which RFC 8259 JSON lacks."""
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # acceptance summary ---------------------------------------------------------

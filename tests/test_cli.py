@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from xstates import (
     werner,
     werner_mutual_information,
 )
+from conftest import strict_json_loads
 from xstates import cli
 from xstates.cli import _json_rows, main
 from xstates.entanglement import _x_entanglement
@@ -96,6 +98,17 @@ class TestAnalyze:
         assert code == 2
         rep = parse_report(out)
         assert rep["validity"] == "invalid_not_psd"
+
+    def test_overflowing_spectrum_is_null_in_json(self, capsys):
+        # a + |d| and b + |c| overflow; the text form prints inf, the JSON form null.
+        state = ["--a", "1e308", "--b", "1e308", "--c-abs", "1e308", "--d-abs", "1e308"]
+        code, out, err = run(capsys, "analyze", *state, "--json")
+        assert (code, err) == (2, "")
+        assert strict_json_loads(out) == {
+            "validity": "invalid_trace", "spectrum": [None, None, 0.0, 0.0]}
+        code, out, err = run(capsys, "analyze", *state)
+        assert (code, err) == (2, "")
+        assert parse_report(out) == {"validity": "invalid_trace", "spectrum": "inf inf 0 0"}
 
     def test_odd_power_image_of_valid_state(self, capsys):
         # valid input keeps a nonnegative spectrum, so any power image is valid
@@ -619,7 +632,7 @@ JSON_ROWS = {
     ],
     "cd_like": [(0.0, 0.5, 3, False, "invalid_not_psd", None, None, None, None)],
     "odd_cells": [
-        (-0.0, 1e16, 0.1 + 0.2, 10**20, float("inf"), float("nan")),
+        (-0.0, 1e16, 0.1 + 0.2, 10**20, 5e-324, -1.7976931348623157e308),
         ("a],\n      [b", 'q"uote\\', "caf\u00e9", "", False, True),
     ],
 }
@@ -632,6 +645,13 @@ def test_json_rows_equal_json_dumps(name):
     for blocks in [[rows]] + [[rows[:k], rows[k:]] for k in range(1, len(rows))]:
         text = '{\n  "rows": ' + "".join(_json_rows(blocks)) + "\n}"
         assert text == json.dumps({"rows": rows}, indent=2)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_json_rows_reject_non_finite_cells(value):
+    # RFC 8259 JSON has no Infinity or NaN; the writer refuses them rather than emit them.
+    with pytest.raises(ValueError, match="JSON compliant"):
+        "".join(_json_rows([[(0.5, 1)], [(value, 2)]]))
 
 
 def test_json_rows_are_encoded_one_power_at_a_time(capsys, monkeypatch):
@@ -677,6 +697,74 @@ def test_csv_and_json_agree_cell_by_cell(argv, capsys):
         [_csv_cell(x) for x in row] for row in payload["rows"]]
     # Each sweep here has invalid rows, with an empty measure cell.
     assert any("" in ln.split(",") for ln in lines)
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """The cyclic collector switched on or off for one test, and its state put back after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector while a command runs, then restores its state."""
+
+    CASES = {
+        "exit_0": (["sweep-cd", "--steps", "3"], 0),
+        "exit_1": (["sweep-cd", "--steps", "1"], 1),  # the handler's usage error
+        "exit_2": (
+            ["analyze", "--a", "0.33", "--b", "0.17", "--c-abs", "0.2", "--d-abs", "0.1"], 2),
+    }
+
+    @staticmethod
+    def _spy(monkeypatch, name: str) -> list[bool]:
+        seen = []
+        handler = getattr(cli, name)
+
+        def spy(args, options):
+            seen.append(gc.isenabled())
+            return handler(args, options)
+
+        monkeypatch.setattr(cli, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_paused_in_the_handler_and_restored(self, case, collector, capsys, monkeypatch):
+        argv, code = self.CASES[case]
+        seen = self._spy(monkeypatch, "cmd_" + argv[0].replace("-", "_"))
+        assert run(capsys, *argv)[0] == code
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_restored_when_the_handler_raises(self, collector, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("spot check failed")
+
+        monkeypatch.setattr(cli, "_spot_check", broken)
+        seen = self._spy(monkeypatch, "cmd_sweep_cd")
+        with pytest.raises(RuntimeError, match="spot check failed"):
+            main(["sweep-cd", "--steps", "3"])
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_a_sweep_leaves_no_cycles(self, capsys):
+        # What makes the pause safe: the only cycles a run leaves are argparse's,
+        # and their number does not grow with the sweep.
+        def cyclic_objects_after(steps: int) -> int:
+            was = gc.isenabled()
+            gc.disable()
+            try:
+                gc.collect()
+                assert main(["sweep-cd", "--steps", str(steps)]) == 0
+                return gc.collect()
+            finally:
+                if was:
+                    gc.enable()
+
+        small = cyclic_objects_after(5)
+        assert 0 < small == cyclic_objects_after(41)
 
 
 class TestTopLevel:

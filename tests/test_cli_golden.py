@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import strict_json_loads
 from xstates.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -261,6 +262,19 @@ def test_matches_pinned_digest(name, tmp_path):
     assert (got["code"], got["stderr"], got["output"]) == (0, "", None)
     data = got["stdout"].encode("utf-8")
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, length)
+
+
+def test_json_outputs_are_strict_json():
+    # A recorded stdout or --output file is JSON when it starts with "{"; text
+    # reports and CSV never do.
+    found = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+        for text in (recorded["stdout"], recorded["output"]):
+            if text and text.startswith("{"):
+                strict_json_loads(text)
+                found.append(path.stem)
+    assert len(found) == 10  # every case that asks for JSON
 
 
 def test_every_fixture_has_a_case():

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     EDGE_STATES,
     clamp_band_params_st,
+    kernel_images_st,
     params_from_weights,
     random_valid_params,
     valid_params_st,
@@ -87,6 +88,16 @@ def _mixed_with(part: str, value: float) -> XParams:
 
 _P = XParams(a=0.3, b=0.2, c=0.1j, d=-0.05)
 SLOTTED = [_P, apply_power_channel(_P, 3)]
+# Power-map images, which apply_power_channel builds without XParams.__init__.
+IMAGES = {
+    name: apply_power_channel(p, n).params
+    for name, p, n in (
+        ("image_not_psd", XParams(a=0.33, b=0.17, c=0.2, d=0.1), 3),
+        ("image_zero_coherences", XParams(a=0.25, b=0.25, c=-0.0, d=0.0), 5),
+        ("image_subnormal_coherences", EDGE_STATES[3], 2),
+        ("image_n600", werner(0.9), 600),
+    )
+}
 
 
 class TestXParams:
@@ -126,7 +137,8 @@ class TestXParams:
         with pytest.raises((AttributeError, TypeError)):
             obj.extra = 1
 
-    @pytest.mark.parametrize("obj", SLOTTED, ids=lambda obj: type(obj).__name__)
+    @pytest.mark.parametrize("obj", [*SLOTTED, *IMAGES.values()],
+                             ids=[*(type(obj).__name__ for obj in SLOTTED), *IMAGES])
     def test_pickle_and_deepcopy_keep_equality_and_hash(self, obj):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert twin is not obj
@@ -203,6 +215,17 @@ def power_map_inputs_st():
         st.tuples(st.sampled_from(EDGE_STATES), any_n),
         st.tuples(_tiny_coherences_st(), any_n),
         st.tuples(_invalid_st(), odd_n),
+    )
+
+
+def _image_inputs_st():
+    """(states, power) pairs: kernel and edge states at n up to 600, invalid ones at odd n."""
+    any_n = st.integers(1, 600)
+    odd_n = st.integers(0, 299).map(lambda k: 2 * k + 1)
+    return st.one_of(
+        st.tuples(kernel_images_st(), any_n),
+        st.tuples(st.lists(st.sampled_from(EDGE_STATES), min_size=1), any_n),
+        st.tuples(st.lists(_invalid_st(), min_size=1, max_size=8), odd_n),
     )
 
 
@@ -321,6 +344,26 @@ class TestPowerChannel:
     def test_bit_for_bit_as_through_the_spectrum(self, case):
         p, n = case
         assert _outcome(apply_power_channel, p, n) == _outcome(power_channel_via_spectrum, p, n)
+
+    @given(_image_inputs_st())
+    @example(([XParams(a=1e154, b=-1e154, c=0.0, d=0.0)], 2))  # a sum of powers overflows
+    @example(([XParams(a=0.3, b=0.2, c=1e308, d=-1e308j)], 1))
+    @example(([werner(0.9), *EDGE_STATES], 600))
+    @settings(max_examples=200, deadline=None)
+    def test_image_is_what_the_constructor_builds(self, case):
+        # The image skips XParams.__init__; its fields must be what __init__ would
+        # have accepted and stored unchanged.
+        states, n = case
+        for p in states:
+            try:
+                img = apply_power_channel(p, n).params
+            except (ZeroDenominatorError, OverflowError):
+                continue
+            parts = (img.a, img.b, img.c, img.d)
+            assert tuple(map(type, parts)) == (float, float, complex, complex)
+            assert all(map(cmath.isfinite, parts))
+            twin = XParams(*parts)
+            assert (twin, hash(twin), repr(twin)) == (img, hash(img), repr(img))
 
     def test_bad_power_rejected(self):
         p = werner(0.2)
