@@ -27,11 +27,9 @@ from .tomography import (
     tomogram,
 )
 from .information import (
-    InequalityCheck,
     InfoReport,
     InvalidSpectrumError,
     ShannonReport,
-    check_inequalities,
     shannon_report_from_table,
     system_entropies,
     von_neumann_entropy,
@@ -46,7 +44,6 @@ __all__ = [
     "EPS_TRACE",
     "ChannelResult",
     "Direction",
-    "InequalityCheck",
     "InfoReport",
     "InvalidAngleError",
     "InvalidSpectrumError",
@@ -57,7 +54,6 @@ __all__ = [
     "XParams",
     "ZeroDenominatorError",
     "apply_power_channel",
-    "check_inequalities",
     "classify",
     "concurrence",
     "direction_pairs",

@@ -9,14 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .xstate import XParams, require_valid, spectrum
+from .xstate import XParams, _spectrum, _x_moduli, require_valid
+
+
+def _negativity(a, b, cm, dm):
+    """Trace norm of the partial transpose, whose spectrum is a +- |c| and b +- |d|."""
+    return abs(a + cm) + abs(a - cm) + abs(b + dm) + abs(b - dm)
+
+
+def _excess(roots):
+    """The largest of the ascending ``roots`` minus the other three."""
+    return roots[3] - roots[2] - roots[1] - roots[0]
 
 
 def negativity(p: XParams) -> float:
     """Trace norm of the partial transpose: 1 for separable states, up to 2."""
     require_valid(p)
-    cm, dm = abs(p.c), abs(p.d)
-    return abs(p.a + cm) + abs(p.a - cm) + abs(p.b + dm) + abs(p.b - dm)
+    return _negativity(p.a, p.b, abs(p.c), abs(p.d))
 
 
 def concurrence(p: XParams) -> float:
@@ -27,21 +36,16 @@ def concurrence(p: XParams) -> float:
     other three, floored at zero.
     """
     require_valid(p)
-    roots = sorted((abs(x) for x in spectrum(p)), reverse=True)
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    return max(0.0, _excess(sorted(map(abs, _spectrum(p.a, p.b, abs(p.c), abs(p.d))))))
 
 
 def _x_entanglement(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negativity and concurrence of valid X states, one entry per state.
+    """:func:`negativity` and :func:`concurrence` of each valid X state in the columns ``x``.
 
-    ``x`` holds the states as :func:`~xstates.xstate._x_columns` builds them.
-    Each entry equals :func:`negativity` and :func:`concurrence` bit for bit:
-    numpy's ``+ -``, real ``abs``, ``hypot`` and sorting round as Python
-    floats do, and the sums run in the same order.  No validity check: the
-    caller vouches for the states.
+    The kernels are the scalar ones; see the note above
+    :func:`~xstates.xstate._class_tests`.  No validity check: the caller
+    vouches for the states.
     """
-    a, b, cm, dm = x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
-    neg = np.abs(a + cm) + np.abs(a - cm) + np.abs(b + dm) + np.abs(b - dm)
-    roots = np.sort(np.abs([a + dm, b + cm, b - cm, a - dm]), axis=0)  # ascending
-    excess = roots[3] - roots[2] - roots[1] - roots[0]
-    return neg, np.where(excess > 0.0, excess, 0.0)  # max(0.0, excess)
+    moduli = _x_moduli(x)
+    excess = _excess(np.sort(np.abs(_spectrum(*moduli)), axis=0))
+    return _negativity(*moduli), np.where(excess > 0.0, excess, 0.0)  # max(0.0, excess)

@@ -18,15 +18,13 @@ from .xstate import (
     EPS_PSD,
     EPS_TRACE,
     XParams,
+    _spectrum,
+    _x_moduli,
     apply_power_channel,
     require_valid,
-    spectrum,
     werner,
 )
-from .tomography import Direction, TomogramTable, _weights, marginals, tomogram
-
-# Slack allowed before an inequality counts as violated.
-INEQ_TOL = 1e-10
+from .tomography import TomogramTable, _weights, marginals
 
 
 class InvalidSpectrumError(ValueError):
@@ -53,18 +51,6 @@ class ShannonReport:
     i_s: float
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
-    """Information inequalities evaluated for one direction pair."""
-
-    i_s: float
-    i_n: float
-    i_s_le_i_n: bool
-    i_s_nonnegative: bool
-    i_n_nonnegative: bool
-    subadditive: bool
-
-
 def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
     """Entropy -sum(lam ln lam) of an eigenvalue distribution, in nats."""
     # 0 ln 0 = 0, after clamping [-EPS_PSD, 0) to exactly 0.
@@ -83,6 +69,17 @@ def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
     return acc
 
 
+def _entropies(joint, q, entropy):
+    """Joint and marginal entropy, and mutual information, of weights whose marginals are (q, q).
+
+    ``entropy`` takes the weights: floats for :func:`von_neumann_entropy`,
+    :func:`_xlogx` pairs for :func:`_entropy`.
+    """
+    s12 = entropy(joint)
+    s1 = entropy((q, q))
+    return s12, s1, s1 + s1 - s12
+
+
 def system_entropies(p: XParams) -> InfoReport:
     """Joint and marginal entropies of a valid X state.
 
@@ -90,11 +87,9 @@ def system_entropies(p: XParams) -> InfoReport:
     trace-normalized X state they equal ln 2.
     """
     require_valid(p)
-    s12 = von_neumann_entropy(spectrum(p))
-    q = p.a + p.b
-    s1 = von_neumann_entropy((q, q))
-    s2 = s1
-    return InfoReport(s12=s12, s1=s1, s2=s2, i_n=s1 + s2 - s12)
+    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, abs(p.c), abs(p.d)), p.a + p.b,
+                              von_neumann_entropy)
+    return InfoReport(s12=s12, s1=s1, s2=s1, i_n=i_n)
 
 
 def werner_mutual_information(p: float, n: int) -> float:
@@ -149,58 +144,26 @@ def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``S(rho)`` and ``I_n`` of valid X states, one entry per state.
+    """``system_entropies(p).s12`` and ``.i_n`` of each valid X state in the columns ``x``.
 
-    ``x`` holds the states as :func:`~xstates.xstate._x_columns` builds them.
-    Each entry equals ``system_entropies(p).s12`` and ``.i_n`` bit for bit.
-    No validity check: the caller vouches for the states.
+    The kernels are the scalar ones; see the note above
+    :func:`~xstates.xstate._class_tests`.  No validity check: the caller
+    vouches for the states.
     """
-    a, b, cm, dm = x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
-    s12 = _entropy(map(_xlogx, (a + dm, b + cm, b - cm, a - dm)))
-    q = _xlogx(a + b)
-    s1 = _entropy((q, q))
-    return s12, s1 + s1 - s12
+    a, b, cm, dm = _x_moduli(x)
+    s12, _, i_n = _entropies(map(_xlogx, _spectrum(a, b, cm, dm)), _xlogx(a + b), _entropy)
+    return s12, i_n
 
 
 def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
     """Tomographic information of X states, one row per state, one column per pair.
 
-    ``x`` holds the states as :func:`~xstates.xstate._x_columns` builds them
-    and ``coefficients`` the :func:`~xstates.tomography._pair_coefficients`
-    of each pair.  Entry ``[i, k]`` is the public chain's ``i_s`` of state
-    ``i`` and pair ``k``, bit for bit: numpy's ``+ - *`` round as Python
-    floats do, and the entropies come from :func:`_entropy`.  Both marginals
-    are ``(same + cross, cross + same)``, so one entropy serves for both.
+    ``x`` holds the states in columns and ``coefficients`` the
+    :func:`~xstates.tomography._pair_coefficients` of each pair.  Entry
+    ``[i, k]`` is the public chain's ``i_s`` of state ``i`` and pair ``k``,
+    from the same kernels.  Both marginals are ``(same + cross, cross + same)``.
     No validity check: the caller vouches for the states.
     """
     same, cross = _weights(*x[:, :, None], np.array(coefficients, dtype=float).T)
-    s, c, u = _xlogx(same), _xlogx(cross), _xlogx(same + cross)
-    h12 = _entropy((s, c, c, s))
-    h1 = _entropy((u, u))
-    return h1 + h1 - h12
-
-
-def check_inequalities(
-    p: XParams, pairs: Iterable[tuple[Direction, Direction]]
-) -> list[InequalityCheck]:
-    """Evaluate the information inequalities for each direction pair.
-
-    Returns one record per pair, in the order of ``pairs``.  A violation
-    beyond INEQ_TOL is reported in the records, not raised; for genuine
-    states none is expected.
-    """
-    info = system_entropies(p)
-    out = []
-    for dir_a, dir_b in pairs:
-        rep = shannon_report_from_table(tomogram(p, dir_a, dir_b))
-        out.append(
-            InequalityCheck(
-                i_s=rep.i_s,
-                i_n=info.i_n,
-                i_s_le_i_n=rep.i_s <= info.i_n + INEQ_TOL,
-                i_s_nonnegative=rep.i_s >= -INEQ_TOL,
-                i_n_nonnegative=info.i_n >= -INEQ_TOL,
-                subadditive=info.s1 + info.s2 >= info.s12 - INEQ_TOL,
-            )
-        )
-    return out
+    s, c = _xlogx(same), _xlogx(cross)
+    return _entropies((s, c, c, s), _xlogx(same + cross), _entropy)[2]

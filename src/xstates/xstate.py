@@ -122,17 +122,56 @@ def _phase(z: complex, m: float) -> complex:
     return z / m if m else complex(1.0)
 
 
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where that is beyond the float range, as ``np.hypot`` gives."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+# Each closed form, here and in entanglement.py and information.py, is written once
+# over (a, b, |c|, |d|): floats for one state, or numpy arrays for a block of states
+# in the columns that _x_columns builds, with the moduli from _x_moduli.  Both give
+# the same bits: numpy's + - *, comparisons, abs, hypot and sort round as Python
+# floats, abs of a complex and sorted do.  Only these steps differ between them:
+# the moduli, picking the first test that holds, sorting, flooring at 0, and the
+# entropy of a list of weights.
+
+
+def _class_tests(a, b, cm, dm):
+    """Classify's tests in its order: the trace is off, rho is not PSD, rho is not PPT."""
+    return (abs(2.0 * (a + b) - 1.0) > EPS_TRACE,
+            (a - dm < -EPS_PSD) | (b - cm < -EPS_PSD),
+            (a - cm < -EPS_PSD) | (b - dm < -EPS_PSD))
+
+
+def _spectrum(a, b, cm, dm):
+    """The eigenvalues a + |d|, b + |c|, b - |c| and a - |d|, in that order."""
+    return a + dm, b + cm, b - cm, a - dm
+
+
+def _x_moduli(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(a, b, |c|, |d|)`` of the states in the columns ``x``."""
+    return x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
+
+
 def validate(p: XParams) -> StateClass | None:
     """Check trace normalization and positivity.
 
     Returns ``None`` for a genuine density matrix, otherwise the failing
     :class:`StateClass`.  Trace is tested first: |2(a+b) - 1| <= EPS_TRACE.
     Positivity reduces to a >= |d| and b >= |c| within EPS_PSD, which also
-    covers negative ``a`` or ``b``.
+    covers negative ``a`` or ``b`` and a modulus beyond the float range.
     """
-    if abs(p.trace - 1.0) > EPS_TRACE:
+    try:
+        cm, dm = abs(p.c), abs(p.d)
+    except OverflowError:
+        cm, dm = _modulus(p.c), _modulus(p.d)
+    trace_off, not_psd, _ = _class_tests(p.a, p.b, cm, dm)
+    if trace_off:
         return StateClass.INVALID_TRACE
-    if p.a - abs(p.d) < -EPS_PSD or p.b - abs(p.c) < -EPS_PSD:
+    if not_psd:
         return StateClass.INVALID_NOT_PSD
     return None
 
@@ -148,10 +187,13 @@ def spectrum(p: XParams) -> tuple[float, float, float, float]:
     """Closed-form eigenvalues of the X matrix, ordered (a+|d|, b+|c|, b-|c|, a-|d|).
 
     The outer block contributes a +- |d|, the inner block b +- |c|; no
-    diagonalization is performed.
+    diagonalization is performed.  A modulus beyond the float range is inf.
     """
-    cm, dm = abs(p.c), abs(p.d)
-    return (p.a + dm, p.b + cm, p.b - cm, p.a - dm)
+    try:
+        cm, dm = abs(p.c), abs(p.d)
+    except OverflowError:
+        cm, dm = _modulus(p.c), _modulus(p.d)
+    return _spectrum(p.a, p.b, cm, dm)
 
 
 def _x_columns(states: list[XParams]) -> np.ndarray:
@@ -172,8 +214,8 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     """
     _check_power(n)
     cm, dm = abs(p.c), abs(p.d)
-    # The powers of the spectrum() eigenvalues, in its order.
-    l1, l2, l3, l4 = (p.a + dm) ** n, (p.b + cm) ** n, (p.b - cm) ** n, (p.a - dm) ** n
+    l1, l2, l3, l4 = _spectrum(p.a, p.b, cm, dm)
+    l1, l2, l3, l4 = l1**n, l2**n, l3**n, l4**n
     denom = 2.0 * (l1 + l2 + l3 + l4)
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
     if denom == 0.0 or abs(denom) < 1e-12 * scale:
@@ -199,29 +241,21 @@ def classify(p: XParams) -> StateClass:
     separable iff the partially transposed matrix stays PSD, i.e.
     a >= |c| and b >= |d| within EPS_PSD; the boundary counts as separable.
     """
-    bad = validate(p)
-    if bad is not None:
-        return bad
-    if p.a - abs(p.c) < -EPS_PSD or p.b - abs(p.d) < -EPS_PSD:
-        return StateClass.ENTANGLED
-    return StateClass.SEPARABLE
+    try:
+        cm, dm = abs(p.c), abs(p.d)
+    except OverflowError:
+        cm, dm = _modulus(p.c), _modulus(p.d)
+    trace_off, not_psd, not_ppt = _class_tests(p.a, p.b, cm, dm)
+    if trace_off:
+        return StateClass.INVALID_TRACE
+    if not_psd:
+        return StateClass.INVALID_NOT_PSD
+    return StateClass.ENTANGLED if not_ppt else StateClass.SEPARABLE
 
 
 def _x_classify(x: np.ndarray) -> np.ndarray:
-    """:func:`classify` of each state, as its index in ``list(StateClass)``.
-
-    ``x`` holds the states as :func:`_x_columns` builds them.  The tests are
-    classify's own, in its order, on the same floats: numpy's ``+ - *``,
-    comparisons and ``hypot`` round as Python floats and ``abs`` of a complex
-    do.  The valid classes come first, so a state is valid where the index is
-    below 2.
-    """
-    a, b, cm, dm = x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
-    return np.select(
-        [np.abs(2.0 * (a + b) - 1.0) > EPS_TRACE,
-         (a - dm < -EPS_PSD) | (b - cm < -EPS_PSD),
-         (a - cm < -EPS_PSD) | (b - dm < -EPS_PSD)],
-        [3, 2, 1], 0)
+    """:func:`classify` of each state in the columns ``x``, as its index in ``list(StateClass)``."""
+    return np.select(_class_tests(*_x_moduli(x)), [3, 2, 1], 0)
 
 
 def werner(p: float) -> XParams:

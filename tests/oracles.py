@@ -1,11 +1,11 @@
 """Reference implementations the tests compare the closed forms against.
 
 Each one reaches its answer by a different route from the library: a dense
-SU(2) rotation, a dense spin flip, the Werner power sums written out by
-hand for the tomogram and the mutual information, or the power map through
-``spectrum`` and phases of its own.
-Eigenvalues and matrix powers need no helper: the tests call
-``numpy.linalg`` directly.
+SU(2) rotation, a dense spin flip, a dense partial transpose, eigenvalues
+from ``numpy.linalg``, the Werner power sums written out by hand for the
+tomogram and the mutual information, or the power map through ``spectrum``
+and phases of its own.
+Matrix powers need no helper: the tests call ``numpy.linalg`` directly.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from xstates import EPS_PSD, EPS_TRACE, StateClass
 from xstates.dense import to_dense
 from xstates.tomography import Direction, TomogramTable, _pair_coefficients
 from xstates.xstate import (
@@ -58,6 +59,51 @@ def spin_flip(p: XParams) -> XParams:
     yy[1, 2] = yy[2, 1] = 1.0
     m = yy @ to_dense(p).conj() @ yy
     return XParams(a=m[0, 0].real, b=m[1, 1].real, c=m[1, 2], d=m[0, 3])
+
+
+def partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Partial transpose of a two-qubit matrix over the second qubit, by index shuffling."""
+    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def classify_dense(p: XParams) -> StateClass:
+    """The class of ``p`` from the dense trace and eigenvalues of rho and its partial transpose."""
+    m = to_dense(p)
+    if abs(np.trace(m).real - 1.0) > EPS_TRACE:
+        return StateClass.INVALID_TRACE
+    if np.linalg.eigvalsh(m).min() < -EPS_PSD:
+        return StateClass.INVALID_NOT_PSD
+    if np.linalg.eigvalsh(partial_transpose(m)).min() < -EPS_PSD:
+        return StateClass.ENTANGLED
+    return StateClass.SEPARABLE
+
+
+def negativity_dense(p: XParams) -> float:
+    """Trace norm of the dense partial transpose."""
+    return float(np.abs(np.linalg.eigvalsh(partial_transpose(to_dense(p)))).sum())
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian matrix by ``eigh``, with negative eigenvalues taken as 0."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def concurrence_dense(p: XParams) -> float:
+    """Wootters' concurrence of ``p`` from its dense spin flip.
+
+    The roots are the singular values of sqrt(rho) sqrt(rho~), which are the
+    square roots of the eigenvalues of rho rho~.  Taken from those
+    eigenvalues instead, a root near 0 would be off by 1e-9 or more.
+    """
+    roots = np.linalg.svd(_sqrt_psd(to_dense(p)) @ _sqrt_psd(to_dense(spin_flip(p))),
+                          compute_uv=False).tolist()  # descending
+    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def entropy_dense(p: XParams) -> float:
+    """S(rho) from ``numpy.linalg.eigvalsh`` of the dense matrix, with 0 ln 0 = 0."""
+    return -sum(x * math.log(x) for x in np.linalg.eigvalsh(to_dense(p)).tolist() if x > 0.0)
 
 
 def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> TomogramTable:

@@ -382,6 +382,18 @@ class TestSweepCd:
         with pytest.raises(RuntimeError, match="self-check"):
             main(["sweep-cd", "--steps", "5", "--n-list", "2"])
 
+    def test_spot_check_catches_rows_out_of_place(self, monkeypatch):
+        measures = cli._columnar_measures
+
+        def rotated(x):
+            rows = list(measures(x))
+            return rows[1:] + rows[:1]
+
+        monkeypatch.setattr("xstates.cli._columnar_measures", rotated)
+        # Every image of an even power is valid, and all 25 rows are checked.
+        with pytest.raises(RuntimeError, match="self-check"):
+            main(["sweep-cd", "--steps", "5", "--n-list", "2"])
+
     def test_spot_check_recomputes_the_drawn_power_and_point(self, capsys, monkeypatch):
         cd_row = cli._cd_row
         calls = []
@@ -533,6 +545,13 @@ class TestSweepWerner:
     def test_spot_check_catches_a_wrong_fast_path(self, monkeypatch):
         monkeypatch.setattr(
             "xstates.cli._x_information", lambda *a: np.nextafter(_x_information(*a), np.inf)
+        )
+        with pytest.raises(RuntimeError, match="self-check"):
+            main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+
+    def test_spot_check_catches_swapped_pair_columns(self, monkeypatch):
+        monkeypatch.setattr(
+            "xstates.cli._x_information", lambda *a: _x_information(*a)[:, [1, 0]]
         )
         with pytest.raises(RuntimeError, match="self-check"):
             main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])

@@ -6,10 +6,10 @@ from xstates import XParams, to_dense, werner
 
 # The public names of the package: closed forms only, plus ``to_dense``.
 PUBLIC_NAMES = [
-    "ChannelResult", "Direction", "EPS_PSD", "EPS_TRACE", "InequalityCheck",
+    "ChannelResult", "Direction", "EPS_PSD", "EPS_TRACE",
     "InfoReport", "InvalidAngleError", "InvalidSpectrumError", "InvalidStateError",
     "ShannonReport", "StateClass", "TomogramTable", "XParams", "ZeroDenominatorError",
-    "apply_power_channel", "check_inequalities", "classify", "concurrence",
+    "apply_power_channel", "classify", "concurrence",
     "direction_pairs", "marginals", "negativity", "ppt",
     "shannon_report_from_table", "spectrum", "system_entropies", "to_dense", "tomogram",
     "validate", "von_neumann_entropy", "werner", "werner_entanglement_threshold",

@@ -15,7 +15,7 @@ from conftest import (
     random_valid_params,
     valid_params_st,
 )
-from oracles import spin_flip
+from oracles import concurrence_dense, negativity_dense, spin_flip
 from xstates import (
     InvalidStateError,
     StateClass,
@@ -179,3 +179,12 @@ class TestXEntanglement:
     def test_no_states(self):
         neg, conc = _x_entanglement(_x_columns([]))
         assert neg.shape == conc.shape == (0,)
+
+    @given(kernel_images_st())
+    @example(EDGE_STATES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_measures(self, images):
+        neg, conc = _x_entanglement(_x_columns(images))
+        for p, n, c in zip(images, neg.tolist(), conc.tolist()):
+            assert_allclose((negativity(p), n), negativity_dense(p), atol=1e-10, rtol=0)
+            assert_allclose((concurrence(p), c), concurrence_dense(p), atol=1e-10, rtol=0)

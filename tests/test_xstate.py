@@ -19,15 +19,18 @@ from conftest import (
     random_valid_params,
     valid_params_st,
 )
-from oracles import power_channel_via_spectrum
+from oracles import classify_dense, partial_transpose, power_channel_via_spectrum
 from xstates import (
     EPS_PSD,
     EPS_TRACE,
+    InvalidStateError,
     StateClass,
     XParams,
     ZeroDenominatorError,
     apply_power_channel,
     classify,
+    concurrence,
+    negativity,
     ppt,
     spectrum,
     to_dense,
@@ -36,7 +39,7 @@ from xstates import (
     werner_entanglement_threshold,
     werner_entanglement_threshold_lower,
 )
-from xstates.xstate import _x_classify, _x_columns
+from xstates.xstate import _spectrum, _x_classify, _x_columns, _x_moduli
 
 
 class TestValidate:
@@ -516,6 +519,56 @@ class TestColumnarClassify:
 
     def test_empty(self):
         assert _x_classify(_x_columns([])).shape == (0,)
+
+    @given(kernel_images_st())
+    @example(EDGE_STATES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_ppt_eigenvalues(self, images):
+        index = _x_classify(_x_columns(images)).tolist()
+        for p, k in zip(images, index):
+            m = to_dense(p)
+            # Dense eigenvalues are off by about 1e-16: skip a state that close to -EPS_PSD.
+            margins = (np.linalg.eigvalsh(partial_transpose(m)).min() + EPS_PSD,
+                       np.linalg.eigvalsh(m).min() + EPS_PSD)
+            if min(map(abs, margins)) > 1e-14:
+                assert classify(p) is list(StateClass)[k] is classify_dense(p)
+
+
+# |c| or |d| beyond the float range, though every part of it is finite, and each one's class.
+_HUGE = complex(1.7e308, 1.7e308)
+BEYOND_RANGE = {
+    XParams(a=0.3, b=0.2, c=_HUGE, d=0.0): StateClass.INVALID_NOT_PSD,
+    XParams(a=0.3, b=0.2, c=0.1, d=-_HUGE): StateClass.INVALID_NOT_PSD,
+    XParams(a=0.3, b=0.2, c=_HUGE, d=_HUGE.conjugate()): StateClass.INVALID_NOT_PSD,
+    XParams(a=0.9, b=0.9, c=_HUGE, d=0.0): StateClass.INVALID_TRACE,  # tested first
+}
+
+
+class TestModulusBeyondFloatRange:
+    @pytest.mark.parametrize("p", BEYOND_RANGE)
+    def test_classify_agrees_with_the_columns(self, p):
+        with np.errstate(over="ignore"):
+            index = _x_classify(_x_columns([p])).tolist()
+        assert validate(p) is classify(p) is list(StateClass)[index[0]] is BEYOND_RANGE[p]
+
+    @pytest.mark.parametrize("p", BEYOND_RANGE)
+    def test_spectrum_has_inf_entries(self, p):
+        lam = spectrum(p)
+        assert math.inf in lam and -math.inf in lam
+        with np.errstate(over="ignore"):
+            columns = _spectrum(*_x_moduli(_x_columns([p])))
+        assert lam == tuple(float(col[0]) for col in columns)
+
+    def test_spectrum_keeps_the_finite_pair(self):
+        first, second = list(BEYOND_RANGE)[:2]
+        assert spectrum(first) == (0.3, math.inf, -math.inf, 0.3)
+        assert spectrum(second) == (math.inf, 0.2 + 0.1, 0.2 - 0.1, -math.inf)
+
+    @pytest.mark.parametrize("measure", [negativity, concurrence])
+    def test_measures_raise_invalid_state(self, measure):
+        with pytest.raises(InvalidStateError) as info:
+            measure(next(iter(BEYOND_RANGE)))
+        assert info.value.state_class is StateClass.INVALID_NOT_PSD
 
 
 class TestWerner:
