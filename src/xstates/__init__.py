@@ -33,7 +33,6 @@ from .information import (
     shannon_report_from_table,
     system_entropies,
     von_neumann_entropy,
-    werner_mutual_information,
 )
 from .entanglement import concurrence, negativity
 
@@ -70,5 +69,4 @@ __all__ = [
     "werner",
     "werner_entanglement_threshold",
     "werner_entanglement_threshold_lower",
-    "werner_mutual_information",
 ]

@@ -150,13 +150,6 @@ def _load_config(path: str, options: dict[str, argparse.Action]) -> dict:
     return out
 
 
-def _require(args: argparse.Namespace, option: str):
-    value = getattr(args, option[2:].replace("-", "_"))
-    if value is None:
-        raise _UsageError(f"missing required option {option} (flag or config)")
-    return value
-
-
 def _parse_n_list(text: str) -> tuple[int, ...]:
     # argparse prints an ArgumentTypeError's own message, not the function's name.
     try:
@@ -265,17 +258,14 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, sub.choices
 
 
+# The least value of each option that has one.
+_AT_LEAST = {"c_abs": 0, "d_abs": 0, "n": 1, "steps": 2, "num_dirs": 1, "seed": 0}
+
+
 def _state(args: argparse.Namespace) -> XParams:
-    a, b, c_abs, d_abs = (_require(args, o) for o in ("--a", "--b", "--c-abs", "--d-abs"))
-    if args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
-    if c_abs < 0.0:
-        raise _UsageError(f"--c-abs must be >= 0, got {c_abs}")
-    if d_abs < 0.0:
-        raise _UsageError(f"--d-abs must be >= 0, got {d_abs}")
-    c = c_abs * cmath.exp(1j * args.c_phase)
-    d = d_abs * cmath.exp(1j * args.d_phase)
-    return XParams(a=a, b=b, c=c, d=d)
+    c = args.c_abs * cmath.exp(1j * args.c_phase)
+    d = args.d_abs * cmath.exp(1j * args.d_phase)
+    return XParams(a=args.a, b=args.b, c=c, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -288,37 +278,39 @@ _CLASSES = list(StateClass)
 _VERDICTS = [(k < 2, cls.value) for k, cls in enumerate(_CLASSES)] + [(False, None)]
 
 
-def _evaluate(rows: Iterable[tuple], measure, width: int, columnar: bool = False) -> list[tuple]:
-    """Rows ``(*cells, valid, class, *measures)`` of ``(cells, image)`` pairs from :func:`_cd_row`.
+def _evaluate(n: int, points: list[tuple], measure, width: int) -> list[tuple]:
+    """Rows ``(*cells, n, valid, class, *measures)`` of ``(cells, state)`` points at power ``n``.
 
-    Columnar, the validity and class of every image come from one :func:`_x_classify`
-    pass, and ``measure`` is called with the columns of the valid images, taken from
-    that pass's input.  Otherwise they come from one :func:`classify` verdict per
-    image, and ``measure`` is called with the list of valid images.  Either way it
-    gives ``width`` measures for each.  An invalid image has None (an empty cell) for
-    each measure, and for its class too when Tr rho^n vanished.
+    Each state's image comes from :func:`_cd_row`, and the validity and class of
+    every image from one :func:`_x_classify` pass.  ``measure`` is called with the
+    columns of the valid images, taken from that pass's input, and gives ``width``
+    measures for each.  An invalid image has None (an empty cell) for each measure,
+    and for its class too when Tr rho^n vanished.
     """
-    heads, images = zip(*rows)
-    present = [p for p in images if p is not None]
-    if columnar:
-        x = _x_columns(present)
-        index = _x_classify(x)
-        kept = x[:, index < 2]
-        index = index.tolist()
-    else:
-        index = [_CLASSES.index(classify(p)) for p in present]
-        kept = [p for p, k in zip(present, index) if k < 2]
-    index = iter(index)
+    images = [_cd_row(n, state) for _, state in points]
+    x = _x_columns([p for p in images if p is not None])
+    index = _x_classify(x)
+    values = iter(measure(x[:, index < 2]))
+    index = iter(index.tolist())
     verdicts = [_VERDICTS[-1 if p is None else next(index)] for p in images]
-    values = iter(measure(kept))
     blank = (None,) * width
-    return [(*head, *v, *(next(values) if v[0] else blank)) for head, v in zip(heads, verdicts)]
+    return [(*cells, n, *v, *(next(values) if v[0] else blank))
+            for (cells, _), v in zip(points, verdicts)]
 
 
-def _scalar_measures(images: list[XParams]) -> list[tuple]:
-    """Negativity, concurrence, S(rho) and I_n of each valid state, by the public scalar chain."""
-    infos = map(system_entropies, images)
-    return [(negativity(p), concurrence(p), e.s12, e.i_n) for p, e in zip(images, infos)]
+def _public_row(head: tuple, image: XParams | None, measure, width: int) -> tuple:
+    """Row ``(*head, valid, class, *measures)`` of one image: :func:`_evaluate`'s reference.
+
+    The class comes from :func:`classify`, then ``measure(image)`` of a valid image.
+    """
+    valid, cls = _VERDICTS[-1 if image is None else _CLASSES.index(classify(image))]
+    return (*head, valid, cls, *(measure(image) if valid else (None,) * width))
+
+
+def _scalar_measures(p: XParams) -> tuple:
+    """Negativity, concurrence, S(rho) and I_n of a valid state, by the public scalar chain."""
+    info = system_entropies(p)
+    return negativity(p), concurrence(p), info.s12, info.i_n
 
 
 def _columnar_measures(x: np.ndarray) -> Iterable[tuple]:
@@ -337,7 +329,7 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
     if bad is None:
         # Not _cd_row: a vanishing Tr rho^n fails the command here (exit 1 in main).
         img = apply_power_channel(params, args.n).params
-        valid, class_image, *measures = _evaluate([((), img)], _scalar_measures, 4)[0]
+        valid, class_image, *measures = _public_row((), img, _scalar_measures, 4)
         report.update(
             class_input=classify(params).value,
             n=args.n,
@@ -366,35 +358,31 @@ _MAX_SIZE = 10**7
 
 
 def _check_size(args: argparse.Namespace, size: int, unit: str, pairs: str = "") -> None:
-    # A --steps below 2 is left to _grid's message, a --num-dirs below 1 (size <= 0) to its own.
-    if args.steps >= 2 and size > _MAX_SIZE:
+    if size > _MAX_SIZE:
         raise _UsageError(f"--steps {args.steps} with {len(args.n_list)} powers{pairs} makes"
                           f" {size} {unit}, more than the limit of {_MAX_SIZE}")
 
 
-def _grid(end: float, steps: int) -> list[float]:
-    if steps < 2:
-        raise _UsageError(f"--steps must be >= 2, got {steps}")
-    return [end * k / (steps - 1) for k in range(steps)]
-
-
-def _check_grid(values: list[float], what: str, steps: int) -> None:
-    # end * k overflows before the division by steps - 1 brings it back in range.
+def _grid(end: float, steps: int, what: str, start: float = -0.0) -> list[float]:
+    # The default start adds nothing: -0.0 + x is x, bit for bit.  end * k can overflow
+    # before the division brings it back in range, and start + ... can round up to inf.
+    values = [start + end * k / (steps - 1) for k in range(steps)]
     if not all(map(math.isfinite, values)):
         raise _UsageError(f"{what} over --steps {steps} overflows a grid value"
                           " (end * k / (steps - 1))")
+    return values
 
 
-def _cd_row(n: int, cells: tuple, state: XParams) -> tuple:
-    """The leading cells ``(*cells, n)`` of one row, and the image of ``state`` for _evaluate.
+def _cd_row(n: int, state: XParams) -> XParams | None:
+    """The image of ``state`` under rho -> rho^n / Tr rho^n, or None where Tr rho^n vanishes.
 
-    The image is None where Tr rho^n vanishes.  Both sweeps make their rows
-    here; the name stays because bench/tracer.py times the row stage by it.
+    Both sweeps make the image of each row here; the name stays because
+    bench/tracer.py times the row stage by it.
     """
     try:
-        return (*cells, n), apply_power_channel(state, n).params
+        return apply_power_channel(state, n).params
     except ZeroDenominatorError:
-        return (*cells, n), None
+        return None
 
 
 def _row_to_csv(cells) -> str:
@@ -423,11 +411,10 @@ def _sweep(args: argparse.Namespace, points: list[tuple], fast, public,
            width: int) -> list[list[tuple]]:
     """One block of rows per power in ``--n-list``, over ``points`` of ``(cells, state)``.
 
-    ``fast`` gives each block's ``width`` measures through the columnar :func:`_evaluate`;
-    ``public`` gives the same ones for the spot check, which also checks the class.
+    ``fast`` gives each block's ``width`` measures from its columns, and ``public``
+    those of one image for the spot check, which also checks the class.
     """
-    blocks = [_evaluate((_cd_row(n, *point) for point in points), fast, width, columnar=True)
-              for n in args.n_list]
+    blocks = [_evaluate(n, points, fast, width) for n in args.n_list]
     _spot_check(args, blocks, points, public, width)
     return blocks
 
@@ -440,7 +427,9 @@ def _spot_check(args: argparse.Namespace, blocks: list[list[tuple]], points: lis
     rng = np.random.default_rng(args.seed)
     for idx in rng.choice(total, size=min(32, total), replace=False):
         k, j = divmod(idx, len(points))
-        if _evaluate([_cd_row(args.n_list[k], *points[j])], public, width)[0] != blocks[k][j]:
+        n = args.n_list[k]
+        cells, state = points[j]
+        if _public_row((*cells, n), _cd_row(n, state), public, width) != blocks[k][j]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 
@@ -468,12 +457,10 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
 
 def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
     _check_size(args, args.steps ** 2 * len(args.n_list), "rows")
-    c_grid = _grid(args.c_abs_max, args.steps)
-    d_grid = _grid(args.d_abs_max, args.steps)
     if args.c_abs_max < 0.0 or args.d_abs_max < 0.0:
         raise _UsageError("grid ends must be >= 0")
-    _check_grid(c_grid, f"--c-abs-max {args.c_abs_max}", args.steps)
-    _check_grid(d_grid, f"--d-abs-max {args.d_abs_max}", args.steps)
+    c_grid = _grid(args.c_abs_max, args.steps, f"--c-abs-max {args.c_abs_max}")
+    d_grid = _grid(args.d_abs_max, args.steps, f"--d-abs-max {args.d_abs_max}")
 
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
     points = [((c, d), XParams(a=args.a, b=args.b, c=c * c_unit, d=d * d_unit))
@@ -500,14 +487,11 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     _check_size(args, (args.steps * len(args.n_list) + 1) * args.num_dirs,
                 "I_s values and direction pairs", f" and {args.num_dirs} direction pairs")
     span = args.p_max - args.p_min
-    p_values = [args.p_min + x for x in _grid(span, args.steps)]
     if args.p_max < args.p_min:
         raise _UsageError(f"--p-max {args.p_max} is below --p-min {args.p_min}")
     if not math.isfinite(span):
         raise _UsageError(f"--p-max - --p-min must be finite, got {span}")
-    _check_grid(p_values, f"--p-max - --p-min = {span}", args.steps)
-    if args.num_dirs < 1:
-        raise _UsageError(f"--num-dirs must be >= 1, got {args.num_dirs}")
+    p_values = _grid(span, args.steps, f"--p-max - --p-min = {span}", args.p_min)
 
     pairs = direction_pairs(args.num_dirs, args.seed)
     coefficients = [_pair_coefficients(da, db) for da, db in pairs]
@@ -515,10 +499,9 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     def columnar(x: np.ndarray) -> list[list]:
         return np.column_stack((_x_entropies(x)[1], _x_information(x, coefficients))).tolist()
 
-    def public(images: list[XParams]) -> list[tuple]:
-        tables = ([tomogram(p, da, db) for da, db in pairs] for p in images)
-        i_s = ([shannon_report_from_table(t).i_s for t in row] for row in tables)
-        return [(system_entropies(p).i_n, *row) for p, row in zip(images, i_s)]
+    def public(image: XParams) -> tuple:
+        i_s = [shannon_report_from_table(tomogram(image, da, db)).i_s for da, db in pairs]
+        return (system_entropies(image).i_n, *i_s)
 
     blocks = _sweep(args, [((p,), werner(p)) for p in p_values], columnar, public,
                     1 + args.num_dirs)
@@ -548,7 +531,7 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
 
 
 def _direction(args: argparse.Namespace, q: str) -> Direction:
-    theta = _require(args, f"--theta-{q}")
+    theta = getattr(args, f"theta_{q}")
     if not 0.0 <= theta <= math.pi:
         raise _UsageError(f"--theta-{q} must lie in [0, pi], got {theta}")
     return Direction(theta=theta, phi=getattr(args, f"phi_{q}"), psi=getattr(args, f"psi_{q}"))
@@ -602,12 +585,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             sub.set_defaults(**_load_config(args.config, options))
             args = parser.parse_args(argv)
+        # Each option's own checks, in parser order; the handlers check the rest.
         for dest, action in options.items():
             value = getattr(args, dest)
-            if action.type is float and value is not None and not math.isfinite(value):
-                raise _UsageError(f"{action.option_strings[0]} must be finite, got {value}")
-        if "seed" in options and args.seed < 0:
-            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+            flag = action.option_strings[0]
+            if action.type is float:
+                if value is None:
+                    raise _UsageError(f"missing required option {flag} (flag or config)")
+                if not math.isfinite(value):
+                    raise _UsageError(f"{flag} must be finite, got {value}")
+            if dest in _AT_LEAST and value < _AT_LEAST[dest]:
+                raise _UsageError(f"{flag} must be >= {_AT_LEAST[dest]}, got {value}")
         # A command makes no reference cycles, but a sweep allocates enough rows
         # for the cyclic collector to scan them all again and again; pause it.
         enabled = gc.isenabled()

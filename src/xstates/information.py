@@ -20,9 +20,7 @@ from .xstate import (
     XParams,
     _spectrum,
     _x_moduli,
-    apply_power_channel,
     require_valid,
-    werner,
 )
 from .tomography import TomogramTable, _weights, marginals
 
@@ -90,16 +88,6 @@ def system_entropies(p: XParams) -> InfoReport:
     s12, s1, i_n = _entropies(_spectrum(p.a, p.b, abs(p.c), abs(p.d)), p.a + p.b,
                               von_neumann_entropy)
     return InfoReport(s12=s12, s1=s1, s2=s1, i_n=i_n)
-
-
-def werner_mutual_information(p: float, n: int) -> float:
-    """Quantum mutual information of the power-map image of a Werner state.
-
-    The general X-state chain at ``werner(p)``: the power map, then
-    :func:`system_entropies`.  Requires the image to be a genuine state;
-    equals ln 4 at p = 1 for every n.
-    """
-    return system_entropies(apply_power_channel(werner(p), n).params).i_n
 
 
 def shannon_report_from_table(table: TomogramTable) -> ShannonReport:

@@ -210,10 +210,14 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     phases are carried over unchanged.  Raises
     :class:`ZeroDenominatorError` when the normalization cancels to zero,
     which can happen for odd ``n`` on non-PSD input, and ``OverflowError``
-    when a power, or a sum of two powers, is too large for a float.
+    when a coherence's modulus, a power, or a sum of two powers, is too large
+    for a float.
     """
     _check_power(n)
-    cm, dm = abs(p.c), abs(p.d)
+    try:
+        cm, dm = abs(p.c), abs(p.d)
+    except OverflowError:
+        cm, dm = _modulus(p.c), _modulus(p.d)
     l1, l2, l3, l4 = _spectrum(p.a, p.b, cm, dm)
     l1, l2, l3, l4 = l1**n, l2**n, l3**n, l4**n
     denom = 2.0 * (l1 + l2 + l3 + l4)

@@ -4,7 +4,8 @@ Each one reaches its answer by a different route from the library: a dense
 SU(2) rotation, a dense spin flip, a dense partial transpose, eigenvalues
 from ``numpy.linalg``, the Werner power sums written out by hand for the
 tomogram and the mutual information, or the power map through ``spectrum``
-and phases of its own.
+and phases of its own.  Beside them, :func:`werner_i_n` is the library's own
+chain at a Werner state, which several tests hold against those references.
 Matrix powers need no helper: the tests call ``numpy.linalg`` directly.
 """
 
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from xstates import EPS_PSD, EPS_TRACE, StateClass
+from xstates import EPS_PSD, EPS_TRACE, StateClass, system_entropies
 from xstates.dense import to_dense
 from xstates.tomography import Direction, TomogramTable, _pair_coefficients
 from xstates.xstate import (
@@ -23,8 +24,10 @@ from xstates.xstate import (
     XParams,
     ZeroDenominatorError,
     _check_power,
+    apply_power_channel,
     require_valid,
     spectrum,
+    werner,
 )
 
 
@@ -158,6 +161,16 @@ def werner_i_n_closed_form(p: float, n: int) -> float:
     if v > 0.0:
         t += 3.0 * v * math.log(v)
     return math.log(4.0) - math.log(z) + t / z
+
+
+def werner_i_n(p: float, n: int) -> float:
+    """I_n of the power-map image of ``werner(p)``, by the library's public chain.
+
+    Not an independent route: ``apply_power_channel`` then ``system_entropies``,
+    as ``sweep-werner``'s ``i_n`` column computes it.  Requires the image to be
+    a genuine state.
+    """
+    return system_entropies(apply_power_channel(werner(p), n).params).i_n
 
 
 def _unit(z: complex) -> complex:

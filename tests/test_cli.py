@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from itertools import repeat
+from itertools import combinations, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,9 +26,9 @@ from xstates import (
     system_entropies,
     tomogram,
     werner,
-    werner_mutual_information,
 )
 from conftest import strict_json_loads
+from oracles import werner_i_n
 from xstates import cli
 from xstates.cli import _json_rows, main
 from xstates.entanglement import _x_entanglement
@@ -349,8 +349,7 @@ class TestSweepCd:
         for n, valid in ((2, [True] * 4), (3, [True, True, False, False])):
             classes = [classify(apply_power_channel(p, n).params).value for _, p in points]
             calls.clear()
-            rows = cli._evaluate((cli._cd_row(n, *point) for point in points),
-                                 cli._columnar_measures, 4, columnar=True)
+            rows = cli._evaluate(n, points, cli._columnar_measures, 4)
             assert [row[3] for row in rows] == valid
             assert [row[4] for row in rows] == classes
             assert calls == []  # the class of the whole block comes from _x_classify
@@ -398,16 +397,16 @@ class TestSweepCd:
         cd_row = cli._cd_row
         calls = []
 
-        def recording(n, cells, state):
-            calls.append((n, cells))
-            return cd_row(n, cells, state)
+        def recording(n, state):
+            calls.append((n, state))
+            return cd_row(n, state)
 
         monkeypatch.setattr("xstates.cli._cd_row", recording)
         assert run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--seed", "8")[0] == 0
         # 3 blocks of 25 rows are made first, power by power, then 32 rows are recomputed.
         axis = (0.0, 0.125, 0.25, 0.375, 0.5)
-        grid = [(c, d) for c in axis for d in axis]
-        assert calls[:75] == [(n, cells) for n in (2, 3, 4) for cells in grid]
+        grid = [XParams(a=0.33, b=0.17, c=c, d=d) for c in axis for d in axis]
+        assert calls[:75] == [(n, state) for n in (2, 3, 4) for state in grid]
         drawn = map(divmod, np.random.default_rng(8).choice(75, 32, replace=False), repeat(25))
         assert calls[75:] == [((2, 3, 4)[k], grid[j]) for k, j in drawn]
 
@@ -539,7 +538,7 @@ class TestSweepWerner:
         rows = json.loads(out)["rows"]
         assert len(rows) == 20
         assert all(
-            valid and i_n == werner_mutual_information(p, n) for p, n, valid, i_n, *_ in rows
+            valid and i_n == werner_i_n(p, n) for p, n, valid, i_n, *_ in rows
         )
 
     def test_spot_check_catches_a_wrong_fast_path(self, monkeypatch):
@@ -584,6 +583,20 @@ class TestSweepWerner:
         # One direction pair fewer is within the limit and reaches the grid.
         with pytest.raises(AssertionError, match="was built"):
             main(["sweep-werner", "--num-dirs", str(num_dirs - 1)])
+
+    @pytest.mark.parametrize("num_dirs", ["0", "-1"])
+    def test_num_dirs_refused_before_the_grid(self, num_dirs, capsys, monkeypatch):
+        def nothing_built(*args):
+            raise AssertionError("a grid or a direction set was built")
+
+        monkeypatch.setattr("xstates.cli._grid", nothing_built)
+        monkeypatch.setattr("xstates.cli.direction_pairs", nothing_built)
+        # No direction pair makes a size of 0, which the size limit lets through
+        # at any --steps: a weight grid of 10^9 values would be built first.
+        code, out, err = run(
+            capsys, "sweep-werner", "--steps", "1000000000", "--num-dirs", num_dirs
+        )
+        assert (code, out, err) == (1, "", f"error: --num-dirs must be >= 1, got {num_dirs}\n")
 
     @pytest.mark.parametrize("limit, code", [(23, 1), (24, 0)])
     def test_size_limit_on_a_small_grid(self, limit, code, capsys, monkeypatch):
@@ -732,7 +745,8 @@ class TestCollectorPause:
 
     CASES = {
         "exit_0": (["sweep-cd", "--steps", "3"], 0),
-        "exit_1": (["sweep-cd", "--steps", "1"], 1),  # the handler's usage error
+        # The handler's usage error: the grid end is checked there, not in main.
+        "exit_1": (["sweep-cd", "--steps", "3", "--c-abs-max", "-1"], 1),
         "exit_2": (
             ["analyze", "--a", "0.33", "--b", "0.17", "--c-abs", "0.2", "--d-abs", "0.1"], 2),
     }
@@ -889,6 +903,12 @@ HOSTILE = {
         ["sweep-werner", "--p-min", "-1e308", "--p-max", "0", "--steps", "3", "--n-list", "1"],
         None,
     ),
+    # The span grid is finite, but --p-min plus its last value rounds up to inf.
+    "overflowing_werner_grid_start": (
+        ["sweep-werner", "--p-min", "1.1e307", "--p-max", "1.7976931348623157e308",
+         "--steps", "2"],
+        None,
+    ),
 }
 
 
@@ -904,6 +924,74 @@ def test_hostile_input_exits_one_with_one_line(name, capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# Settings under which each command succeeds, and faults that each give one
+# message.  None leaves an option unset.
+GOOD_SETTINGS = {
+    "analyze": {"a": "0.3", "b": "0.2", "c_abs": "0.1", "d_abs": "0.1"},
+    "tomogram": {"a": "0.3", "b": "0.2", "c_abs": "0.1", "d_abs": "0.1", "theta_a": "1",
+                 "theta_b": "1"},
+    "sweep-cd": {"steps": "3", "n_list": "2"},
+    "sweep-werner": {"steps": "3", "n_list": "1", "num_dirs": "1"},
+}
+# Faults of one option, by its dest: main checks these one option at a time.
+OWN_FAULTS = {
+    "a": ({"a": None}, "missing required option --a (flag or config)"),
+    "c_abs": ({"c_abs": "-0.1"}, "--c-abs must be >= 0, got -0.1"),
+    "c_phase": ({"c_phase": "nan"}, "--c-phase must be finite, got nan"),
+    "d_abs": ({"d_abs": "-0.1"}, "--d-abs must be >= 0, got -0.1"),
+    "n": ({"n": "0"}, "--n must be >= 1, got 0"),
+    "theta_b": ({"theta_b": None}, "missing required option --theta-b (flag or config)"),
+    "steps": ({"steps": "1"}, "--steps must be >= 2, got 1"),
+    "seed": ({"seed": "-1"}, "--seed must be >= 0, got -1"),
+    "num_dirs": ({"num_dirs": "0"}, "--num-dirs must be >= 1, got 0"),
+}
+# Faults that a handler finds, after every option's own checks have passed.
+HANDLER_FAULTS = {
+    "theta_a_range": ({"theta_a": "4"}, "--theta-a must lie in [0, pi], got 4.0"),
+    "p_range": ({"p_min": "1", "p_max": "0"}, "--p-max 0.0 is below --p-min 1.0"),
+}
+FAULTS_OF = {
+    "analyze": ["a", "c_abs", "c_phase", "d_abs", "n"],
+    "tomogram": ["a", "c_abs", "c_phase", "d_abs", "n", "theta_a_range", "theta_b"],
+    "sweep-cd": ["steps", "seed"],
+    "sweep-werner": ["p_range", "steps", "num_dirs", "seed"],
+}
+
+
+def _argv(command: str, *faults: str) -> list[str]:
+    settings = dict(GOOD_SETTINGS[command])
+    for fault in faults:
+        settings.update({**OWN_FAULTS, **HANDLER_FAULTS}[fault][0])
+    argv = [command]
+    for key, value in settings.items():
+        if value is not None:
+            argv += ["--" + key.replace("_", "-"), value]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [(command, *pair) for command, faults in FAULTS_OF.items()
+     for pair in combinations(faults, 2)],
+)
+def test_two_faults_report_the_first_option_in_parser_order(command, first, second, capsys):
+    dests = [a.dest for a in cli._build_parser()[1][command]._actions]
+    faults = {**OWN_FAULTS, **HANDLER_FAULTS}
+    for fault in (first, second):
+        assert run(capsys, *_argv(command, fault)) == (1, "", f"error: {faults[fault][1]}\n")
+    # Each option's own checks in parser order, then the handler's.
+    shown = min(first, second, key=lambda f: dests.index(f) if f in OWN_FAULTS else len(dests))
+    assert run(capsys, *_argv(command, first, second)) == (1, "", f"error: {faults[shown][1]}\n")
+
+
+def test_option_rules_come_from_the_parser():
+    _, commands = cli._build_parser()
+    actions = [a for sub in commands.values() for a in sub._actions]
+    assert set(cli._AT_LEAST) <= {a.dest for a in actions}
+    required = {a.dest for a in actions if a.type is float and a.default is None}
+    assert required == {"a", "b", "c_abs", "d_abs", "theta_a", "theta_b"}
 
 
 # What computes a whole power block at once, beside each sweep's per-row function.

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "direction_pairs", "marginals", "negativity", "ppt",
     "shannon_report_from_table", "spectrum", "system_entropies", "to_dense", "tomogram",
     "validate", "von_neumann_entropy", "werner", "werner_entanglement_threshold",
-    "werner_entanglement_threshold_lower", "werner_mutual_information",
+    "werner_entanglement_threshold_lower",
 ]
 
 

@@ -17,7 +17,7 @@ from conftest import (
     random_valid_params,
     valid_params_st,
 )
-from oracles import entropy_dense, werner_i_n_closed_form
+from oracles import entropy_dense, werner_i_n, werner_i_n_closed_form
 from xstates import (
     Direction,
     InvalidSpectrumError,
@@ -33,7 +33,6 @@ from xstates import (
     tomogram,
     von_neumann_entropy,
     werner,
-    werner_mutual_information,
 )
 from xstates.information import _x_entropies, _x_information
 from xstates.tomography import _pair_coefficients
@@ -113,33 +112,33 @@ class TestSystemEntropies:
 class TestWernerMutualInformation:
     def test_bell_saturates_for_every_power(self):
         for n in range(1, 7):
-            assert_allclose(werner_mutual_information(1.0, n), LN4, atol=1e-12, rtol=0)
+            assert_allclose(werner_i_n(1.0, n), LN4, atol=1e-12, rtol=0)
 
     def test_white_noise_carries_nothing(self):
         for n in range(1, 7):
-            assert_allclose(werner_mutual_information(0.0, n), 0.0, atol=1e-14, rtol=0)
+            assert_allclose(werner_i_n(0.0, n), 0.0, atol=1e-14, rtol=0)
 
     def test_frozen_values(self):
-        assert_allclose(werner_mutual_information(0.5, 1), I_N_WERNER_HALF_N1, atol=1e-12, rtol=0)
-        assert_allclose(werner_mutual_information(0.5, 2), I_N_WERNER_HALF_N2, atol=1e-12, rtol=0)
+        assert_allclose(werner_i_n(0.5, 1), I_N_WERNER_HALF_N1, atol=1e-12, rtol=0)
+        assert_allclose(werner_i_n(0.5, 2), I_N_WERNER_HALF_N2, atol=1e-12, rtol=0)
 
     def test_matches_entropy_pipeline(self):
         for n in range(1, 7):
             for p in np.linspace(-1 / 3 + 1e-3, 1.0, 13):
                 expected = werner_i_n_closed_form(p, n)
-                assert_allclose(werner_mutual_information(p, n), expected, atol=1e-10, rtol=0)
+                assert_allclose(werner_i_n(p, n), expected, atol=1e-10, rtol=0)
 
     def test_even_power_outside_band(self):
         for p in (-2.5, 1.8):
             expected = werner_i_n_closed_form(p, 2)
-            assert_allclose(werner_mutual_information(p, 2), expected, atol=1e-10, rtol=0)
+            assert_allclose(werner_i_n(p, 2), expected, atol=1e-10, rtol=0)
 
     def test_bell_saturates_at_high_powers(self):
         # Powers where werner_i_n_closed_form's sums overflow: it returns inf
         # at n = 511 and raises OverflowError from n = 512.
         for n in (511, 512, 600, 10_000):
-            assert abs(werner_mutual_information(1.0, n) - LN4) <= 1e-14
-        assert math.isfinite(werner_mutual_information(0.9, 600))
+            assert abs(werner_i_n(1.0, n) - LN4) <= 1e-14
+        assert math.isfinite(werner_i_n(0.9, 600))
 
     def test_matches_dense_route(self):
         for n, expected in ((1, I_N_WERNER_HALF_N1), (2, I_N_WERNER_HALF_N2)):
@@ -149,13 +148,13 @@ class TestWernerMutualInformation:
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(InvalidStateError):
-            werner_mutual_information(1.5, 3)
+            werner_i_n(1.5, 3)
         with pytest.raises(InvalidStateError):
-            werner_mutual_information(-0.4, 1)
+            werner_i_n(-0.4, 1)
 
     def test_monotone_in_power(self):
         for p in np.linspace(0.05, 1.0, 20):
-            values = [werner_mutual_information(p, n) for n in range(1, 7)]
+            values = [werner_i_n(p, n) for n in range(1, 7)]
             assert all(y >= x - 1e-12 for x, y in zip(values, values[1:]))
 
 

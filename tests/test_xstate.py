@@ -564,6 +564,13 @@ class TestModulusBeyondFloatRange:
         assert spectrum(first) == (0.3, math.inf, -math.inf, 0.3)
         assert spectrum(second) == (math.inf, 0.2 + 0.1, 0.2 - 0.1, -math.inf)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", BEYOND_RANGE)
+    def test_power_map_raises_its_own_overflow(self, p, n):
+        # Not the builtin 'absolute value too large' of abs(p.c).
+        with pytest.raises(OverflowError, match=r"^the image of .* is not finite$"):
+            apply_power_channel(p, n)
+
     @pytest.mark.parametrize("measure", [negativity, concurrence])
     def test_measures_raise_invalid_state(self, measure):
         with pytest.raises(InvalidStateError) as info:
