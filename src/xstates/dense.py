@@ -7,13 +7,17 @@ general linear algebra such as ``numpy.linalg``.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .xstate import XParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def to_dense(p: XParams) -> np.ndarray:
     """Dense complex matrix for an X-parameter quadruple."""
+    import numpy as np
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = p.a
     m[1, 1] = m[2, 2] = p.b

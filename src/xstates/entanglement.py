@@ -7,9 +7,12 @@ its negativity exceeds 1, exactly when its concurrence is positive.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .xstate import XParams, _spectrum, _x_moduli, require_valid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _negativity(a, b, cm, dm):
@@ -46,6 +49,7 @@ def _x_entanglement(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`~xstates.xstate._class_tests`.  No validity check: the caller
     vouches for the states.
     """
+    import numpy as np
     moduli = _x_moduli(x)
     excess = _excess(np.sort(np.abs(_spectrum(*moduli)), axis=0))
     return _negativity(*moduli), np.where(excess > 0.0, excess, 0.0)  # max(0.0, excess)

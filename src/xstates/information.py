@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .xstate import (
     EPS_PSD,
@@ -23,6 +21,9 @@ from .xstate import (
     require_valid,
 )
 from .tomography import TomogramTable, _weights, marginals
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidSpectrumError(ValueError):
@@ -106,6 +107,7 @@ def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`von_neumann_entropy` does.  The logarithm is libm's ``math.log``
     per element, as there; a zero weight takes ``ln 1 = 0``.
     """
+    import numpy as np
     if x.size and x.min() < -EPS_PSD:
         raise InvalidSpectrumError(f"negative weight {x.min()} below tolerance")
     positive = x > 0.0
@@ -125,7 +127,7 @@ def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     for clamped, xlogx in terms:
         total = total + clamped
         acc = acc - xlogx
-    off = np.abs(total - 1.0)
+    off = abs(total - 1.0)
     if off.size and off.max() > EPS_TRACE:
         raise InvalidSpectrumError(f"weights sum to {total.flat[off.argmax()]}, expected 1")
     return acc
@@ -152,6 +154,7 @@ def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
     from the same kernels.  Both marginals are ``(same + cross, cross + same)``.
     No validity check: the caller vouches for the states.
     """
+    import numpy as np
     same, cross = _weights(*x[:, :, None], np.array(coefficients, dtype=float).T)
     s, c = _xlogx(same), _xlogx(cross)
     return _entropies((s, c, c, s), _xlogx(same + cross), _entropy)[2]

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-import numpy as np
-
 from .xstate import XParams, require_valid
 
 
@@ -161,6 +159,7 @@ def direction_pairs(count: int, seed: int) -> list[tuple[Direction, Direction]]:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    import numpy as np
     n_grid = (count + 1) // 2
     kronecker = ([math.modf(k * alpha)[0] for alpha in _KRONECKER_ALPHAS]
                  for k in range(1, n_grid + 1))

@@ -20,8 +20,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Numerical guard bands shared across the package.
 EPS_TRACE = 1e-9
@@ -110,6 +112,15 @@ class ChannelResult:
     params: XParams
     n: int
 
+    # Written out as XParams' is: apply_power_channel builds one per call, and
+    # the generated frozen __init__ sets each field through object.__setattr__.
+    def __init__(self, params: XParams, n: int):
+        _SET_PARAMS(self, params)
+        _SET_N(self, n)
+
+
+_SET_PARAMS, _SET_N = (ChannelResult.__dict__[name].__set__ for name in ("params", "n"))
+
 
 def _check_power(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -136,7 +147,9 @@ def _modulus(z: complex) -> float:
 # the same bits: numpy's + - *, comparisons, abs, hypot and sort round as Python
 # floats, abs of a complex and sorted do.  Only these steps differ between them:
 # the moduli, picking the first test that holds, sorting, flooring at 0, and the
-# entropy of a list of weights.
+# entropy of a list of weights.  numpy is imported inside the functions that take
+# or make a block (and in direction_pairs and to_dense), never at module level, so
+# `import xstates` and the scalar functions run without loading it.
 
 
 def _class_tests(a, b, cm, dm):
@@ -153,6 +166,7 @@ def _spectrum(a, b, cm, dm):
 
 def _x_moduli(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(a, b, |c|, |d|)`` of the states in the columns ``x``."""
+    import numpy as np
     return x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
 
 
@@ -198,6 +212,7 @@ def spectrum(p: XParams) -> tuple[float, float, float, float]:
 
 def _x_columns(states: list[XParams]) -> np.ndarray:
     """The columnar kernels' input: rows a, b, Re c, Im c, Re d and Im d, one column per state."""
+    import numpy as np
     values = chain.from_iterable((p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag) for p in states)
     return np.fromiter(values, float, 6 * len(states)).reshape(-1, 6).T
 
@@ -259,6 +274,7 @@ def classify(p: XParams) -> StateClass:
 
 def _x_classify(x: np.ndarray) -> np.ndarray:
     """:func:`classify` of each state in the columns ``x``, as its index in ``list(StateClass)``."""
+    import numpy as np
     return np.select(_class_tests(*_x_moduli(x)), [3, 2, 1], 0)
 
 

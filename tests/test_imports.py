@@ -1,0 +1,96 @@
+"""The scalar library runs without numpy; only the sweeps, ``direction_pairs`` and ``to_dense`` load it.
+
+Each test runs a fresh interpreter, since this one has numpy loaded already.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import xstates
+
+# Makes ``import numpy`` fail, as in an interpreter where numpy is not installed.
+BLOCK_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+# Prints the repr of every public scalar function's result on a few states.
+SCALAR_CHAIN = """
+import sys
+from xstates import (
+    Direction, XParams, apply_power_channel, classify, concurrence, negativity,
+    shannon_report_from_table, spectrum, system_entropies, tomogram, validate, werner,
+    werner_entanglement_threshold, werner_entanglement_threshold_lower,
+)
+
+states = [XParams(0.3, 0.2, 0.1 + 0.05j, 0.15j), werner(0.5), XParams(0.25, 0.25, 0.3, 0.0)]
+pair = (Direction(theta=0.9, psi=0.3), Direction(theta=2.0, psi=1.1))
+for p in states:
+    print(repr(validate(p)), repr(spectrum(p)), repr(classify(p)))
+    for n in (1, 2, 3):
+        result = apply_power_channel(p, n)
+        img = result.params
+        print(repr(result), repr(validate(img)), repr(classify(img)))
+        if validate(img) is None:
+            table = tomogram(img, *pair)
+            print(repr(negativity(img)), repr(concurrence(img)), repr(system_entropies(img)))
+            print(repr(table), repr(shannon_report_from_table(table)))
+print(repr(werner_entanglement_threshold(3)), repr(werner_entanglement_threshold_lower(4)))
+assert "numpy" not in sys.modules, "the scalar chain loaded numpy"
+"""
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(xstates.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_import_xstates_leaves_numpy_unloaded():
+    proc = run_python("import sys, xstates\nprint(sorted(m for m in sys.modules if m.startswith('numpy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_cli_loads_numpy():
+    # The sweeps' blocks need it, so the CLI loads it once, before any command runs.
+    proc = run_python("import sys, xstates.cli\nprint('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
+def test_scalar_chain_is_the_same_without_numpy():
+    plain = run_python(SCALAR_CHAIN)
+    blocked = run_python(BLOCK_NUMPY + SCALAR_CHAIN)
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    # 3 states and 9 images, with measures and tomograms for the 7 valid images; the thresholds.
+    assert plain.stdout.count("\n") == 3 + 9 + 2 * 7 + 1
+    assert blocked.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("call", ["direction_pairs(3, 0)", "to_dense(werner(0.5))"])
+def test_numpy_names_raise_import_error_without_numpy(call):
+    code = BLOCK_NUMPY + f"""
+from xstates import direction_pairs, to_dense, werner
+try:
+    {call}
+except ImportError as exc:
+    print(exc.name)
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "numpy\n"
