@@ -19,6 +19,7 @@ import gc
 import json
 import math
 import os
+import random
 import re
 import sys
 from dataclasses import asdict
@@ -31,6 +32,7 @@ from .xstate import (
     StateClass,
     XParams,
     ZeroDenominatorError,
+    _image,
     _x_classify,
     _x_columns,
     apply_power_channel,
@@ -273,29 +275,38 @@ def _state(args: argparse.Namespace) -> XParams:
 
 
 # The cells (valid, class) of each classify verdict, at its index in list(StateClass),
-# then those of a row without an image because Tr rho^n vanished.
+# then at -1 those of a row without an image because Tr rho^n vanished.
 _CLASSES = list(StateClass)
 _VERDICTS = [(k < 2, cls.value) for k, cls in enumerate(_CLASSES)] + [(False, None)]
 
 
-def _evaluate(n: int, points: list[tuple], measure, width: int) -> list[tuple]:
-    """Rows ``(*cells, n, valid, class, *measures)`` of ``(cells, state)`` points at power ``n``.
+def _evaluate(n: int, states: list[XParams], measure) -> tuple[int, list[int], list[list]]:
+    """The block ``(n, verdicts, measures)`` of ``states`` at power ``n``.
 
     Each state's image comes from :func:`_cd_row`, and the validity and class of
-    every image from one :func:`_x_classify` pass.  ``measure`` is called with the
-    columns of the valid images, taken from that pass's input, and gives ``width``
-    measures for each.  An invalid image has None (an empty cell) for each measure,
-    and for its class too when Tr rho^n vanished.
+    every image from one :func:`_x_classify` pass, as an index into ``_VERDICTS``:
+    -1 where Tr rho^n vanished.  ``measure`` is called with the columns of the
+    valid images, taken from that pass's input, and gives one list per measure
+    with a value for each valid row, in row order.
     """
-    images = [_cd_row(n, state) for _, state in points]
-    x = _x_columns([p for p in images if p is not None])
+    images = [_cd_row(n, state) for state in states]
+    valid = [p for p in images if p is not None]
+    x = _x_columns(valid)
     index = _x_classify(x)
-    values = iter(measure(x[:, index < 2]))
+    columns = measure(x[:, index < 2])
+    if len(valid) == len(images):
+        return n, index.tolist(), columns
     index = iter(index.tolist())
-    verdicts = [_VERDICTS[-1 if p is None else next(index)] for p in images]
-    blank = (None,) * width
-    return [(*cells, n, *v, *(next(values) if v[0] else blank))
-            for (cells, _), v in zip(points, verdicts)]
+    return n, [-1 if p is None else next(index) for p in images], columns
+
+
+def _full_columns(block: tuple[int, list[int], list[list]]) -> list:
+    """A block's n, valid, class and measure columns; an invalid row's measures are None."""
+    n, verdicts, measures = block
+    valid, cls = zip(*map(_VERDICTS.__getitem__, verdicts))
+    if len(measures[0]) < len(verdicts):
+        measures = [[next(m) if ok else None for ok in valid] for m in map(iter, measures)]
+    return [repeat(n), valid, cls, *measures]
 
 
 def _public_row(head: tuple, image: XParams | None, measure, width: int) -> tuple:
@@ -313,9 +324,9 @@ def _scalar_measures(p: XParams) -> tuple:
     return negativity(p), concurrence(p), info.s12, info.i_n
 
 
-def _columnar_measures(x: np.ndarray) -> Iterable[tuple]:
-    """:func:`_scalar_measures`, bit for bit, from the columnar kernels on the states' columns ``x``."""
-    return zip(*[col.tolist() for col in (*_x_entanglement(x), *_x_entropies(x))])
+def _columnar_measures(x: np.ndarray) -> list[list]:
+    """:func:`_scalar_measures`, bit for bit, as columns from the columnar kernels on ``x``."""
+    return [col.tolist() for col in (*_x_entanglement(x), *_x_entropies(x))]
 
 
 def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -390,56 +401,52 @@ def _row_to_csv(cells) -> str:
     return ",".join(cells)
 
 
-def _cd_csv(rows: list[tuple], c_text: list[str], d_text: list[str]) -> str:
-    """The CSV lines of one power block.
-
-    ``c_text`` and ``d_text`` are the formatted grid values.  Invalid rows
-    get empty measure cells.
-    """
-    n = _fmt(rows[0][2])
-    spec = repeat(".15g")
-    blank = ("",) * 4
-    lines = [
-        _row_to_csv((c, d, n, "true", row[4], *map(format, row[5:], spec)) if row[3]
-                    else (c, d, n, "false", _fmt(row[4]), *blank))
-        for (c, d), row in zip(product(c_text, d_text), rows)
-    ]
+def _cd_csv(block: tuple[int, list[int], list[list]], heads: list[str]) -> str:
+    """The CSV lines of one power block; ``heads`` are each row's grid cells and a comma."""
+    n, verdicts, measures = block
+    # The cells from n on by verdict, then a valid row's measures: "%.15g" is format(x, ".15g").
+    tails = [_row_to_csv((_fmt(n), _fmt(valid), _fmt(cls), *("",) * (1 if valid else 4)))
+             for valid, cls in _VERDICTS]
+    text = iter(map("%.15g,%.15g,%.15g,%.15g".__mod__, zip(*measures)))
+    lines = [head + tails[v] + next(text) if 0 <= v < 2 else head + tails[v]
+             for head, v in zip(heads, verdicts)]
     return "\n".join(lines) + "\n"
 
 
-def _sweep(args: argparse.Namespace, points: list[tuple], fast, public,
-           width: int) -> list[list[tuple]]:
-    """One block of rows per power in ``--n-list``, over ``points`` of ``(cells, state)``.
+def _sweep(args: argparse.Namespace, states: list[XParams], fast,
+           public) -> list[tuple[int, list[int], list[list]]]:
+    """One block per power in ``--n-list``, over ``states``: see :func:`_evaluate`.
 
-    ``fast`` gives each block's ``width`` measures from its columns, and ``public``
-    those of one image for the spot check, which also checks the class.
+    ``fast`` gives each block's measure columns, and ``public`` the measures of
+    one image for the spot check, which also checks the class.
     """
-    blocks = [_evaluate(n, points, fast, width) for n in args.n_list]
-    _spot_check(args, blocks, points, public, width)
+    blocks = [_evaluate(n, states, fast) for n in args.n_list]
+    _spot_check(args, blocks, states, public)
     return blocks
 
 
-def _spot_check(args: argparse.Namespace, blocks: list[list[tuple]], points: list[tuple],
-                public, width: int) -> None:
+def _spot_check(args: argparse.Namespace, blocks: list[tuple[int, list[int], list[list]]],
+                states: list[XParams], public) -> None:
     # A per-run guard: a random subsample of rows must match, bit for bit,
     # fresh single-point evaluations through the public chain.
-    total = len(blocks) * len(points)
-    rng = np.random.default_rng(args.seed)
-    for idx in rng.choice(total, size=min(32, total), replace=False):
-        k, j = divmod(idx, len(points))
+    total = len(blocks) * len(states)
+    for idx in random.Random(args.seed).sample(range(total), min(32, total)):
+        k, j = divmod(idx, len(states))
         n = args.n_list[k]
-        cells, state = points[j]
-        if _public_row((*cells, n), _cd_row(n, state), public, width) != blocks[k][j]:
+        block_n, verdicts, measures = blocks[k]
+        valid, cls = _VERDICTS[verdicts[j]]
+        i = sum(map(verdicts[:j].count, (0, 1)))  # valid rows before j: where its measures sit
+        row = (block_n, valid, cls, *(col[i] if valid else None for col in measures))
+        if _public_row((n,), _cd_row(n, states[j]), public, len(measures)) != row:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 
 def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
-                comments: list[str], header: str, blocks: Iterable[list[tuple]], csv_block,
-                **extra) -> int:
-    """Write a sweep's blocks of rows as CSV or as its JSON mirror, one block at a time.
+                comments: list[str], header: str, blocks: list, csv_block, rows, **extra) -> int:
+    """Write a sweep's blocks as CSV or as its JSON mirror, one block at a time.
 
-    The CSV is the comment lines, the header, then ``csv_block`` of each block:
-    that block's lines as one string.
+    The CSV is the comment lines, the header, then ``csv_block(block)`` of each block:
+    its lines as one string.  The JSON encodes ``rows(block)``, a list of tuples.
     """
     if args.format == "csv" and not args.json:
         parts = chain(["".join(f"{line}\n" for line in [*comments, header])],
@@ -450,7 +457,7 @@ def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
         head = json.dumps({"config": config, **extra, "columns": header.split(",")}, indent=2,
                           allow_nan=False)
         # json.dumps(payload, indent=2) with "rows" as the payload's last key.
-        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(blocks), ["\n}\n"])
+        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(map(rows, blocks)), ["\n}\n"])
     _emit(parts, args.output)
     return 0
 
@@ -462,14 +469,19 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     c_grid = _grid(args.c_abs_max, args.steps, f"--c-abs-max {args.c_abs_max}")
     d_grid = _grid(args.d_abs_max, args.steps, f"--d-abs-max {args.d_abs_max}")
 
+    # XParams' own field types, all finite: main checked --a, --b; _grid each |c|, |d|; |unit| = 1.
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
-    points = [((c, d), XParams(a=args.a, b=args.b, c=c * c_unit, d=d * d_unit))
-              for c in c_grid for d in d_grid]
-    blocks = _sweep(args, points, _columnar_measures, _scalar_measures, 4)
-    del points  # free the states before the text is formatted, one block at a time
-    c_text, d_text = [_fmt(c) for c in c_grid], [_fmt(d) for d in d_grid]
+    states = [_image(args.a, args.b, c * c_unit, d * d_unit) for c in c_grid for d in d_grid]
+    blocks = _sweep(args, states, _columnar_measures, _scalar_measures)
+    del states  # free the states before the text is formatted, one block at a time
+    heads = [f"{c},{d}," for c, d in product(map(_fmt, c_grid), map(_fmt, d_grid))]
+
+    def rows(block) -> list[tuple]:
+        c_cells = [c for c in c_grid for _ in d_grid]
+        return list(zip(c_cells, d_grid * args.steps, *_full_columns(block)))
+
     return _emit_sweep(args, options, [], _CD_HEADER, blocks,
-                       lambda block: _cd_csv(block, c_text, d_text))
+                       lambda block: _cd_csv(block, heads), rows)
 
 
 def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str]:
@@ -497,16 +509,17 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     coefficients = [_pair_coefficients(da, db) for da, db in pairs]
 
     def columnar(x: np.ndarray) -> list[list]:
-        return np.column_stack((_x_entropies(x)[1], _x_information(x, coefficients))).tolist()
+        return [_x_entropies(x)[1].tolist(), *_x_information(x, coefficients).T.tolist()]
 
     def public(image: XParams) -> tuple:
         i_s = [shannon_report_from_table(tomogram(image, da, db)).i_s for da, db in pairs]
         return (system_entropies(image).i_n, *i_s)
 
-    blocks = _sweep(args, [((p,), werner(p)) for p in p_values], columnar, public,
-                    1 + args.num_dirs)
-    # The class goes last, one block at a time as it is written.
-    ordered = ([(*row[:3], *row[4:], row[3]) for row in block] for block in blocks)
+    blocks = _sweep(args, [werner(p) for p in p_values], columnar, public)
+
+    def rows(block) -> list[tuple]:
+        n, valid, cls, *measures = _full_columns(block)
+        return list(zip(p_values, n, valid, *measures, cls))  # the class goes last
 
     directions = [
         {"theta_a": da.theta, "psi_a": da.psi, "theta_b": db.theta, "psi_b": db.psi}
@@ -520,9 +533,9 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     header = "p,n,valid,i_n," + ",".join(f"i_s_dir{k}" for k in range(args.num_dirs)) + ",class"
     comments = _werner_header(args, directions, thresholds)
     return _emit_sweep(
-        args, options, comments, header, ordered,
-        lambda block: "".join(_row_to_csv(map(_fmt, row)) + "\n" for row in block),
-        directions=directions, thresholds=thresholds,
+        args, options, comments, header, blocks,
+        lambda block: "".join(_row_to_csv(map(_fmt, row)) + "\n" for row in rows(block)),
+        rows, directions=directions, thresholds=thresholds,
     )
 
 

@@ -71,8 +71,7 @@ class XParams:
     d: complex
 
     # Written out because the generated __init__ would set every field before
-    # the conversion sets it again.  Sweeps build one XParams per grid point
-    # here; their power-map images come from _image instead.
+    # the conversion sets it again.  Power-map images and sweep-cd's grid states skip it.
     def __init__(self, a: float, b: float, c: complex, d: complex):
         a, b, c, d = float(a), float(b), complex(c), complex(d)
         _SET_A(self, a)
@@ -95,7 +94,7 @@ def _image(a: float, b: float, c: complex, d: complex) -> XParams:
     """An XParams built without __init__'s conversions and finiteness test.
 
     Only for fields that are already a finite float, float, complex and
-    complex: apply_power_channel's image, once its overflow guard has passed.
+    complex, such as sweep-cd's grid states; apply_power_channel inlines it.
     """
     p = object.__new__(XParams)
     _SET_A(p, a)
@@ -112,12 +111,6 @@ class ChannelResult:
     params: XParams
     n: int
 
-    # Written out as XParams' is: apply_power_channel builds one per call, and
-    # the generated frozen __init__ sets each field through object.__setattr__.
-    def __init__(self, params: XParams, n: int):
-        _SET_PARAMS(self, params)
-        _SET_N(self, n)
-
 
 _SET_PARAMS, _SET_N = (ChannelResult.__dict__[name].__set__ for name in ("params", "n"))
 
@@ -127,10 +120,7 @@ def _check_power(n: int) -> None:
         raise ValueError(f"power must be a positive integer, got {n!r}")
 
 
-def _phase(z: complex, m: float) -> complex:
-    # The phase of z, given m = abs(z).  Phase convention: phase(0) = 1 keeps
-    # formulas well defined at zero.
-    return z / m if m else complex(1.0)
+_ONE = complex(1.0)  # the phase of a zero coherence: phase(0) = 1 keeps the power map defined
 
 
 def _modulus(z: complex) -> float:
@@ -228,13 +218,17 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     when a coherence's modulus, a power, or a sum of two powers, is too large
     for a float.
     """
-    _check_power(n)
+    if n.__class__ is not int or n < 1:  # bool, float, numpy ints: the full check
+        _check_power(n)
     try:
         cm, dm = abs(p.c), abs(p.d)
     except OverflowError:
         cm, dm = _modulus(p.c), _modulus(p.d)
     l1, l2, l3, l4 = _spectrum(p.a, p.b, cm, dm)
-    l1, l2, l3, l4 = l1**n, l2**n, l3**n, l4**n
+    try:
+        l1, l2, l3, l4 = l1**n, l2**n, l3**n, l4**n
+    except OverflowError:
+        raise OverflowError(f"an eigenvalue of {p} to the power {n} is not finite") from None
     denom = 2.0 * (l1 + l2 + l3 + l4)
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
     if denom == 0.0 or abs(denom) < 1e-12 * scale:
@@ -245,7 +239,15 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     # powers overflows, the quotients are 0 or inf / inf = nan.
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
-    return ChannelResult(_image(a, b, c * _phase(p.c, cm), d * _phase(p.d, dm)), n)
+    img = object.__new__(XParams)
+    _SET_A(img, a)
+    _SET_B(img, b)
+    _SET_C(img, c * (p.c / cm if cm else _ONE))
+    _SET_D(img, d * (p.d / dm if dm else _ONE))
+    result = object.__new__(ChannelResult)
+    _SET_PARAMS(result, img)
+    _SET_N(result, n)
+    return result
 
 
 def ppt(p: XParams) -> XParams:

@@ -1,8 +1,10 @@
 import argparse
+import cmath
 import gc
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -344,21 +346,43 @@ class TestSweepCd:
         calls = []
         monkeypatch.setattr("xstates.xstate.validate", lambda p: calls.append(p) or validate(p))
         # |c| = 0.2 > b is not PSD: its images are invalid at n = 3 and valid at n = 2.
-        points = [((c, d), XParams(a=0.33, b=0.17, c=c, d=d))
-                  for c in (0.0, 0.2) for d in (0.0, 0.1)]
+        states = [XParams(a=0.33, b=0.17, c=c, d=d) for c in (0.0, 0.2) for d in (0.0, 0.1)]
         for n, valid in ((2, [True] * 4), (3, [True, True, False, False])):
-            classes = [classify(apply_power_channel(p, n).params).value for _, p in points]
+            classes = [classify(apply_power_channel(p, n).params).value for p in states]
             calls.clear()
-            rows = cli._evaluate(n, points, cli._columnar_measures, 4)
-            assert [row[3] for row in rows] == valid
-            assert [row[4] for row in rows] == classes
+            block_n, verdicts, measures = cli._evaluate(n, states, cli._columnar_measures)
+            assert block_n == n
+            assert [cli._VERDICTS[v] for v in verdicts] == list(zip(valid, classes))
+            # One column per measure, with a value for each valid row only.
+            assert [len(col) for col in measures] == [sum(valid)] * 4
             assert calls == []  # the class of the whole block comes from _x_classify
+
+    @pytest.mark.parametrize("c_phase, d_phase",
+                             [(0.0, 0.0), (math.pi, -math.pi), (1e300, -1e300), (-1e300, math.pi)])
+    @pytest.mark.parametrize("ends", [("0.5", "0.25"), ("0", "0.5"), ("0", "-0.0")])
+    def test_grid_states_are_what_the_constructor_builds(self, c_phase, d_phase, ends, capsys,
+                                                         monkeypatch):
+        # The grid states skip XParams.__init__; each must be what it would have made.
+        sweep, seen = cli._sweep, []
+        monkeypatch.setattr("xstates.cli._sweep", lambda args, states, *rest: (
+            seen.append(states) or sweep(args, states, *rest)))
+        argv = ["sweep-cd", "--steps", "3", "--n-list", "2", "--a", "0.3", "--b", "0.2",
+                "--c-phase", repr(c_phase), "--d-phase", repr(d_phase),
+                "--c-abs-max", ends[0], "--d-abs-max", ends[1]]
+        assert run(capsys, *argv)[0] == 0
+        c_unit, d_unit = cmath.exp(1j * c_phase), cmath.exp(1j * d_phase)
+        c_axis, d_axis = ([-0.0 + float(end) * k / 2 for k in range(3)] for end in ends)
+        expected = [XParams(0.3, 0.2, c * c_unit, d * d_unit) for c in c_axis for d in d_axis]
+        (states,) = seen
+        assert len(states) == len(expected) == 9
+        for state, twin in zip(states, expected):
+            assert (state, hash(state), repr(state)) == (twin, hash(twin), repr(twin))
 
     def test_spot_check_catches_a_wrong_class(self, monkeypatch):
         # Swap separable with entangled, or not PSD with bad trace, in one row that
         # the spot check draws: block k, grid point j.
-        drawn = np.random.default_rng(0).choice(2 * 25, size=32, replace=False)[0]
-        k, j = divmod(int(drawn), 25)
+        drawn = random.Random(0).sample(range(2 * 25), 32)[0]
+        k, j = divmod(drawn, 25)
         blocks = []
 
         def one_flipped(x):
@@ -385,8 +409,9 @@ class TestSweepCd:
         measures = cli._columnar_measures
 
         def rotated(x):
-            rows = list(measures(x))
-            return rows[1:] + rows[:1]
+            columns = measures(x)
+            columns[2] = columns[2][1:] + columns[2][:1]  # S(rho) one row up
+            return columns
 
         monkeypatch.setattr("xstates.cli._columnar_measures", rotated)
         # Every image of an even power is valid, and all 25 rows are checked.
@@ -407,7 +432,7 @@ class TestSweepCd:
         axis = (0.0, 0.125, 0.25, 0.375, 0.5)
         grid = [XParams(a=0.33, b=0.17, c=c, d=d) for c in axis for d in axis]
         assert calls[:75] == [(n, state) for n in (2, 3, 4) for state in grid]
-        drawn = map(divmod, np.random.default_rng(8).choice(75, 32, replace=False), repeat(25))
+        drawn = map(divmod, random.Random(8).sample(range(75), 32), repeat(25))
         assert calls[75:] == [((2, 3, 4)[k], grid[j]) for k, j in drawn]
 
     def test_trace_cancelling_below_the_guards_underflow_gives_invalid_rows(self, capsys):
@@ -863,6 +888,12 @@ HOSTILE = {
     "overflowing_werner_power": (
         ["sweep-werner", "--p-min", "-5", "--n-list", "800", "--steps", "2"], None
     ),
+    "overflowing_cd_power_of_huge_diagonals": (
+        ["sweep-cd", "--steps", "2", "--a", "1e300", "--b", "1e300", "--n-list", "3"], None
+    ),
+    "overflowing_werner_power_of_huge_weights": (
+        ["sweep-werner", "--steps", "2", "--p-min=-1e300", "--p-max=1e300", "--n-list", "2"], None
+    ),
     # Each psi is finite, but psi_a - psi_b overflows.
     "overflowing_psi_difference": (
         ["tomogram", "--a", "0.3", "--b", "0.2", "--c-abs", "0.1", "--d-abs", "0.1",
@@ -924,6 +955,25 @@ def test_hostile_input_exits_one_with_one_line(name, capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# The state and the power that the message of each overflowing x**n names.
+POWER_OVERFLOWS = {
+    "overflowing_cd_power": "XParams(a=5.0, b=-4.5, c=0j, d=0j) to the power 1000",
+    "overflowing_werner_power": "XParams(a=-1.0, b=1.5, c=0j, d=(-2.5+0j)) to the power 800",
+    "overflowing_cd_power_of_huge_diagonals":
+        "XParams(a=1e+300, b=1e+300, c=0j, d=0j) to the power 3",
+    "overflowing_werner_power_of_huge_weights":
+        "XParams(a=-2.5e+299, b=2.5e+299, c=0j, d=(-5e+299+0j)) to the power 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(k for k in HOSTILE if "_power" in k))
+def test_overflowing_power_names_the_state_and_the_power(name, capsys):
+    code, out, err = run(capsys, *HOSTILE[name][0])
+    assert (code, out) == (1, "")
+    assert err == f"error: OverflowError: an eigenvalue of {POWER_OVERFLOWS[name]} is not finite\n"
+    assert "(34," not in err
 
 
 # Settings under which each command succeeds, and faults that each give one
@@ -1026,7 +1076,7 @@ def test_overflowing_grid_rejected_before_any_row(name, capsys, monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    for fn in ("_cd_row", *BLOCK_WORK[argv[0]], "XParams", "werner"):
+    for fn in ("_cd_row", *BLOCK_WORK[argv[0]], "XParams", "_image", "werner"):
         monkeypatch.setattr(f"xstates.cli.{fn}", no_row)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

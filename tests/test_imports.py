@@ -72,6 +72,25 @@ def test_import_cli_loads_numpy():
     assert proc.stdout == "True\n"
 
 
+def test_sweep_cd_leaves_numpy_random_unloaded(tmp_path):
+    # Its spot check draws from the standard library's random; numpy 2 loads
+    # numpy.random only when it is first used, numpy 1 with numpy itself.
+    code = f"""
+import sys, numpy
+if "numpy.random" in sys.modules:
+    print("skip")
+else:
+    import xstates.cli
+    assert xstates.cli.main(["sweep-cd", "--steps", "3", "--output", {str(tmp_path / "cd.csv")!r}]) == 0
+    print("numpy.random" in sys.modules)
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "skip\n":
+        pytest.skip("import numpy loads numpy.random itself")
+    assert proc.stdout == "False\n"
+
+
 def test_scalar_chain_is_the_same_without_numpy():
     plain = run_python(SCALAR_CHAIN)
     blocked = run_python(BLOCK_NUMPY + SCALAR_CHAIN)

@@ -2,8 +2,10 @@ import cmath
 import copy
 import math
 import pickle
+import re
 import sys
 from dataclasses import FrozenInstanceError, asdict, fields, replace
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -373,6 +375,28 @@ class TestPowerChannel:
         for n in (0, -1, 1.5, "2"):
             with pytest.raises((ValueError, TypeError)):
                 apply_power_channel(p, n)
+
+    # A plain int >= 1 skips _check_power; everything else still goes through it.
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0, np.int64(3), "3"], ids=repr)
+    def test_power_check_message(self, n):
+        message = f"power must be a positive integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_power_channel(_P, n)
+
+    def test_int_subclass_power_is_accepted(self):
+        Power = IntEnum("Power", {"CUBE": 3})
+        assert apply_power_channel(_P, Power.CUBE).params == apply_power_channel(_P, 3).params
+
+    @pytest.mark.parametrize("p, n", [
+        (XParams(a=1e300, b=1e300, c=0.0, d=0.0), 3),
+        (XParams(a=5.0, b=-4.5, c=0.0, d=0.0), 1000),
+    ])
+    def test_overflowing_power_names_the_state_and_the_power(self, p, n):
+        # x**n itself overflows, before any sum; no errno tuple such as (34, ...).
+        message = f"an eigenvalue of {p!r} to the power {n} is not finite"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$") as info:
+            apply_power_channel(p, n)
+        assert info.value.__suppress_context__
 
     def test_matches_dense_power(self):
         rng = np.random.default_rng(17)
