@@ -294,18 +294,22 @@ def _evaluate(n: int, states: list[XParams], measure) -> tuple[int, list[int], l
     x = _x_columns(valid)
     index = _x_classify(x)
     columns = measure(x[:, index < 2])
-    if len(valid) == len(images):
-        return n, index.tolist(), columns
     index = iter(index.tolist())
     return n, [-1 if p is None else next(index) for p in images], columns
+
+
+def _spread(verdicts: list[int], values: Iterable, fill=None) -> list:
+    """``values``, one per valid row, at their rows and ``fill`` elsewhere: the writers' layout."""
+    values = iter(values)
+    return [next(values) if 0 <= v < 2 else fill for v in verdicts]
 
 
 def _full_columns(block: tuple[int, list[int], list[list]]) -> list:
     """A block's n, valid, class and measure columns; an invalid row's measures are None."""
     n, verdicts, measures = block
     valid, cls = zip(*map(_VERDICTS.__getitem__, verdicts))
-    if len(measures[0]) < len(verdicts):
-        measures = [[next(m) if ok else None for ok in valid] for m in map(iter, measures)]
+    if len(measures[0]) < len(verdicts):  # else every row is valid, and the columns are full
+        measures = [_spread(verdicts, m) for m in measures]
     return [repeat(n), valid, cls, *measures]
 
 
@@ -407,9 +411,8 @@ def _cd_csv(block: tuple[int, list[int], list[list]], heads: list[str]) -> str:
     # The cells from n on by verdict, then a valid row's measures: "%.15g" is format(x, ".15g").
     tails = [_row_to_csv((_fmt(n), _fmt(valid), _fmt(cls), *("",) * (1 if valid else 4)))
              for valid, cls in _VERDICTS]
-    text = iter(map("%.15g,%.15g,%.15g,%.15g".__mod__, zip(*measures)))
-    lines = [head + tails[v] + next(text) if 0 <= v < 2 else head + tails[v]
-             for head, v in zip(heads, verdicts)]
+    text = _spread(verdicts, map("%.15g,%.15g,%.15g,%.15g".__mod__, zip(*measures)), "")
+    lines = [head + tails[v] + t for head, v, t in zip(heads, verdicts, text)]
     return "\n".join(lines) + "\n"
 
 
@@ -430,13 +433,14 @@ def _spot_check(args: argparse.Namespace, blocks: list[tuple[int, list[int], lis
     # A per-run guard: a random subsample of rows must match, bit for bit,
     # fresh single-point evaluations through the public chain.
     total = len(blocks) * len(states)
+    full = {}  # the columns of each block drawn from, as the writers read them
     for idx in random.Random(args.seed).sample(range(total), min(32, total)):
         k, j = divmod(idx, len(states))
         n = args.n_list[k]
-        block_n, verdicts, measures = blocks[k]
-        valid, cls = _VERDICTS[verdicts[j]]
-        i = sum(map(verdicts[:j].count, (0, 1)))  # valid rows before j: where its measures sit
-        row = (block_n, valid, cls, *(col[i] if valid else None for col in measures))
+        if k not in full:
+            full[k] = _full_columns(blocks[k])
+        _, valid, cls, *measures = full[k]
+        row = (blocks[k][0], valid[j], cls[j], *(col[j] for col in measures))
         if _public_row((n,), _cd_row(n, states[j]), public, len(measures)) != row:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 

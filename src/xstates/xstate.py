@@ -94,7 +94,7 @@ def _image(a: float, b: float, c: complex, d: complex) -> XParams:
     """An XParams built without __init__'s conversions and finiteness test.
 
     Only for fields that are already a finite float, float, complex and
-    complex, such as sweep-cd's grid states; apply_power_channel inlines it.
+    complex, such as sweep-cd's grid states and the power map's images.
     """
     p = object.__new__(XParams)
     _SET_A(p, a)
@@ -239,11 +239,7 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     # powers overflows, the quotients are 0 or inf / inf = nan.
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
-    img = object.__new__(XParams)
-    _SET_A(img, a)
-    _SET_B(img, b)
-    _SET_C(img, c * (p.c / cm if cm else _ONE))
-    _SET_D(img, d * (p.d / dm if dm else _ONE))
+    img = _image(a, b, c * (p.c / cm if cm else _ONE), d * (p.d / dm if dm else _ONE))
     result = object.__new__(ChannelResult)
     _SET_PARAMS(result, img)
     _SET_N(result, n)

@@ -418,6 +418,20 @@ class TestSweepCd:
         with pytest.raises(RuntimeError, match="self-check"):
             main(["sweep-cd", "--steps", "5", "--n-list", "2"])
 
+    # Power 3 leaves invalid rows: in sweep-cd's grid, and below p = -1/3 in sweep-werner.
+    @pytest.mark.parametrize("argv", [["sweep-cd"],
+                                      ["sweep-werner", "--p-min=-1", "--num-dirs", "1"]])
+    def test_spot_check_reads_rows_through_the_writers_layout(self, argv, monkeypatch):
+        spread = cli._spread
+
+        def shifted(verdicts, values, fill=None):
+            column = spread(verdicts, values, fill)
+            return column[-1:] + column[:-1]  # each row gets the measures of the row above
+
+        monkeypatch.setattr("xstates.cli._spread", shifted)
+        with pytest.raises(RuntimeError, match="self-check"):
+            main([*argv, "--steps", "5", "--n-list", "2,3"])
+
     def test_spot_check_recomputes_the_drawn_power_and_point(self, capsys, monkeypatch):
         cd_row = cli._cd_row
         calls = []
