@@ -24,9 +24,7 @@ import re
 import sys
 from dataclasses import asdict
 from itertools import chain, product, repeat
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .xstate import (
     StateClass,
@@ -48,6 +46,9 @@ from .tomography import (
 )
 from .information import _x_entropies, _x_information, shannon_report_from_table, system_entropies
 from .entanglement import _x_entanglement, concurrence, negativity
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _UsageError(Exception):
@@ -470,8 +471,9 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     _check_size(args, args.steps ** 2 * len(args.n_list), "rows")
     if args.c_abs_max < 0.0 or args.d_abs_max < 0.0:
         raise _UsageError("grid ends must be >= 0")
-    c_grid = _grid(args.c_abs_max, args.steps, f"--c-abs-max {args.c_abs_max}")
-    d_grid = _grid(args.d_abs_max, args.steps, f"--d-abs-max {args.d_abs_max}")
+    # -0.0 passes the check; + 0.0 makes it 0.0, so no magnitude cell prints -0.
+    c_grid = _grid(args.c_abs_max + 0.0, args.steps, f"--c-abs-max {args.c_abs_max}")
+    d_grid = _grid(args.d_abs_max + 0.0, args.steps, f"--d-abs-max {args.d_abs_max}")
 
     # XParams' own field types, all finite: main checked --a, --b; _grid each |c|, |d|; |unit| = 1.
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .xstate import XParams, _spectrum, _x_moduli, require_valid
+from .xstate import XParams, _spectrum, _valid_moduli, _x_moduli
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,8 +27,8 @@ def _excess(roots):
 
 def negativity(p: XParams) -> float:
     """Trace norm of the partial transpose: 1 for separable states, up to 2."""
-    require_valid(p)
-    return _negativity(p.a, p.b, abs(p.c), abs(p.d))
+    cm, dm = _valid_moduli(p)
+    return _negativity(p.a, p.b, cm, dm)
 
 
 def concurrence(p: XParams) -> float:
@@ -38,8 +38,9 @@ def concurrence(p: XParams) -> float:
     the state's eigenvalue magnitudes; the measure is the largest minus the
     other three, floored at zero.
     """
-    require_valid(p)
-    return max(0.0, _excess(sorted(map(abs, _spectrum(p.a, p.b, abs(p.c), abs(p.d))))))
+    cm, dm = _valid_moduli(p)
+    excess = _excess(sorted(map(abs, _spectrum(p.a, p.b, cm, dm))))
+    return excess if excess > 0.0 else 0.0  # max(0.0, excess), without the call
 
 
 def _x_entanglement(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

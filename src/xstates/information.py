@@ -17,8 +17,8 @@ from .xstate import (
     EPS_TRACE,
     XParams,
     _spectrum,
+    _valid_moduli,
     _x_moduli,
-    require_valid,
 )
 from .tomography import TomogramTable, _weights, marginals
 
@@ -30,7 +30,7 @@ class InvalidSpectrumError(ValueError):
     """Raised for eigenvalue/probability sets that are not a distribution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfoReport:
     """Von Neumann entropies of the pair and its marginals."""
 
@@ -40,7 +40,7 @@ class InfoReport:
     i_n: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShannonReport:
     """Shannon entropies of one measured tomogram."""
 
@@ -50,19 +50,24 @@ class ShannonReport:
     i_s: float
 
 
+# The slots' own setters, which build a report without the generated __init__.
+(_SET_S12, _SET_S1, _SET_S2, _SET_I_N), (_SET_H12, _SET_H1, _SET_H2, _SET_I_S) = (
+    [vars(cls)[name].__set__ for name in cls.__slots__] for cls in (InfoReport, ShannonReport))
+
+
 def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
     """Entropy -sum(lam ln lam) of an eigenvalue distribution, in nats."""
-    # 0 ln 0 = 0, after clamping [-EPS_PSD, 0) to exactly 0.
+    # 0 ln 0 = 0, and [-EPS_PSD, 0) is clamped to exactly 0: neither adds to a sum.
     total = 0.0
     acc = 0.0
     for x in eigenvalues:
-        if x < -EPS_PSD:
-            raise InvalidSpectrumError(f"negative weight {x} below tolerance")
-        if x < 0.0:
-            x = 0.0
-        total += x
         if x > 0.0:
+            total += x
             acc -= x * math.log(x)
+        elif x < -EPS_PSD:
+            raise InvalidSpectrumError(f"negative weight {x} below tolerance")
+        elif x != x:  # NaN
+            total += x
     if not abs(total - 1.0) <= EPS_TRACE:  # NaN fails too
         raise InvalidSpectrumError(f"weights sum to {total}, expected 1")
     return acc
@@ -85,10 +90,14 @@ def system_entropies(p: XParams) -> InfoReport:
     The marginal entropies are computed from the reduced diagonals; for any
     trace-normalized X state they equal ln 2.
     """
-    require_valid(p)
-    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, abs(p.c), abs(p.d)), p.a + p.b,
-                              von_neumann_entropy)
-    return InfoReport(s12=s12, s1=s1, s2=s1, i_n=i_n)
+    cm, dm = _valid_moduli(p)
+    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, cm, dm), p.a + p.b, von_neumann_entropy)
+    report = object.__new__(InfoReport)
+    _SET_S12(report, s12)
+    _SET_S1(report, s1)
+    _SET_S2(report, s1)
+    _SET_I_N(report, i_n)
+    return report
 
 
 def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
@@ -96,8 +105,14 @@ def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
     h12 = von_neumann_entropy(table)
     first, second = marginals(table)
     h1 = von_neumann_entropy(first)
-    h2 = von_neumann_entropy(second)
-    return ShannonReport(h12=h12, h1=h1, h2=h2, i_s=h1 + h2 - h12)
+    # Equal weights give equal bits; tomogram's (s, c, c, s) tables always have them.
+    h2 = h1 if second == first else von_neumann_entropy(second)
+    report = object.__new__(ShannonReport)
+    _SET_H12(report, h12)
+    _SET_H1(report, h1)
+    _SET_H2(report, h2)
+    _SET_I_S(report, h1 + h2 - h12)
+    return report
 
 
 def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .xstate import XParams, require_valid
+from .xstate import XParams, _valid_moduli
 
 
 class InvalidAngleError(ValueError):
@@ -114,18 +114,17 @@ def tomogram(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
 
     The second Euler angles drop out entirely.
     """
-    require_valid(p)
+    _valid_moduli(p)
     same, cross = _weights(
         p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag, _pair_coefficients(dir_a, dir_b)
     )
-    return TomogramTable(same, cross, cross, same)
+    return tuple.__new__(TomogramTable, (same, cross, cross, same))
 
 
 def marginals(table: TomogramTable) -> tuple[tuple[float, float], tuple[float, float]]:
     """Single-qubit outcome distributions implied by a joint tomogram."""
-    first = (table.w_uu + table.w_ud, table.w_du + table.w_dd)
-    second = (table.w_uu + table.w_du, table.w_ud + table.w_dd)
-    return first, second
+    uu, ud, du, dd = table
+    return (uu + ud, du + dd), (uu + du, ud + dd)
 
 
 # Kronecker sequence generators for the deterministic half of direction sets.

@@ -145,8 +145,8 @@ def _modulus(z: complex) -> float:
 def _class_tests(a, b, cm, dm):
     """Classify's tests in its order: the trace is off, rho is not PSD, rho is not PPT."""
     return (abs(2.0 * (a + b) - 1.0) > EPS_TRACE,
-            (a - dm < -EPS_PSD) | (b - cm < -EPS_PSD),
-            (a - cm < -EPS_PSD) | (b - dm < -EPS_PSD))
+            (dm - a > EPS_PSD) | (cm - b > EPS_PSD),  # a - |d| < -EPS_PSD: x - y is -(y - x)
+            (cm - a > EPS_PSD) | (dm - b > EPS_PSD))
 
 
 def _spectrum(a, b, cm, dm):
@@ -169,22 +169,32 @@ def validate(p: XParams) -> StateClass | None:
     covers negative ``a`` or ``b`` and a modulus beyond the float range.
     """
     try:
+        _valid_moduli(p)
+    except InvalidStateError as e:
+        return e.state_class
+    return None
+
+
+def _valid_moduli(p: XParams) -> tuple[float, float]:
+    """``(|c|, |d|)`` of a genuine state, for the measures to reuse.
+
+    Raises :class:`InvalidStateError` with :func:`validate`'s class otherwise.
+    """
+    try:
         cm, dm = abs(p.c), abs(p.d)
     except OverflowError:
         cm, dm = _modulus(p.c), _modulus(p.d)
     trace_off, not_psd, _ = _class_tests(p.a, p.b, cm, dm)
     if trace_off:
-        return StateClass.INVALID_TRACE
+        raise InvalidStateError(StateClass.INVALID_TRACE)
     if not_psd:
-        return StateClass.INVALID_NOT_PSD
-    return None
+        raise InvalidStateError(StateClass.INVALID_NOT_PSD)
+    return cm, dm
 
 
 def require_valid(p: XParams) -> None:
     """Raise :class:`InvalidStateError` unless ``p`` is a genuine state."""
-    bad = validate(p)
-    if bad is not None:
-        raise InvalidStateError(bad)
+    _valid_moduli(p)
 
 
 def spectrum(p: XParams) -> tuple[float, float, float, float]:

@@ -5,7 +5,9 @@ SU(2) rotation, a dense spin flip, a dense partial transpose, eigenvalues
 from ``numpy.linalg``, the Werner power sums written out by hand for the
 tomogram and the mutual information, or the power map through ``spectrum``
 and phases of its own.  Beside them, :func:`werner_i_n` is the library's own
-chain at a Werner state, which several tests hold against those references.
+chain at a Werner state, which several tests hold against those references,
+and the ``*_reference`` functions are the scalar measures as the library once
+wrote them, which the library must match bit for bit.
 Matrix powers need no helper: the tests call ``numpy.linalg`` directly.
 """
 
@@ -13,17 +15,30 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 
-from xstates import EPS_PSD, EPS_TRACE, StateClass, system_entropies
+from xstates import (
+    EPS_PSD,
+    EPS_TRACE,
+    InfoReport,
+    InvalidSpectrumError,
+    InvalidStateError,
+    ShannonReport,
+    StateClass,
+    system_entropies,
+)
 from xstates.dense import to_dense
-from xstates.tomography import Direction, TomogramTable, _pair_coefficients
+from xstates.entanglement import _excess, _negativity
+from xstates.information import _entropies
+from xstates.tomography import Direction, TomogramTable, _pair_coefficients, _weights
 from xstates.xstate import (
     ChannelResult,
     XParams,
     ZeroDenominatorError,
     _check_power,
+    _spectrum,
     apply_power_channel,
     require_valid,
     spectrum,
@@ -198,3 +213,94 @@ def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
     out = XParams(a=a, b=b, c=c * _unit(p.c), d=d * _unit(p.d))
     return ChannelResult(params=out, n=n)
+
+
+# The scalar measures as the library once wrote them: a validity check of its
+# own, then the coherences' moduli once more; every weight clamped, then added;
+# both marginal entropies computed; each result through its constructor.
+
+
+def _modulus_reference(z: complex) -> float:
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def classify_reference(p: XParams) -> StateClass:
+    """Separability of an X state via the partial-transpose spectrum."""
+    cm, dm = _modulus_reference(p.c), _modulus_reference(p.d)
+    if abs(2.0 * (p.a + p.b) - 1.0) > EPS_TRACE:
+        return StateClass.INVALID_TRACE
+    if (p.a - dm < -EPS_PSD) | (p.b - cm < -EPS_PSD):
+        return StateClass.INVALID_NOT_PSD
+    if (p.a - cm < -EPS_PSD) | (p.b - dm < -EPS_PSD):
+        return StateClass.ENTANGLED
+    return StateClass.SEPARABLE
+
+
+def require_valid_reference(p: XParams) -> None:
+    """Raise :class:`InvalidStateError` unless ``p`` is a genuine state."""
+    bad = classify_reference(p)
+    if bad in (StateClass.INVALID_TRACE, StateClass.INVALID_NOT_PSD):
+        raise InvalidStateError(bad)
+
+
+def negativity_reference(p: XParams) -> float:
+    require_valid_reference(p)
+    return _negativity(p.a, p.b, abs(p.c), abs(p.d))
+
+
+def concurrence_reference(p: XParams) -> float:
+    require_valid_reference(p)
+    return max(0.0, _excess(sorted(map(abs, _spectrum(p.a, p.b, abs(p.c), abs(p.d))))))
+
+
+def tomogram_reference(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
+    require_valid_reference(p)
+    same, cross = _weights(
+        p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag, _pair_coefficients(dir_a, dir_b)
+    )
+    return TomogramTable(same, cross, cross, same)
+
+
+def marginals_reference(table: TomogramTable) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Single-qubit outcome distributions implied by a joint tomogram."""
+    first = (table.w_uu + table.w_ud, table.w_du + table.w_dd)
+    second = (table.w_uu + table.w_du, table.w_ud + table.w_dd)
+    return first, second
+
+
+def von_neumann_entropy_reference(eigenvalues: Sequence[float]) -> float:
+    """Entropy -sum(lam ln lam) of an eigenvalue distribution, in nats."""
+    # 0 ln 0 = 0, after clamping [-EPS_PSD, 0) to exactly 0.
+    total = 0.0
+    acc = 0.0
+    for x in eigenvalues:
+        if x < -EPS_PSD:
+            raise InvalidSpectrumError(f"negative weight {x} below tolerance")
+        if x < 0.0:
+            x = 0.0
+        total += x
+        if x > 0.0:
+            acc -= x * math.log(x)
+    if not abs(total - 1.0) <= EPS_TRACE:  # NaN fails too
+        raise InvalidSpectrumError(f"weights sum to {total}, expected 1")
+    return acc
+
+
+def system_entropies_reference(p: XParams) -> InfoReport:
+    """Joint and marginal entropies of a valid X state."""
+    require_valid_reference(p)
+    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, abs(p.c), abs(p.d)), p.a + p.b,
+                              von_neumann_entropy_reference)
+    return InfoReport(s12=s12, s1=s1, s2=s1, i_n=i_n)
+
+
+def shannon_report_from_table_reference(table: TomogramTable) -> ShannonReport:
+    """Shannon entropies of an already-computed tomogram."""
+    h12 = von_neumann_entropy_reference(table)
+    first, second = marginals_reference(table)
+    h1 = von_neumann_entropy_reference(first)
+    h2 = von_neumann_entropy_reference(second)
+    return ShannonReport(h12=h12, h1=h1, h2=h2, i_s=h1 + h2 - h12)

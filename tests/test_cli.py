@@ -277,6 +277,15 @@ class TestSweepCd:
         assert first[:5] == ["0", "0", "2", "true", "separable"]
         assert_allclose(float(first[5]), 1.0, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("ends", [("-0.0", "-0.0"), ("-0.0", "0"), ("0", "-0.0")])
+    def test_negative_zero_grid_end_is_zero(self, ends, capsys):
+        # -0.0 passes the >= 0 check; its grid must not print -0 for a magnitude.
+        argv = ["sweep-cd", "--steps", "2", "--n-list", "2"]
+        code, out, _ = run(capsys, *argv, "--c-abs-max", ends[0], "--d-abs-max", ends[1])
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--c-abs-max", "0", "--d-abs-max", "0")[:2]
+        assert all(line.startswith("0,0,2,") for line in out.splitlines()[1:])
+
     def test_rows_match_library(self, capsys, tmp_path):
         target = tmp_path / "cd.csv"
         run(
@@ -371,7 +380,8 @@ class TestSweepCd:
                 "--c-abs-max", ends[0], "--d-abs-max", ends[1]]
         assert run(capsys, *argv)[0] == 0
         c_unit, d_unit = cmath.exp(1j * c_phase), cmath.exp(1j * d_phase)
-        c_axis, d_axis = ([-0.0 + float(end) * k / 2 for k in range(3)] for end in ends)
+        # An end of -0.0 is taken as 0.0, so its axis is 0.0 throughout.
+        c_axis, d_axis = ([-0.0 + (float(end) + 0.0) * k / 2 for k in range(3)] for end in ends)
         expected = [XParams(0.3, 0.2, c * c_unit, d * d_unit) for c in c_axis for d in d_axis]
         (states,) = seen
         assert len(states) == len(expected) == 9

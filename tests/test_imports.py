@@ -1,4 +1,6 @@
-"""The scalar library runs without numpy; only the sweeps, ``direction_pairs`` and ``to_dense`` load it.
+"""The scalar library and the single-state commands run without numpy.
+
+Only the sweeps, ``direction_pairs`` and ``to_dense`` load it.
 
 Each test runs a fresh interpreter, since this one has numpy loaded already.
 """
@@ -53,6 +55,22 @@ assert "numpy" not in sys.modules, "the scalar chain loaded numpy"
 """
 
 
+# Runs analyze and tomogram, text and JSON, valid and invalid, through the CLI's entry point.
+SINGLE_STATE_COMMANDS = """
+import sys
+import xstates.cli
+
+state = ["--a", "0.33", "--b", "0.17", "--c-abs", "0.1", "--d-abs", "0.2", "--c-phase", "0.7"]
+angles = ["--theta-a", "1", "--theta-b", "0.5", "--psi-a", "0.3"]
+not_psd = ["--a", "0.33", "--b", "0.17", "--c-abs", "0.2", "--d-abs", "0.1"]
+for argv in (["analyze", *state, "--n", "3"], ["analyze", *state, "--n", "2", "--json"],
+             ["analyze", *not_psd, "--n", "3"], ["tomogram", *state, "--n", "2", *angles],
+             ["tomogram", *state, "--json", *angles], ["tomogram", *not_psd, "--n", "3", *angles]):
+    print("exit", xstates.cli.main(argv))
+assert "numpy" not in sys.modules, "a single-state command loaded numpy"
+"""
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(xstates.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -65,11 +83,15 @@ def test_import_xstates_leaves_numpy_unloaded():
     assert proc.stdout == "[]\n"
 
 
-def test_import_cli_loads_numpy():
-    # The sweeps' blocks need it, so the CLI loads it once, before any command runs.
-    proc = run_python("import sys, xstates.cli\nprint('numpy' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
+def test_single_state_commands_are_the_same_without_numpy():
+    # Only the sweeps' blocks load numpy, at the first block.
+    plain = run_python(SINGLE_STATE_COMMANDS)
+    blocked = run_python(BLOCK_NUMPY + SINGLE_STATE_COMMANDS)
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    codes = [line for line in plain.stdout.splitlines() if line.startswith("exit ")]
+    assert codes == [f"exit {code}" for code in (0, 0, 2, 0, 0, 2)]
+    assert blocked.stdout == plain.stdout
 
 
 def test_sweep_cd_leaves_numpy_random_unloaded(tmp_path):

@@ -1,5 +1,7 @@
+import copy
 import math
-from dataclasses import fields
+import pickle
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +22,7 @@ from conftest import (
 from oracles import entropy_dense, werner_i_n, werner_i_n_closed_form
 from xstates import (
     Direction,
+    InfoReport,
     InvalidSpectrumError,
     InvalidStateError,
     ShannonReport,
@@ -192,6 +195,54 @@ class TestShannonReport:
         info = system_entropies(p)
         assert rep.i_s <= info.i_n + 1e-10
         assert rep.i_s >= -1e-10
+
+
+_STATE = apply_power_channel(XParams(a=0.3, b=0.2, c=0.1 + 0.05j, d=0.15j), 3).params
+_TABLE = tomogram(_STATE, Direction(theta=0.9, psi=0.3), Direction(theta=2.0))
+# The chain builds its reports through the slots' setters; the public constructor must agree.
+REPORTS = {
+    "InfoReport": (system_entropies(_STATE), InfoReport, ["s12", "s1", "s2", "i_n"]),
+    "ShannonReport": (shannon_report_from_table(_TABLE), ShannonReport, ["h12", "h1", "h2", "i_s"]),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+class TestReportsAreSlottedFrozenDataclasses:
+    def test_fields_and_constructor(self, name):
+        report, cls, names = REPORTS[name]
+        assert type(report) is cls
+        assert [f.name for f in fields(report)] == names
+        twin = cls(**{key: getattr(report, key) for key in names})
+        assert (twin, hash(twin), repr(twin)) == (report, hash(report), repr(report))
+
+    def test_asdict_and_replace(self, name):
+        report, cls, names = REPORTS[name]
+        assert asdict(report) == {key: getattr(report, key) for key in names}
+        changed = replace(report, **{names[0]: 0.5})
+        assert type(changed) is cls and getattr(changed, names[0]) == 0.5
+        assert changed != report
+        assert replace(changed, **{names[0]: getattr(report, names[0])}) == report
+        with pytest.raises(TypeError):
+            replace(report, extra=1.0)
+
+    def test_fields_are_frozen(self, name):
+        report = REPORTS[name][0]
+        for f in fields(report):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, f.name, getattr(report, f.name))
+
+    def test_slots_leave_no_instance_dict(self, name):
+        report = REPORTS[name][0]
+        assert not hasattr(report, "__dict__")
+        # TypeError on Python 3.11, as for XParams: see tests/test_xstate.py.
+        with pytest.raises((AttributeError, TypeError)):
+            report.extra = 1
+
+    def test_pickle_and_deepcopy_keep_equality_and_hash(self, name):
+        report = REPORTS[name][0]
+        for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert twin is not report
+            assert (twin, hash(twin), repr(twin)) == (report, hash(report), repr(report))
 
 
 BELL = werner(1.0)
