@@ -23,7 +23,7 @@ import random
 import re
 import sys
 from dataclasses import asdict
-from itertools import chain, product, repeat
+from itertools import chain, product, starmap
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .xstate import (
@@ -300,27 +300,30 @@ def _evaluate(n: int, states: list[XParams], measure) -> tuple[int, list[int], l
 
 
 def _spread(verdicts: list[int], values: Iterable, fill=None) -> list:
-    """``values``, one per valid row, at their rows and ``fill`` elsewhere: the writers' layout."""
+    """``values``, one per valid row, at their rows and ``fill`` elsewhere, for both writers."""
     values = iter(values)
     return [next(values) if 0 <= v < 2 else fill for v in verdicts]
 
 
-def _full_columns(block: tuple[int, list[int], list[list]]) -> list:
-    """A block's n, valid, class and measure columns; an invalid row's measures are None."""
+def _full_columns(block: tuple[int, list[int], list[list]], layout) -> list:
+    """A block's columns from n on, placed by ``layout``; an invalid row's measures are None."""
     n, verdicts, measures = block
     valid, cls = zip(*map(_VERDICTS.__getitem__, verdicts))
     if len(measures[0]) < len(verdicts):  # else every row is valid, and the columns are full
         measures = [_spread(verdicts, m) for m in measures]
-    return [repeat(n), valid, cls, *measures]
+    return layout([n] * len(verdicts), valid, cls, measures)
 
 
-def _public_row(head: tuple, image: XParams | None, measure, width: int) -> tuple:
-    """Row ``(*head, valid, class, *measures)`` of one image: :func:`_evaluate`'s reference.
+def _public_row(image: XParams | None, measure, width: int) -> tuple:
+    """The valid, class and measures cells of one image: :func:`_evaluate`'s reference.
 
     The class comes from :func:`classify`, then ``measure(image)`` of a valid image.
     """
     valid, cls = _VERDICTS[-1 if image is None else _CLASSES.index(classify(image))]
-    return (*head, valid, cls, *(measure(image) if valid else (None,) * width))
+    return valid, cls, measure(image) if valid else (None,) * width
+
+
+_CD_MEASURES = ("negativity", "concurrence", "s12", "i_n")
 
 
 def _scalar_measures(p: XParams) -> tuple:
@@ -345,7 +348,7 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
     if bad is None:
         # Not _cd_row: a vanishing Tr rho^n fails the command here (exit 1 in main).
         img = apply_power_channel(params, args.n).params
-        valid, class_image, *measures = _public_row((), img, _scalar_measures, 4)
+        valid, class_image, measures = _public_row(img, _scalar_measures, 4)
         report.update(
             class_input=classify(params).value,
             n=args.n,
@@ -356,7 +359,7 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
                 "valid": valid,
             },
             class_image=class_image,
-            **dict(zip(("negativity", "concurrence", "s12", "i_n"), measures)),
+            **dict(zip(_CD_MEASURES, measures)),
         )
     _emit([_render(report, args.json)], args.output)
     return 0 if bad is None else 2
@@ -365,8 +368,6 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
 # ---------------------------------------------------------------------------
 # sweeps
 
-
-_CD_HEADER = "c_abs,d_abs,n,valid,class,negativity,concurrence,s12,i_n"
 
 # What a sweep may hold before it writes: sweep-cd rows (0.5 kB each), or sweep-werner
 # I_s values plus direction pairs (0.7 kB each with their coefficients).
@@ -406,65 +407,66 @@ def _row_to_csv(cells) -> str:
     return ",".join(cells)
 
 
-def _cd_csv(block: tuple[int, list[int], list[list]], heads: list[str]) -> str:
-    """The CSV lines of one power block; ``heads`` are each row's grid cells and a comma."""
+def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layout) -> str:
+    """The CSV lines of one block; ``heads`` are each row's grid cells and a comma."""
     n, verdicts, measures = block
-    # The cells from n on by verdict, then a valid row's measures: "%.15g" is format(x, ".15g").
-    tails = [_row_to_csv((_fmt(n), _fmt(valid), _fmt(cls), *("",) * (1 if valid else 4)))
+    # Each verdict's cells from n on, with "%.15g" (format(x, ".15g")) in a valid row's
+    # measure slots: a row is its head, then its verdict's line % its measures.
+    lines = [_row_to_csv(layout(_fmt(n), _fmt(valid), _fmt(cls),
+                                ["%.15g" if valid else ""] * len(measures)))
              for valid, cls in _VERDICTS]
-    text = _spread(verdicts, map("%.15g,%.15g,%.15g,%.15g".__mod__, zip(*measures)), "")
-    lines = [head + tails[v] + t for head, v, t in zip(heads, verdicts, text)]
-    return "\n".join(lines) + "\n"
+    cells = _spread(verdicts, zip(*measures), ())
+    return "\n".join([head + lines[v] % m for head, v, m in zip(heads, verdicts, cells)]) + "\n"
 
 
-def _sweep(args: argparse.Namespace, states: list[XParams], fast,
-           public) -> list[tuple[int, list[int], list[list]]]:
-    """One block per power in ``--n-list``, over ``states``: see :func:`_evaluate`.
+def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, public, layout,
+           names: Iterable[str], options: dict[str, argparse.Action], meta) -> int:
+    """Evaluate, spot-check and write a sweep, one block per power in ``--n-list``.
 
-    ``fast`` gives each block's measure columns, and ``public`` the measures of
-    one image for the spot check, which also checks the class.
+    ``grid`` names each axis of the grid, and ``state(*point)`` makes the state of each
+    point, in ``product`` order.  ``layout(n, valid, cls, measures)`` is the row order
+    after the grid columns: the header, both writers and the spot check read it.
+    ``fast`` and ``public`` give the measures ``names`` (see :func:`_evaluate`).
+    ``meta()`` gives the CSV's comment lines and the JSON's entries after the config; it
+    runs after the rows, so that a power the power map refuses fails there first.
     """
+    states = list(starmap(state, product(*grid.values())))
     blocks = [_evaluate(n, states, fast) for n in args.n_list]
-    _spot_check(args, blocks, states, public)
-    return blocks
+    _spot_check(args, blocks, states, public, layout)
+    del states  # free the states before the text is formatted, one block at a time
+    comments, extra = meta()
+    header = [*grid, *layout("n", "valid", "class", names)]
+    if args.format == "csv" and not args.json:
+        axes = [[f"{_fmt(x)}," for x in axis] for axis in grid.values()]  # formatted once
+        heads = list(map("".join, product(*axes)))  # each row's grid cells, with their commas
+        parts = chain(["".join(f"{line}\n" for line in [*comments, ",".join(header)])],
+                      (_csv_block(block, heads, layout) for block in blocks))
+    else:
+        # Every sweep setting but the output choice, in parser order.
+        config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
+        head = json.dumps({"config": config, **extra, "columns": header}, indent=2, allow_nan=False)
+        columns = list(zip(*product(*grid.values())))
+        rows = (list(zip(*columns, *_full_columns(block, layout))) for block in blocks)
+        # json.dumps(payload, indent=2) with "rows" as the payload's last key.
+        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(rows), ["\n}\n"])
+    _emit(parts, args.output)
+    return 0
 
 
 def _spot_check(args: argparse.Namespace, blocks: list[tuple[int, list[int], list[list]]],
-                states: list[XParams], public) -> None:
-    # A per-run guard: a random subsample of rows must match, bit for bit,
-    # fresh single-point evaluations through the public chain.
+                states: list[XParams], public, layout) -> None:
+    # A per-run guard: a random subsample of rows must match, bit for bit, fresh
+    # single-point evaluations through the public chain, laid out by ``layout``.
     total = len(blocks) * len(states)
-    full = {}  # the columns of each block drawn from, as the writers read them
+    full = {}  # the columns of each block drawn from, as the JSON writer zips its rows
     for idx in random.Random(args.seed).sample(range(total), min(32, total)):
         k, j = divmod(idx, len(states))
         n = args.n_list[k]
         if k not in full:
-            full[k] = _full_columns(blocks[k])
-        _, valid, cls, *measures = full[k]
-        row = (blocks[k][0], valid[j], cls[j], *(col[j] for col in measures))
-        if _public_row((n,), _cd_row(n, states[j]), public, len(measures)) != row:
+            full[k] = _full_columns(blocks[k], layout)
+        cells = _public_row(_cd_row(n, states[j]), public, len(blocks[k][2]))
+        if layout(n, *cells) != [col[j] for col in full[k]]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
-
-
-def _emit_sweep(args: argparse.Namespace, options: dict[str, argparse.Action],
-                comments: list[str], header: str, blocks: list, csv_block, rows, **extra) -> int:
-    """Write a sweep's blocks as CSV or as its JSON mirror, one block at a time.
-
-    The CSV is the comment lines, the header, then ``csv_block(block)`` of each block:
-    its lines as one string.  The JSON encodes ``rows(block)``, a list of tuples.
-    """
-    if args.format == "csv" and not args.json:
-        parts = chain(["".join(f"{line}\n" for line in [*comments, header])],
-                      map(csv_block, blocks))
-    else:
-        # Every sweep setting but the output choice, in parser order.
-        config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
-        head = json.dumps({"config": config, **extra, "columns": header.split(",")}, indent=2,
-                          allow_nan=False)
-        # json.dumps(payload, indent=2) with "rows" as the payload's last key.
-        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(map(rows, blocks)), ["\n}\n"])
-    _emit(parts, args.output)
-    return 0
 
 
 def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -477,20 +479,23 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
 
     # XParams' own field types, all finite: main checked --a, --b; _grid each |c|, |d|; |unit| = 1.
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
-    states = [_image(args.a, args.b, c * c_unit, d * d_unit) for c in c_grid for d in d_grid]
-    blocks = _sweep(args, states, _columnar_measures, _scalar_measures)
-    del states  # free the states before the text is formatted, one block at a time
-    heads = [f"{c},{d}," for c, d in product(map(_fmt, c_grid), map(_fmt, d_grid))]
-
-    def rows(block) -> list[tuple]:
-        c_cells = [c for c in c_grid for _ in d_grid]
-        return list(zip(c_cells, d_grid * args.steps, *_full_columns(block)))
-
-    return _emit_sweep(args, options, [], _CD_HEADER, blocks,
-                       lambda block: _cd_csv(block, heads), rows)
+    return _sweep(args, lambda c, d: _image(args.a, args.b, c * c_unit, d * d_unit),
+                  {"c_abs": c_grid, "d_abs": d_grid}, _columnar_measures, _scalar_measures,
+                  lambda n, valid, cls, m: [n, valid, cls, *m], _CD_MEASURES, options,
+                  lambda: ([], {}))
 
 
-def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str]:
+def _werner_header(args: argparse.Namespace, pairs) -> tuple[list[str], dict]:
+    """The CSV comment lines and the JSON entries of the direction pairs and thresholds."""
+    directions = [
+        {"theta_a": da.theta, "psi_a": da.psi, "theta_b": db.theta, "psi_b": db.psi}
+        for da, db in pairs
+    ]
+    thresholds = [
+        {"n": n, "upper": werner_entanglement_threshold(n),
+         "lower": werner_entanglement_threshold_lower(n) if n % 2 == 0 else None}
+        for n in args.n_list
+    ]
     lines = [f"# seed = {args.seed}"]
     lines += [f"# direction_pair {k}: {_text(pair)}" for k, pair in enumerate(directions)]
     for t in thresholds:
@@ -498,7 +503,7 @@ def _werner_header(args: argparse.Namespace, directions, thresholds) -> list[str
         if t["lower"] is not None:
             line += f" lower = {_fmt(t['lower'])}"
         lines.append(line)
-    return lines
+    return lines, {"directions": directions, "thresholds": thresholds}
 
 
 def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -521,28 +526,10 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
         i_s = [shannon_report_from_table(tomogram(image, da, db)).i_s for da, db in pairs]
         return (system_entropies(image).i_n, *i_s)
 
-    blocks = _sweep(args, [werner(p) for p in p_values], columnar, public)
-
-    def rows(block) -> list[tuple]:
-        n, valid, cls, *measures = _full_columns(block)
-        return list(zip(p_values, n, valid, *measures, cls))  # the class goes last
-
-    directions = [
-        {"theta_a": da.theta, "psi_a": da.psi, "theta_b": db.theta, "psi_b": db.psi}
-        for da, db in pairs
-    ]
-    thresholds = [
-        {"n": n, "upper": werner_entanglement_threshold(n),
-         "lower": werner_entanglement_threshold_lower(n) if n % 2 == 0 else None}
-        for n in args.n_list
-    ]
-    header = "p,n,valid,i_n," + ",".join(f"i_s_dir{k}" for k in range(args.num_dirs)) + ",class"
-    comments = _werner_header(args, directions, thresholds)
-    return _emit_sweep(
-        args, options, comments, header, blocks,
-        lambda block: "".join(_row_to_csv(map(_fmt, row)) + "\n" for row in rows(block)),
-        rows, directions=directions, thresholds=thresholds,
-    )
+    return _sweep(args, werner, {"p": p_values}, columnar, public,
+                  lambda n, valid, cls, m: [n, valid, *m, cls],  # the class goes last
+                  ["i_n", *(f"i_s_dir{k}" for k in range(args.num_dirs))], options,
+                  lambda: _werner_header(args, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +608,9 @@ def main(argv: list[str] | None = None) -> int:
         gc.disable()
         try:
             return args.handler(args, options)
+        except ModuleNotFoundError as exc:
+            # Only the sweeps import numpy, before they write anything.
+            raise _UsageError(f"{args.command} needs numpy: {exc}")
         finally:
             if enabled:
                 gc.enable()

@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import gc
+import io
 import json
 import math
 import os
@@ -8,12 +9,15 @@ import random
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import xstates
@@ -372,9 +376,9 @@ class TestSweepCd:
     def test_grid_states_are_what_the_constructor_builds(self, c_phase, d_phase, ends, capsys,
                                                          monkeypatch):
         # The grid states skip XParams.__init__; each must be what it would have made.
-        sweep, seen = cli._sweep, []
-        monkeypatch.setattr("xstates.cli._sweep", lambda args, states, *rest: (
-            seen.append(states) or sweep(args, states, *rest)))
+        evaluate, seen = cli._evaluate, []
+        monkeypatch.setattr("xstates.cli._evaluate", lambda n, states, measure: (
+            seen.append(states) or evaluate(n, states, measure)))
         argv = ["sweep-cd", "--steps", "3", "--n-list", "2", "--a", "0.3", "--b", "0.2",
                 "--c-phase", repr(c_phase), "--d-phase", repr(d_phase),
                 "--c-abs-max", ends[0], "--d-abs-max", ends[1]]
@@ -760,24 +764,40 @@ def _csv_cell(value) -> str:
     return format(value, ".15g")
 
 
+# At its first weight Tr rho^3 vanishes: a row without an image, whose class cell,
+# the last, is empty.
+WERNER_NO_IMAGE = ["sweep-werner", "--p-min=-1.5678054223290214", "--p-max=-1.5", "--steps", "2",
+                   "--n-list", "3", "--num-dirs", "1"]
+
+
+def _assert_csv_matches_json(csv_text: str, json_text: str) -> list[str]:
+    """Assert that a sweep's CSV and JSON hold the same cells; give the CSV's data lines."""
+    payload = strict_json_loads(json_text)
+    header, *lines = [ln for ln in csv_text.splitlines() if not ln.startswith("#")]
+    assert header.split(",") == payload["columns"]
+    assert [ln.split(",") for ln in lines] == [
+        [_csv_cell(x) for x in row] for row in payload["rows"]]
+    return lines
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-cd", "--steps", "7", "--n-list", "2,3", "--c-phase", "0.7", "--d-phase", "-1.3"],
     ["sweep-cd", "--steps", "11", "--n-list", "3"],
     ["sweep-cd", "--a", "0", "--b", "0", "--steps", "5", "--n-list", "1,2"],
     ["sweep-werner", "--p-min=-3", "--num-dirs", "3"],
-], ids=["cd_phases", "cd_odd_power", "cd_zero_diagonal", "werner_negative_weights"])
+    WERNER_NO_IMAGE,
+], ids=["cd_phases", "cd_odd_power", "cd_zero_diagonal", "werner_negative_weights",
+        "werner_no_image"])
 def test_csv_and_json_agree_cell_by_cell(argv, capsys):
     code, csv_text, _ = run(capsys, *argv)
     assert code == 0
     code, json_text, _ = run(capsys, *argv, "--json")
     assert code == 0
-    payload = json.loads(json_text)
-    header, *lines = [ln for ln in csv_text.splitlines() if not ln.startswith("#")]
-    assert header.split(",") == payload["columns"]
-    assert [ln.split(",") for ln in lines] == [
-        [_csv_cell(x) for x in row] for row in payload["rows"]]
+    lines = _assert_csv_matches_json(csv_text, json_text)
     # Each sweep here has invalid rows, with an empty measure cell.
     assert any("" in ln.split(",") for ln in lines)
+    if argv == WERNER_NO_IMAGE:
+        assert lines[0] == "-1.56780542232902,3,false,,,"
 
 
 @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
@@ -918,6 +938,10 @@ HOSTILE = {
     "overflowing_werner_power_of_huge_weights": (
         ["sweep-werner", "--steps", "2", "--p-min=-1e300", "--p-max=1e300", "--n-list", "2"], None
     ),
+    # A power beyond the float range: the power map refuses it before the thresholds are made.
+    "overflowing_werner_power_beyond_floats": (
+        ["sweep-werner", "--steps", "2", "--num-dirs", "1", "--n-list", str(10**400)], None
+    ),
     # Each psi is finite, but psi_a - psi_b overflows.
     "overflowing_psi_difference": (
         ["tomogram", "--a", "0.3", "--b", "0.2", "--c-abs", "0.1", "--d-abs", "0.1",
@@ -989,6 +1013,8 @@ POWER_OVERFLOWS = {
         "XParams(a=1e+300, b=1e+300, c=0j, d=0j) to the power 3",
     "overflowing_werner_power_of_huge_weights":
         "XParams(a=-2.5e+299, b=2.5e+299, c=0j, d=(-5e+299+0j)) to the power 2",
+    "overflowing_werner_power_beyond_floats":
+        f"XParams(a=0.25, b=0.25, c=0j, d=0j) to the power {10**400}",
 }
 
 
@@ -998,6 +1024,103 @@ def test_overflowing_power_names_the_state_and_the_power(name, capsys):
     assert (code, out) == (1, "")
     assert err == f"error: OverflowError: an eigenvalue of {POWER_OVERFLOWS[name]} is not finite\n"
     assert "(34," not in err
+
+
+# The floats of the CLI contract's property test: the edges of the float range and
+# of the domain, and ordinary values.
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+])
+CONTRACT_FLOATS = EDGE_FLOATS | st.floats(-2.0, 2.0)
+# Each command's float options: first those without a default, always set, then the rest.
+CONTRACT_OPTIONS = {
+    "analyze": (["a", "b", "c-abs", "d-abs"], ["c-phase", "d-phase"]),
+    "tomogram": (["a", "b", "c-abs", "d-abs", "theta-a", "theta-b"],
+                 ["c-phase", "d-phase", "phi-a", "phi-b", "psi-a", "psi-b"]),
+    "sweep-cd": ([], ["a", "b", "c-phase", "d-phase", "c-abs-max", "d-abs-max"]),
+    "sweep-werner": ([], ["p-min", "p-max"]),
+}
+DEFAULT_POWERS = {"sweep-cd": 4, "sweep-werner": 6}
+
+
+@st.composite
+def contract_argv(draw) -> tuple[str, list[str], int]:
+    """A command line over any command with tiny grids, and the row count of its grid."""
+    command = draw(st.sampled_from(sorted(CONTRACT_OPTIONS)))
+    required, optional = CONTRACT_OPTIONS[command]
+    values = {name: draw(CONTRACT_FLOATS) for name in required}
+    values.update((name, draw(CONTRACT_FLOATS)) for name in optional if draw(st.booleans()))
+    if "b" in values and draw(st.booleans()):  # a valid state, so that some commands succeed
+        a = values["a"] = draw(st.floats(0.0, 0.5))
+        values["b"] = 0.5 - a
+        if "c-abs" in values:
+            values["c-abs"], values["d-abs"] = (x * draw(st.floats(0.0, 1.0)) for x in (0.5 - a, a))
+    if command == "tomogram" and draw(st.booleans()):
+        values["theta-a"], values["theta-b"] = (draw(st.floats(0.0, math.pi)) for _ in "ab")
+    argv = [command, *(f"--{name}={value!r}" for name, value in values.items())]
+    power = st.integers(-1, 8) | st.sampled_from([600, 2000])
+    if command.startswith("sweep"):
+        steps = draw(st.integers(1, 3))
+        argv += ["--steps", str(steps)]
+        rows, powers = steps ** (2 if command == "sweep-cd" else 1), DEFAULT_POWERS[command]
+        if draw(st.booleans()):
+            n_list = draw(st.lists(power, min_size=1, max_size=3))
+            argv.append("--n-list=" + ",".join(map(str, n_list)))
+            powers = len(n_list)
+        if command == "sweep-werner":
+            argv += ["--num-dirs", str(draw(st.integers(0, 2)))]
+        return command, argv, rows * powers
+    if draw(st.booleans()):
+        argv.append(f"--n={draw(power)}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return command, argv, 0
+
+
+def _run_quiet(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=800, deadline=None)
+@given(contract_argv())
+@example(("sweep-cd", ["sweep-cd", "--c-abs-max=-0.0", "--d-abs-max=-0.0", "--steps", "2"], 16))
+@example(("sweep-werner", ["sweep-werner", "--p-min=-0.0", "--p-max=0.0", "--steps", "2",
+                           "--num-dirs", "1"], 12))
+def test_cli_contract_holds_over_edge_floats(case):
+    command, argv, rows = case
+    code, out, err = _run_quiet(argv)
+    assert code in (0, 1, 2)
+    if code == 1 or (code == 2 and command == "tomogram"):
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    if command in ("analyze", "tomogram"):
+        report = strict_json_loads(out) if "--json" in argv else parse_report(out)
+        # Only an invalid state's overflowing spectrum may print inf, in the text form.
+        assert not any(re.search(r"\b(nan|inf)\b", str(value))
+                       for key, value in report.items() if key != "spectrum")
+        if command == "analyze":
+            # exit 2 is the report of an invalid state, which has no image
+            assert (report["validity"] == "valid") == (code == 0)
+        if command == "analyze" and code == 0:
+            image = report["image"]
+            magnitudes = (image["c_abs"], image["d_abs"]) if "--json" in argv else re.findall(
+                r"\b[cd]_abs=(\S+)", image)
+            assert [math.copysign(1.0, float(x)) for x in magnitudes] == [1.0, 1.0]
+        return
+    code, json_text, err = _run_quiet([*argv, "--json"])
+    assert (code, err) == (0, "")
+    lines = _assert_csv_matches_json(out, json_text)
+    assert len(lines) == rows
+    cells = [line.split(",") for line in lines]
+    grid_width = 2 if command == "sweep-cd" else 1
+    assert not any(cell == "-0" for row in cells for cell in row[:grid_width])
+    assert not any(cell in ("nan", "inf", "-inf") for row in cells for cell in row)
 
 
 # Settings under which each command succeeds, and faults that each give one

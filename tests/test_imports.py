@@ -1,6 +1,7 @@
 """The scalar library and the single-state commands run without numpy.
 
-Only the sweeps, ``direction_pairs`` and ``to_dense`` load it.
+Only the sweeps, ``direction_pairs`` and ``to_dense`` load it; without it, a
+sweep exits 1 with one line.
 
 Each test runs a fresh interpreter, since this one has numpy loaded already.
 """
@@ -135,3 +136,18 @@ except ImportError as exc:
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "numpy\n"
+
+
+@pytest.mark.parametrize("command", ["sweep-cd", "sweep-werner"])
+def test_sweeps_without_numpy_exit_one_with_one_line(command, tmp_path):
+    target = tmp_path / "out"
+    code = BLOCK_NUMPY + f"""
+import xstates.cli
+for argv in (["--steps", "2"], ["--steps", "2", "--output", {str(target)!r}]):
+    print("exit", xstates.cli.main([{command!r}, *argv]))
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "exit 1\nexit 1\n"
+    assert proc.stderr == f"error: {command} needs numpy: No module named 'numpy'\n" * 2
+    assert not target.exists()
