@@ -56,16 +56,28 @@ class TomogramTable(NamedTuple):
     w_dd: float
 
 
+# Pair coefficients by (id(dir_a), id(dir_b)): an entry holds its two Direction
+# objects, so their ids stay theirs while it stands.  Cleared when full; threads
+# racing on that can only overshoot the bound by a few entries or drop some.
+_PAIRS: dict[tuple[int, int], tuple] = {}
+_PAIRS_MAX = 256
+
+
 def _pair_coefficients(dir_a: Direction, dir_b: Direction) -> tuple:
     """Everything the closed-form tomogram needs from one direction pair.
 
     Returns ``(f_plus, f_minus, sin(theta_a) sin(theta_b) / 2,
     e_minus.real, e_minus.imag, e_plus.real, e_plus.imag)`` with
     ``e_minus = e^{i(psi_a - psi_b)}`` and ``e_plus = e^{i(psi_a + psi_b)}``;
-    a sweep computes it once per pair and reuses it for every state.  Raises
+    a sweep computes it once per pair and reuses it for every state, and a
+    pair of ``Direction`` objects seen lately is read from ``_PAIRS``.  Raises
     :class:`InvalidAngleError` when ``psi_a - psi_b`` or ``psi_a + psi_b``
     overflows.
     """
+    key = (id(dir_a), id(dir_b))
+    hit = _PAIRS.get(key)
+    if hit is not None and hit[0] is dir_a and hit[1] is dir_b:
+        return hit[2]
     psi_minus, psi_plus = dir_a.psi - dir_b.psi, dir_a.psi + dir_b.psi
     if not (math.isfinite(psi_minus) and math.isfinite(psi_plus)):
         raise InvalidAngleError(f"psi_a - psi_b and psi_a + psi_b must be finite,"
@@ -76,12 +88,17 @@ def _pair_coefficients(dir_a: Direction, dir_b: Direction) -> tuple:
     sb = 1.0 - cb
     e_minus = cmath.exp(1j * psi_minus)
     e_plus = cmath.exp(1j * psi_plus)
-    return (
+    coefficients = (
         ca * cb + sa * sb,
         ca * sb + sa * cb,
         0.5 * math.sin(dir_a.theta) * math.sin(dir_b.theta),
         e_minus.real, e_minus.imag, e_plus.real, e_plus.imag,
     )
+    if dir_a.__class__ is Direction and dir_b.__class__ is Direction:  # frozen: cannot change
+        if len(_PAIRS) >= _PAIRS_MAX:
+            _PAIRS.clear()
+        _PAIRS[key] = (dir_a, dir_b, coefficients)
+    return coefficients
 
 
 def _weights(a, b, c_re, c_im, d_re, d_im, coefficients):

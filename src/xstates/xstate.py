@@ -160,6 +160,32 @@ def _x_moduli(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return x[0], x[1], np.hypot(x[2], x[3]), np.hypot(x[4], x[5])
 
 
+# The last XParams classified, as (state, class, (|c|, |d|) or None when invalid).
+# It is keyed by identity, which one `is` tests, not by value, which would
+# compare four fields.  Only an XParams is stored: a frozen one cannot change.
+# A reader takes the entry into a local once, so it never mixes two entries.
+_LAST: tuple = (object(), None, None)
+
+
+def _classified(p: XParams) -> tuple:
+    """``_LAST``'s entry for ``p``, computed by :func:`_class_tests` and stored."""
+    global _LAST
+    try:
+        cm, dm = abs(p.c), abs(p.d)
+    except OverflowError:
+        cm, dm = _modulus(p.c), _modulus(p.d)
+    trace_off, not_psd, not_ppt = _class_tests(p.a, p.b, cm, dm)
+    if trace_off:
+        entry = (p, StateClass.INVALID_TRACE, None)
+    elif not_psd:
+        entry = (p, StateClass.INVALID_NOT_PSD, None)
+    else:
+        entry = (p, StateClass.ENTANGLED if not_ppt else StateClass.SEPARABLE, (cm, dm))
+    if p.__class__ is XParams:
+        _LAST = entry
+    return entry
+
+
 def validate(p: XParams) -> StateClass | None:
     """Check trace normalization and positivity.
 
@@ -168,11 +194,10 @@ def validate(p: XParams) -> StateClass | None:
     Positivity reduces to a >= |d| and b >= |c| within EPS_PSD, which also
     covers negative ``a`` or ``b`` and a modulus beyond the float range.
     """
-    try:
-        _valid_moduli(p)
-    except InvalidStateError as e:
-        return e.state_class
-    return None
+    entry = _LAST
+    if entry[0] is not p:
+        entry = _classified(p)
+    return entry[1] if entry[2] is None else None
 
 
 def _valid_moduli(p: XParams) -> tuple[float, float]:
@@ -180,16 +205,12 @@ def _valid_moduli(p: XParams) -> tuple[float, float]:
 
     Raises :class:`InvalidStateError` with :func:`validate`'s class otherwise.
     """
-    try:
-        cm, dm = abs(p.c), abs(p.d)
-    except OverflowError:
-        cm, dm = _modulus(p.c), _modulus(p.d)
-    trace_off, not_psd, _ = _class_tests(p.a, p.b, cm, dm)
-    if trace_off:
-        raise InvalidStateError(StateClass.INVALID_TRACE)
-    if not_psd:
-        raise InvalidStateError(StateClass.INVALID_NOT_PSD)
-    return cm, dm
+    entry = _LAST
+    if entry[0] is not p:
+        entry = _classified(p)
+    if entry[2] is None:
+        raise InvalidStateError(entry[1])
+    return entry[2]
 
 
 def require_valid(p: XParams) -> None:
@@ -268,16 +289,10 @@ def classify(p: XParams) -> StateClass:
     separable iff the partially transposed matrix stays PSD, i.e.
     a >= |c| and b >= |d| within EPS_PSD; the boundary counts as separable.
     """
-    try:
-        cm, dm = abs(p.c), abs(p.d)
-    except OverflowError:
-        cm, dm = _modulus(p.c), _modulus(p.d)
-    trace_off, not_psd, not_ppt = _class_tests(p.a, p.b, cm, dm)
-    if trace_off:
-        return StateClass.INVALID_TRACE
-    if not_psd:
-        return StateClass.INVALID_NOT_PSD
-    return StateClass.ENTANGLED if not_ppt else StateClass.SEPARABLE
+    entry = _LAST
+    if entry[0] is not p:
+        entry = _classified(p)
+    return entry[1]
 
 
 def _x_classify(x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from xstates import (
 from xstates.dense import to_dense
 from xstates.entanglement import _excess, _negativity
 from xstates.information import _entropies
-from xstates.tomography import Direction, TomogramTable, _pair_coefficients, _weights
+from xstates.tomography import Direction, InvalidAngleError, TomogramTable, _weights
 from xstates.xstate import (
     ChannelResult,
     XParams,
@@ -143,7 +143,7 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     image = XParams(a=hi, b=lo, c=0.0, d=hi - lo)
     require_valid(image)
     # Shares f+ and f- with tomogram(); the coherence term below is its own.
-    f_plus, f_minus = _pair_coefficients(dir_a, dir_b)[:2]
+    f_plus, f_minus = pair_coefficients_reference(dir_a, dir_b)[:2]
     r = (
         0.5
         * (hi - lo)
@@ -239,6 +239,16 @@ def classify_reference(p: XParams) -> StateClass:
     return StateClass.SEPARABLE
 
 
+def validate_reference(p: XParams) -> StateClass | None:
+    """The failing class of an invalid state, or None for a genuine one."""
+    bad = classify_reference(p)
+    return bad if bad in (StateClass.INVALID_TRACE, StateClass.INVALID_NOT_PSD) else None
+
+
+def spectrum_reference(p: XParams) -> tuple[float, float, float, float]:
+    return _spectrum(p.a, p.b, _modulus_reference(p.c), _modulus_reference(p.d))
+
+
 def require_valid_reference(p: XParams) -> None:
     """Raise :class:`InvalidStateError` unless ``p`` is a genuine state."""
     bad = classify_reference(p)
@@ -256,11 +266,30 @@ def concurrence_reference(p: XParams) -> float:
     return max(0.0, _excess(sorted(map(abs, _spectrum(p.a, p.b, abs(p.c), abs(p.d))))))
 
 
+def pair_coefficients_reference(dir_a: Direction, dir_b: Direction) -> tuple:
+    """``tomography._pair_coefficients``, computed on every call with no memo."""
+    psi_minus, psi_plus = dir_a.psi - dir_b.psi, dir_a.psi + dir_b.psi
+    if not (math.isfinite(psi_minus) and math.isfinite(psi_plus)):
+        raise InvalidAngleError(f"psi_a - psi_b and psi_a + psi_b must be finite,"
+                                f" got {psi_minus} and {psi_plus}")
+    ca = math.cos(0.5 * dir_a.theta) ** 2
+    sa = 1.0 - ca
+    cb = math.cos(0.5 * dir_b.theta) ** 2
+    sb = 1.0 - cb
+    e_minus = cmath.exp(1j * psi_minus)
+    e_plus = cmath.exp(1j * psi_plus)
+    return (
+        ca * cb + sa * sb,
+        ca * sb + sa * cb,
+        0.5 * math.sin(dir_a.theta) * math.sin(dir_b.theta),
+        e_minus.real, e_minus.imag, e_plus.real, e_plus.imag,
+    )
+
+
 def tomogram_reference(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
     require_valid_reference(p)
-    same, cross = _weights(
-        p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag, _pair_coefficients(dir_a, dir_b)
-    )
+    coefficients = pair_coefficients_reference(dir_a, dir_b)
+    same, cross = _weights(p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag, coefficients)
     return TomogramTable(same, cross, cross, same)
 
 

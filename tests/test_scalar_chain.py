@@ -8,7 +8,11 @@ error by its type, message and ``state_class``.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import weakref
 from dataclasses import fields, is_dataclass
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,9 +23,13 @@ from oracles import (
     concurrence_reference,
     marginals_reference,
     negativity_reference,
+    pair_coefficients_reference,
+    require_valid_reference,
     shannon_report_from_table_reference,
+    spectrum_reference,
     system_entropies_reference,
     tomogram_reference,
+    validate_reference,
     von_neumann_entropy_reference,
 )
 from xstates import (
@@ -36,18 +44,22 @@ from xstates import (
     marginals,
     negativity,
     shannon_report_from_table,
+    spectrum,
     system_entropies,
     tomogram,
+    validate,
     von_neumann_entropy,
 )
+from xstates import tomography
+from xstates.xstate import require_valid
 
 NAN, INF = math.nan, math.inf
 BEYOND_FLOAT_RANGE = complex(1.7e308, 1.7e308)  # finite parts, abs() overflows
 
 
 def _bits(value):
-    """The type of ``value`` and ``float.hex`` of each float in it; a class as it is."""
-    if isinstance(value, StateClass):
+    """The type of ``value`` and ``float.hex`` of each float in it; a class or None as it is."""
+    if value is None or isinstance(value, StateClass):
         return value
     if isinstance(value, float):
         return float.hex(value)
@@ -198,3 +210,111 @@ class TestMeasures:
         seen = {assert_same_outcome(fn, reference, p)[-1]
                 for p in _INVALID for fn, reference in MEASURES}
         assert seen == {StateClass.INVALID_TRACE, StateClass.INVALID_NOT_PSD}
+
+
+# memos ---------------------------------------------------------------------
+# classify remembers the last XParams it classified, and tomogram the
+# coefficients of recent Direction pairs, both by identity.  The pools hold
+# objects equal in value but distinct, zeros of either sign, and every
+# invalid class, so a verdict or coefficient read for the wrong object shows.
+
+_TWIN = (0.3, 0.2, 0.1 + 0.05j, 0.15j)
+STATE_POOL = [
+    XParams(*_TWIN),
+    XParams(*_TWIN),
+    XParams(a=0.2, b=0.3, c=0j, d=0.1),
+    XParams(a=0.2, b=0.3, c=-0j, d=0.1),
+    XParams(a=0.2, b=0.3, c=complex(0.0, -0.0), d=-0.1),
+    XParams(a=0.1, b=0.4, c=0.3, d=-0.05j),  # entangled
+    apply_power_channel(XParams(*_TWIN), 3).params,
+    *_INVALID,
+]
+DIRECTION_POOL = [
+    Direction(theta=0.0), Direction(theta=-0.0),
+    Direction(theta=1.0, psi=0.0), Direction(theta=1.0, psi=-0.0), Direction(theta=1.0, psi=0.0),
+    Direction(theta=2.0, psi=0.5),
+]
+
+STATE_CALLS = [
+    (classify, classify_reference), (validate, validate_reference),
+    (require_valid, require_valid_reference), (spectrum, spectrum_reference), *MEASURES[1:],
+]
+PAIR_CALLS = [
+    (lambda p, da, db: tomography._pair_coefficients(da, db),
+     lambda p, da, db: pair_coefficients_reference(da, db)),
+    (tomogram, tomogram_reference),
+    (lambda p, da, db: shannon_report_from_table(tomogram(p, da, db)),
+     lambda p, da, db: shannon_report_from_table_reference(tomogram_reference(p, da, db))),
+]
+_call = st.tuples(
+    st.integers(0, len(STATE_CALLS) + len(PAIR_CALLS) - 1),
+    st.sampled_from(STATE_POOL), st.sampled_from(DIRECTION_POOL), st.sampled_from(DIRECTION_POOL),
+)
+
+
+class TestMemos:
+    @given(st.lists(_call, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_no_sequence_of_calls_changes_an_answer(self, calls):
+        for k, p, dir_a, dir_b in calls:
+            if k < len(STATE_CALLS):
+                assert_same_outcome(*STATE_CALLS[k], p)
+            else:
+                assert_same_outcome(*PAIR_CALLS[k - len(STATE_CALLS)], p, dir_a, dir_b)
+
+    def test_a_mutable_state_or_direction_is_never_remembered(self):
+        q = SimpleNamespace(a=0.2, b=0.3, c=0.1, d=0.0)
+        assert classify(q) is StateClass.SEPARABLE
+        q.c = 0.25
+        assert classify(q) is StateClass.ENTANGLED
+        assert_same_outcome(negativity, negativity_reference, q)
+        q.a = 0.4
+        assert classify(q) is StateClass.INVALID_TRACE
+        assert_same_outcome(negativity, negativity_reference, q)
+        da, db = SimpleNamespace(theta=1.0, psi=0.0), Direction(theta=2.0)
+        tomography._pair_coefficients(da, db)
+        da.psi = 0.5
+        assert tomography._pair_coefficients(da, db) == pair_coefficients_reference(da, db)
+
+    def test_threads_never_share_a_verdict(self):
+        states = [STATE_POOL[0], STATE_POOL[5], _INVALID[2], _INVALID[4]]
+        want = [(classify_reference(p), _outcome(negativity_reference, p)) for p in states]
+        mismatches = []
+
+        def work():
+            for _ in range(2000):
+                for p, (cls, neg) in zip(states, want):
+                    if classify(p) is not cls or _outcome(negativity, p) != neg:
+                        mismatches.append(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_pair_memo_is_bounded_and_lets_go(self):
+        dropped = Direction(theta=0.5)
+        gone = weakref.ref(dropped)
+        tomography._pair_coefficients(dropped, DIRECTION_POOL[0])
+        del dropped
+        assert gone() is not None  # the memo holds it
+        size = tomography._PAIRS_MAX
+        for k in range(3 * size):
+            da, db = Direction(theta=k / (3 * size)), Direction(theta=1.0, psi=k)
+            assert tomography._pair_coefficients(da, db) == pair_coefficients_reference(da, db)
+            assert len(tomography._PAIRS) <= size
+        assert gone() is None
+
+    def test_an_invalid_pair_is_never_remembered(self):
+        da, db = Direction(theta=1.0, psi=1e308), Direction(theta=1.0, psi=1e308)
+        for _ in range(2):
+            assert_same_outcome(tomography._pair_coefficients, pair_coefficients_reference, da, db)
+        assert (id(da), id(db)) not in tomography._PAIRS
