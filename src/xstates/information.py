@@ -120,7 +120,9 @@ def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises :class:`InvalidSpectrumError` for a weight below ``-EPS_PSD``, as
     :func:`von_neumann_entropy` does.  The logarithm is libm's ``math.log``
-    per element, as there; a zero weight takes ``ln 1 = 0``.
+    per element, as there; a zero weight takes ``ln 1 = 0``.  This is the
+    one place the columnar kernels clamp, check and take logarithms;
+    :func:`_xlogx_distinct` calls it on the distinct values of a column.
     """
     import numpy as np
     if x.size and x.min() < -EPS_PSD:
@@ -129,6 +131,21 @@ def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clamped = np.where(positive, x, 0.0)
     logs = map(math.log, np.where(positive, x, 1.0).ravel().tolist())
     return clamped, clamped * np.fromiter(logs, float, x.size).reshape(x.shape)
+
+
+def _xlogx_distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_xlogx` of ``x``, with one logarithm per distinct value, gathered back.
+
+    For a marginal weight, which is 1/2 up to rounding and so repeats a few
+    values.  Each output, and any error, equals ``_xlogx(x)``'s bit for bit:
+    ``+0.0``, ``-0.0`` and every NaN map to the same outputs whichever copy
+    :func:`numpy.unique` keeps, and an error names the same smallest weight.
+    """
+    import numpy as np
+    # Flattened first: numpy 1.x returns a flat inverse, numpy 2.x one of the input's shape.
+    values, inverse = np.unique(x.ravel(), return_inverse=True)
+    clamped, xlogx = _xlogx(values)
+    return clamped[inverse].reshape(x.shape), xlogx[inverse].reshape(x.shape)
 
 
 def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -156,7 +173,7 @@ def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vouches for the states.
     """
     a, b, cm, dm = _x_moduli(x)
-    s12, _, i_n = _entropies(map(_xlogx, _spectrum(a, b, cm, dm)), _xlogx(a + b), _entropy)
+    s12, _, i_n = _entropies(map(_xlogx, _spectrum(a, b, cm, dm)), _xlogx_distinct(a + b), _entropy)
     return s12, i_n
 
 
@@ -166,10 +183,12 @@ def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
     ``x`` holds the states in columns and ``coefficients`` the
     :func:`~xstates.tomography._pair_coefficients` of each pair.  Entry
     ``[i, k]`` is the public chain's ``i_s`` of state ``i`` and pair ``k``,
-    from the same kernels.  Both marginals are ``(same + cross, cross + same)``.
-    No validity check: the caller vouches for the states.
+    from the same kernels.  Both marginals are ``(same + cross, cross + same)``,
+    1/2 up to rounding, so their logarithms are taken once per distinct value
+    (:func:`_xlogx_distinct`); the joint weights, nearly all distinct, take
+    one each.  No validity check: the caller vouches for the states.
     """
     import numpy as np
     same, cross = _weights(*x[:, :, None], np.array(coefficients, dtype=float).T)
     s, c = _xlogx(same), _xlogx(cross)
-    return _entropies((s, c, c, s), _xlogx(same + cross), _entropy)[2]
+    return _entropies((s, c, c, s), _xlogx_distinct(same + cross), _entropy)[2]

@@ -21,6 +21,7 @@ from conftest import (
 )
 from oracles import entropy_dense, werner_i_n, werner_i_n_closed_form
 from xstates import (
+    EPS_PSD,
     Direction,
     InfoReport,
     InvalidSpectrumError,
@@ -29,6 +30,7 @@ from xstates import (
     XParams,
     apply_power_channel,
     direction_pairs,
+    marginals,
     shannon_report_from_table,
     spectrum,
     system_entropies,
@@ -37,7 +39,7 @@ from xstates import (
     von_neumann_entropy,
     werner,
 )
-from xstates.information import _x_entropies, _x_information
+from xstates.information import _x_entropies, _x_information, _xlogx, _xlogx_distinct
 from xstates.tomography import _pair_coefficients
 from xstates.xstate import _x_columns
 
@@ -248,6 +250,8 @@ class TestReportsAreSlottedFrozenDataclasses:
 BELL = werner(1.0)
 Z_UP = Direction(theta=0.0)
 Z_DOWN = Direction(theta=math.pi)
+# Nine Werner states at power 3: their traces and tomogram marginals repeat a few values.
+WERNER_CUBES = [apply_power_channel(werner(k / 8), 3).params for k in range(9)]
 
 # Directions on the poles as well as anywhere on the sphere.
 _pole_or_any = st.one_of(
@@ -269,6 +273,8 @@ class TestXInformation:
     )
     @example([BELL], [(Z_UP, Z_UP)])
     @example([BELL, werner(0.3)], [(Z_UP, Z_DOWN), (Z_DOWN, Direction(theta=1.1, psi=0.4))])
+    # Many images that share their marginal weights, gathered from few logarithms.
+    @example(WERNER_CUBES, direction_pairs(6, 7))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_table_chain_exactly(self, images, pairs):
         coefficients = [_pair_coefficients(da, db) for da, db in pairs]
@@ -322,6 +328,96 @@ class TestXEntropies:
         ):
             with pytest.raises(InvalidSpectrumError, match=message):
                 _x_entropies(_x_columns([BELL, bad]))
+
+
+def _hex(x):
+    return x.shape, [v.hex() for v in x.ravel().tolist()]
+
+
+# Weights of every kind _xlogx tells apart: clamped, zero of either sign, subnormal, NaN.
+_weight_st = st.one_of(
+    st.floats(-EPS_PSD, 0.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nan]),
+)
+
+
+@st.composite
+def repeating_weights_st(draw, pool=_weight_st):
+    """A 1-D or 2-D array, possibly empty, drawn from a handful of weights."""
+    values = draw(st.lists(pool, min_size=1, max_size=5))
+    shape = draw(st.one_of(
+        st.tuples(st.integers(0, 12)), st.tuples(st.integers(0, 4), st.integers(0, 5))
+    ))
+    size = math.prod(shape)
+    flat = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    return np.array(flat, dtype=float).reshape(shape)
+
+
+class TestXlogxDistinct:
+    @given(repeating_weights_st())
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    @example(np.array([-0.0, 0.0, -1e-13, 5e-324, -0.0]))
+    @example(np.empty((0, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_xlogx_exactly(self, x):
+        expected, got = _xlogx(x), _xlogx_distinct(x)
+        assert [_hex(a) for a in got] == [_hex(a) for a in expected]
+
+    # Weights from [0, 1] only: a NaN would hide the bad weight from min() in both functions.
+    @given(
+        repeating_weights_st(st.floats(0.0, 1.0)),
+        st.floats(max_value=-EPS_PSD, exclude_max=True),
+    )
+    @example(np.array([[0.5, 0.5], [0.5, 0.5]]), -2 * EPS_PSD)
+    @settings(max_examples=100, deadline=None)
+    def test_weight_below_the_band_raises_the_same_error(self, x, bad):
+        x = np.append(x, [bad, bad])
+        with pytest.raises(InvalidSpectrumError, match="negative weight") as expected:
+            _xlogx(x)
+        with pytest.raises(InvalidSpectrumError) as got:
+            _xlogx_distinct(x)
+        assert str(got.value) == str(expected.value)
+
+
+class TestMarginalLogCount:
+    """Each marginal weight takes one logarithm per distinct value; joint weights take one each."""
+
+    @staticmethod
+    def count_logs(monkeypatch, kernel, *args):
+        calls = []
+        log = math.log
+
+        def counting_log(x):
+            calls.append(x)
+            return log(x)
+
+        monkeypatch.setattr(math, "log", counting_log)
+        kernel(*args)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_x_information(self, monkeypatch):
+        pairs = direction_pairs(6, 7)
+        k, m = len(WERNER_CUBES), len(pairs)
+        distinct = {
+            marginal
+            for p in WERNER_CUBES
+            for da, db in pairs
+            for marginal in marginals(tomogram(p, da, db))[0]
+        }
+        assert len(distinct) < k * m
+        x, coefficients = _x_columns(WERNER_CUBES), [_pair_coefficients(*pair) for pair in pairs]
+        calls = self.count_logs(monkeypatch, _x_information, x, coefficients)
+        assert calls == 2 * k * m + len(distinct)
+
+    def test_x_entropies(self, monkeypatch):
+        k = len(WERNER_CUBES)
+        distinct = {p.a + p.b for p in WERNER_CUBES}
+        assert len(distinct) < k
+        calls = self.count_logs(monkeypatch, _x_entropies, _x_columns(WERNER_CUBES))
+        assert calls == 4 * k + len(distinct)
 
 
 # Slack allowed before an inequality counts as violated.
