@@ -22,8 +22,9 @@ import os
 import random
 import re
 import sys
+import threading
 from dataclasses import asdict
-from itertools import chain, product, starmap
+from itertools import chain, product, repeat, starmap
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .xstate import (
@@ -102,19 +103,16 @@ _CELL_SEP = ",\n      "
 _ROW_SEP = "\n    ],\n    [\n      "
 
 
-def _json_rows(blocks: Iterable[list[tuple]]) -> Iterator[str]:
-    """Rows as ``json.dumps(..., indent=2)`` writes their list one level deep.
+def _json_block(rows: list[tuple]) -> str:
+    """One nonempty block of rows as ``json.dumps(..., indent=2)`` writes them one level deep."""
+    return json.dumps(rows, separators=(_CELL_SEP, ": "), allow_nan=False)[2:-2].replace(
+        "]" + _CELL_SEP + "[", _ROW_SEP)
 
-    The rows come in nonempty blocks, and each block is encoded on its own.
-    The text comes in pieces, to be written one after another.
-    """
-    yield "[\n    [\n      "
-    for k, block in enumerate(blocks):
-        if k:
-            yield _ROW_SEP
-        yield json.dumps(block, separators=(_CELL_SEP, ": "), allow_nan=False)[2:-2].replace(
-            "]" + _CELL_SEP + "[", _ROW_SEP)
-    yield "\n    ]\n  ]"
+
+def _json_rows(blocks: Iterable[str]) -> Iterator[str]:
+    """The list of rows whose blocks :func:`_json_block` encoded, in pieces to write in turn."""
+    seps = chain(["[\n    [\n      "], repeat(_ROW_SEP))  # the list's opening, then between rows
+    return chain(*zip(seps, blocks), ["\n    ]\n  ]"])
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +367,8 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
 # sweeps
 
 
-# What a sweep may hold before it writes: sweep-cd rows (0.5 kB each), or sweep-werner
-# I_s values plus direction pairs (0.7 kB each with their coefficients).
+# What a sweep may hold before it writes: sweep-cd rows (as text: 76 B each as CSV, 162 B
+# as JSON), or sweep-werner I_s values plus direction pairs (0.7 kB each with their factors).
 _MAX_SIZE = 10**7
 
 
@@ -419,6 +417,35 @@ def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layou
     return "\n".join([head + lines[v] % m for head, v, m in zip(heads, verdicts, cells)]) + "\n"
 
 
+# From this many rows on, a sweep makes its blocks in forked workers, one per power up to
+# the CPUs it may run on (``taskset -c 0`` allows one), unless it runs another thread.
+_POOL_ROWS = 1 << 14
+
+
+def _pooled(k: int):  # in a worker: the work function that the pool's initializer set
+    return _pooled.work(k)
+
+
+def _map_blocks(work, count: int, rows: int) -> list:
+    """``[work(k) for k in range(count)]``, in forked workers for a sweep of ``rows`` rows."""
+    workers = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if rows >= _POOL_ROWS and workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        import numpy  # noqa: F401  (loaded here, or else once in each worker)
+        from concurrent.futures import ProcessPoolExecutor, process
+        # The workers inherit ``work`` and what it reads: only k and the results are pickled.
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), setattr,
+                                 (_pooled, "work", work)) as pool:
+            try:
+                return list(pool.map(_pooled, range(count)))  # in order: first failing k raises
+            except process.BrokenProcessPool as exc:
+                raise _UsageError(f"a sweep worker process ended abruptly: {exc}")
+            except OSError:  # a fork failed: stop the workers started, and make the blocks here
+                for child in multiprocessing.active_children():
+                    child.terminate()
+    return list(map(work, range(count)))
+
+
 def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, public, layout,
            names: Iterable[str], options: dict[str, argparse.Action], meta) -> int:
     """Evaluate, spot-check and write a sweep, one block per power in ``--n-list``.
@@ -431,41 +458,46 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
     runs after the rows, so that a power the power map refuses fails there first.
     """
     states = list(starmap(state, product(*grid.values())))
-    blocks = [_evaluate(n, states, fast) for n in args.n_list]
-    _spot_check(args, blocks, states, public, layout)
-    del states  # free the states before the text is formatted, one block at a time
-    comments, extra = meta()
-    header = [*grid, *layout("n", "valid", "class", names)]
-    if args.format == "csv" and not args.json:
+    total, size = len(args.n_list) * len(states), len(states)
+    drawn = random.Random(args.seed).sample(range(total), min(32, total))
+    as_csv = args.format == "csv" and not args.json
+    if as_csv:
         axes = [[f"{_fmt(x)}," for x in axis] for axis in grid.values()]  # formatted once
         heads = list(map("".join, product(*axes)))  # each row's grid cells, with their commas
-        parts = chain(["".join(f"{line}\n" for line in [*comments, ",".join(header)])],
-                      (_csv_block(block, heads, layout) for block in blocks))
+    else:
+        columns = list(zip(*product(*grid.values())))
+
+    def work(k: int) -> tuple[str, dict[int, list]]:  # block k's text; its drawn rows by point
+        block = _evaluate(args.n_list[k], states, fast)
+        full = _full_columns(block, layout)
+        rows = {j: [col[j] for col in full] for j in (i - k * size for i in drawn) if 0 <= j < size}
+        text = _csv_block(block, heads, layout) if as_csv else _json_block([*zip(*columns, *full)])
+        return text, rows
+
+    texts, rows = zip(*_map_blocks(work, len(args.n_list), total))
+    _spot_check(args, drawn, rows, states, public, layout)
+    comments, extra = meta()
+    header = [*grid, *layout("n", "valid", "class", names)]
+    if as_csv:
+        parts = chain(["".join(f"{line}\n" for line in [*comments, ",".join(header)])], texts)
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
         head = json.dumps({"config": config, **extra, "columns": header}, indent=2, allow_nan=False)
-        columns = list(zip(*product(*grid.values())))
-        rows = (list(zip(*columns, *_full_columns(block, layout))) for block in blocks)
         # json.dumps(payload, indent=2) with "rows" as the payload's last key.
-        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(rows), ["\n}\n"])
+        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(texts), ["\n}\n"])
     _emit(parts, args.output)
     return 0
 
 
-def _spot_check(args: argparse.Namespace, blocks: list[tuple[int, list[int], list[list]]],
+def _spot_check(args: argparse.Namespace, drawn: list[int], rows: tuple[dict[int, list], ...],
                 states: list[XParams], public, layout) -> None:
-    # A per-run guard: a random subsample of rows must match, bit for bit, fresh
-    # single-point evaluations through the public chain, laid out by ``layout``.
-    total = len(blocks) * len(states)
-    full = {}  # the columns of each block drawn from, as the JSON writer zips its rows
-    for idx in random.Random(args.seed).sample(range(total), min(32, total)):
+    # A per-run guard: each drawn row must equal, bit for bit, the public chain's evaluation.
+    for idx in drawn:
         k, j = divmod(idx, len(states))
         n = args.n_list[k]
-        if k not in full:
-            full[k] = _full_columns(blocks[k], layout)
-        cells = _public_row(_cd_row(n, states[j]), public, len(blocks[k][2]))
-        if layout(n, *cells) != [col[j] for col in full[k]]:
+        cells = _public_row(_cd_row(n, states[j]), public, len(rows[k][j]) - 3)
+        if layout(n, *cells) != rows[k][j]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 

@@ -116,7 +116,7 @@ def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
 
 
 def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` with weights <= 0 set to 0, and ``x ln x`` of that, elementwise.
+    """``x`` with weights <= 0 set to 0, and ``x ln x`` of that, elementwise; NaN stays NaN.
 
     Raises :class:`InvalidSpectrumError` for a weight below ``-EPS_PSD``, as
     :func:`von_neumann_entropy` does.  The logarithm is libm's ``math.log``
@@ -128,7 +128,7 @@ def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.size and x.min() < -EPS_PSD:
         raise InvalidSpectrumError(f"negative weight {x.min()} below tolerance")
     positive = x > 0.0
-    clamped = np.where(positive, x, 0.0)
+    clamped = np.where(x <= 0.0, 0.0, x)  # a NaN weight is kept, so that its sum fails
     logs = map(math.log, np.where(positive, x, 1.0).ravel().tolist())
     return clamped, clamped * np.fromiter(logs, float, x.size).reshape(x.shape)
 
@@ -160,7 +160,7 @@ def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         total = total + clamped
         acc = acc - xlogx
     off = abs(total - 1.0)
-    if off.size and off.max() > EPS_TRACE:
+    if off.size and not off.max() <= EPS_TRACE:  # NaN fails too
         raise InvalidSpectrumError(f"weights sum to {total.flat[off.argmax()]}, expected 1")
     return acc
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 
 import numpy as np
 from hypothesis import strategies as st
@@ -115,6 +116,31 @@ def strict_json_loads(text: str):
         raise ValueError(f"not JSON: {name}")
 
     return json.loads(text, parse_constant=reject)
+
+
+# worker pools ---------------------------------------------------------------
+
+
+def force_pools(monkeypatch, from_rows: int | None = 0) -> list:
+    """Let sweeps of ``from_rows`` rows or more (None: the CLI's own threshold) use two
+    worker processes, whatever CPUs this process may run on; give the list of pools started.
+    """
+    import concurrent.futures
+
+    from xstates import cli
+
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if from_rows is not None:
+        monkeypatch.setattr(cli, "_POOL_ROWS", from_rows)
+    return started
 
 
 # acceptance summary ---------------------------------------------------------

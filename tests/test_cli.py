@@ -4,11 +4,14 @@ import gc
 import io
 import json
 import math
+import multiprocessing
 import os
 import random
 import re
 import subprocess
 import sys
+import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, repeat
 from pathlib import Path
@@ -33,10 +36,10 @@ from xstates import (
     tomogram,
     werner,
 )
-from conftest import strict_json_loads
+from conftest import force_pools, strict_json_loads
 from oracles import werner_i_n
 from xstates import cli
-from xstates.cli import _json_rows, main
+from xstates.cli import _json_block, _json_rows, main
 from xstates.entanglement import _x_entanglement
 from xstates.information import _x_entropies, _x_information
 from xstates.xstate import _x_classify
@@ -433,8 +436,10 @@ class TestSweepCd:
             main(["sweep-cd", "--steps", "5", "--n-list", "2"])
 
     # Power 3 leaves invalid rows: in sweep-cd's grid, and below p = -1/3 in sweep-werner.
-    @pytest.mark.parametrize("argv", [["sweep-cd"],
-                                      ["sweep-werner", "--p-min=-1", "--num-dirs", "1"]])
+    # As JSON: a block is encoded before the spot check runs, and the CSV writer's own
+    # format strings already fail on a valid row that gets no measures.
+    @pytest.mark.parametrize("argv", [["sweep-cd", "--json"],
+                                      ["sweep-werner", "--p-min=-1", "--num-dirs", "1", "--json"]])
     def test_spot_check_reads_rows_through_the_writers_layout(self, argv, monkeypatch):
         spread = cli._spread
 
@@ -728,7 +733,7 @@ def test_json_rows_equal_json_dumps(name):
     rows = JSON_ROWS[name]
     # One block, and every split into two nonempty blocks.
     for blocks in [[rows]] + [[rows[:k], rows[k:]] for k in range(1, len(rows))]:
-        text = '{\n  "rows": ' + "".join(_json_rows(blocks)) + "\n}"
+        text = '{\n  "rows": ' + "".join(_json_rows(map(_json_block, blocks))) + "\n}"
         assert text == json.dumps({"rows": rows}, indent=2)
 
 
@@ -736,7 +741,7 @@ def test_json_rows_equal_json_dumps(name):
 def test_json_rows_reject_non_finite_cells(value):
     # RFC 8259 JSON has no Infinity or NaN; the writer refuses them rather than emit them.
     with pytest.raises(ValueError, match="JSON compliant"):
-        "".join(_json_rows([[(0.5, 1)], [(value, 2)]]))
+        "".join(_json_rows(map(_json_block, [[(0.5, 1)], [(value, 2)]])))
 
 
 def test_json_rows_are_encoded_one_power_at_a_time(capsys, monkeypatch):
@@ -780,19 +785,32 @@ def _assert_csv_matches_json(csv_text: str, json_text: str) -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep-cd", "--steps", "7", "--n-list", "2,3", "--c-phase", "0.7", "--d-phase", "-1.3"],
-    ["sweep-cd", "--steps", "11", "--n-list", "3"],
-    ["sweep-cd", "--a", "0", "--b", "0", "--steps", "5", "--n-list", "1,2"],
-    ["sweep-werner", "--p-min=-3", "--num-dirs", "3"],
-    WERNER_NO_IMAGE,
-], ids=["cd_phases", "cd_odd_power", "cd_zero_diagonal", "werner_negative_weights",
-        "werner_no_image"])
-def test_csv_and_json_agree_cell_by_cell(argv, capsys):
+AGREEING = {
+    "cd_phases": ["sweep-cd", "--steps", "7", "--n-list", "2,3", "--c-phase", "0.7",
+                  "--d-phase", "-1.3"],
+    "cd_odd_power": ["sweep-cd", "--steps", "11", "--n-list", "3"],
+    "cd_zero_diagonal": ["sweep-cd", "--a", "0", "--b", "0", "--steps", "5", "--n-list", "1,2"],
+    "werner_negative_weights": ["sweep-werner", "--p-min=-3", "--num-dirs", "3"],
+    "werner_no_image": WERNER_NO_IMAGE,
+}
+
+
+# Each also with its blocks made in worker processes ("-pooled"), which must give the same bytes.
+@pytest.mark.parametrize("name, pooled", [
+    pytest.param(name, pooled, id=name + "-pooled" * pooled)
+    for pooled in (False, True) for name in AGREEING])
+def test_csv_and_json_agree_cell_by_cell(name, pooled, capsys, monkeypatch):
+    argv = AGREEING[name]
     code, csv_text, _ = run(capsys, *argv)
     assert code == 0
     code, json_text, _ = run(capsys, *argv, "--json")
     assert code == 0
+    if pooled:
+        started = force_pools(monkeypatch)
+        assert run(capsys, *argv) == (0, csv_text, "")
+        assert run(capsys, *argv, "--json") == (0, json_text, "")
+        # A sweep of one power has one block, and makes it in-process.
+        assert len(started) == (0 if name in ("cd_odd_power", "werner_no_image") else 2)
     lines = _assert_csv_matches_json(csv_text, json_text)
     # Each sweep here has invalid rows, with an empty measure cell.
     assert any("" in ln.split(",") for ln in lines)
@@ -1024,6 +1042,95 @@ def test_overflowing_power_names_the_state_and_the_power(name, capsys):
     assert (code, out) == (1, "")
     assert err == f"error: OverflowError: an eigenvalue of {POWER_OVERFLOWS[name]} is not finite\n"
     assert "(34," not in err
+
+
+def test_workers_report_the_first_failing_power_in_list_order(capsys, monkeypatch):
+    argv = ["sweep-cd", "--a", "1e300", "--b", "1e300", "--steps", "3", "--n-list", "2,3"]
+    serial = run(capsys, *argv)
+    assert serial[:2] == (1, "") and "to the power 2 is not finite" in serial[2]
+    started = force_pools(monkeypatch)
+    evaluate = cli._evaluate
+
+    def late_at_2(n, states, measure):  # so that power 3 fails first in time
+        if n == 2:
+            time.sleep(0.2)
+        return evaluate(n, states, measure)
+
+    monkeypatch.setattr(cli, "_evaluate", late_at_2)
+    assert run(capsys, *argv) == serial
+    assert started == [2]
+
+
+def test_a_worker_that_dies_ends_the_run_with_one_line(capsys, monkeypatch):
+    started = force_pools(monkeypatch)
+    evaluate = cli._evaluate
+
+    def dies_at_3(n, states, measure):
+        if n == 3:
+            os._exit(70)
+        return evaluate(n, states, measure)
+
+    monkeypatch.setattr(cli, "_evaluate", dies_at_3)
+    code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
+    assert (code, out, started) == (1, "", [2])
+    assert err.startswith("error: a sweep worker process ended abruptly: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["first_fork", "second_fork"])
+def test_a_failed_fork_makes_the_blocks_in_process(failing, capsys, monkeypatch):
+    argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
+    serial = run(capsys, *argv)
+    started = force_pools(monkeypatch)
+    fork, forks = os.fork, []
+
+    def fork_fails_once(*args):
+        forks.append(1)
+        if len(forks) == failing:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork(*args)
+
+    monkeypatch.setattr(os, "fork", fork_fails_once)
+    assert run(capsys, *argv) == serial
+    assert (started, len(forks)) == ([2], failing)
+    # A worker forked before the failure is stopped, so no child outlives the run
+    # (one that did would hang this interpreter's exit: stop it, then fail).
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+    assert left == []
+
+
+# The bench's werner-dirs workload (251 weights, 6 powers: 1,506 rows) and the SmallGrid of
+# its tests (21 x 21 points, 4 powers: 1,764 rows) stay in-process; cd-grid (40,804) does not.
+@pytest.mark.parametrize("argv, pools", [
+    (["sweep-werner", "--steps", "251", "--num-dirs", "64", "--json"], []),
+    (["sweep-cd", "--steps", "21"], []),
+    (["sweep-cd", "--steps", "101"], [2]),
+], ids=["werner_dirs", "small_grid", "cd_grid"])
+def test_only_large_sweeps_start_workers(argv, pools, tmp_path, capsys, monkeypatch):
+    started = force_pools(monkeypatch, from_rows=None)
+    assert run(capsys, *argv, "--output", str(tmp_path / "out")) == (0, "", "")
+    assert started == pools
+
+
+def test_one_cpu_or_a_second_thread_keeps_a_sweep_in_process(capsys, monkeypatch):
+    started = force_pools(monkeypatch)
+    argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
+    pooled = run(capsys, *argv)
+    assert started == [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # as under taskset -c 0
+    assert run(capsys, *argv) == pooled
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run(capsys, *argv) == pooled
+    finally:
+        stop.set()
+        thread.join()
+    assert started == [2]
 
 
 # The floats of the CLI contract's property test: the edges of the float range and

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import strict_json_loads
+from conftest import force_pools, strict_json_loads
 from xstates.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -245,23 +245,44 @@ def run_case(argv: list[str], config: str | None, tmp: Path) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_recording(name, tmp_path):
+# Sweeps run a second time with every block made in a worker process, name -> the pools
+# started (one power stays in-process): invalid rows, rows without an image, phases, one
+# power, --output and a config file.  The bytes must not change.
+POOLED = {
+    "sweep_cd_csv_output": 1, "sweep_cd_csv_invalid_rows": 1, "sweep_cd_csv_phases": 1,
+    "sweep_cd_json": 1, "sweep_cd_config": 1, "sweep_werner_csv": 1, "sweep_werner_json": 1,
+    "sweep_werner_out_of_range": 0, "sweep_werner_config_json": 0,
+    "sweep_cd_zero_denominator_csv": 1, "sweep_cd_zero_denominator_json": 1,
+    "sweep_cd_invalid_rows_phases_csv": 1, "sweep_werner_invalid_rows_json": 1,
+}
+
+
+def _with_pooled(names):
+    return [pytest.param(name, False, id=name) for name in sorted(names)] + [
+        pytest.param(name, True, id=f"{name}-pooled") for name in sorted(names) if name in POOLED]
+
+
+@pytest.mark.parametrize("name, pooled", _with_pooled(CASES))
+def test_matches_recording(name, pooled, tmp_path, monkeypatch):
     argv, config = CASES[name]
     recorded = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert recorded["argv"] == argv and recorded["config"] == config
+    started = force_pools(monkeypatch) if pooled else []
     got = run_case(argv, config, tmp_path)
     for key in ("code", "stdout", "stderr", "output"):
         assert got[key] == recorded[key], key
+    assert len(started) == (POOLED[name] if pooled else 0)
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_matches_pinned_digest(name, tmp_path):
+@pytest.mark.parametrize("name, pooled", _with_pooled(PINNED))
+def test_matches_pinned_digest(name, pooled, tmp_path, monkeypatch):
     argv, digest, length = PINNED[name]
+    started = force_pools(monkeypatch) if pooled else []
     got = run_case(argv, None, tmp_path)
     assert (got["code"], got["stderr"], got["output"]) == (0, "", None)
     data = got["stdout"].encode("utf-8")
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, length)
+    assert len(started) == (POOLED[name] if pooled else 0)
 
 
 def test_json_outputs_are_strict_json():

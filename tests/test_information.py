@@ -39,7 +39,9 @@ from xstates import (
     von_neumann_entropy,
     werner,
 )
-from xstates.information import _x_entropies, _x_information, _xlogx, _xlogx_distinct
+from xstates.information import (
+    _entropy, _x_entropies, _x_information, _xlogx, _xlogx_distinct,
+)
 from xstates.tomography import _pair_coefficients
 from xstates.xstate import _x_columns
 
@@ -82,6 +84,15 @@ class TestVonNeumannEntropy:
         for weights in ((0.5, 0.5, 0.5, 0.0), (math.nan,) * 4, (0.5, 0.5, math.nan)):
             with pytest.raises(InvalidSpectrumError):
                 von_neumann_entropy(weights)
+
+
+    def test_nan_weight_fails_the_sum_in_the_columnar_entropy_too(self):
+        weights = [0.5, math.nan, 0.5, 0.0]
+        with pytest.raises(InvalidSpectrumError) as scalar:
+            von_neumann_entropy(weights)
+        with pytest.raises(InvalidSpectrumError) as columnar:
+            _entropy(map(_xlogx, np.array(weights)[:, None]))
+        assert str(columnar.value) == str(scalar.value) == "weights sum to nan, expected 1"
 
 
 class TestSystemEntropies:
