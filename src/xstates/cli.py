@@ -25,7 +25,7 @@ import sys
 import threading
 from dataclasses import asdict
 from itertools import chain, product, repeat, starmap
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .xstate import (
     StateClass,
@@ -422,8 +422,8 @@ def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layou
 _POOL_ROWS = 1 << 14
 
 
-def _pooled(k: int):  # in a worker: the work function that the pool's initializer set
-    return _pooled.work(k)
+def _pooled(k: int):  # in a worker: the work function that the pool's initializer set,
+    return None if _pooled.stop.value else _pooled.work(k)  # unless the run has stopped
 
 
 def _map_blocks(work, count: int, rows: int) -> list:
@@ -433,21 +433,26 @@ def _map_blocks(work, count: int, rows: int) -> list:
         import multiprocessing
         import numpy  # noqa: F401  (loaded here, or else once in each worker)
         from concurrent.futures import ProcessPoolExecutor, process
-        # The workers inherit ``work`` and what it reads: only k and the results are pickled.
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), setattr,
-                                 (_pooled, "work", work)) as pool:
-            try:
-                return list(pool.map(_pooled, range(count)))  # in order: first failing k raises
-            except process.BrokenProcessPool as exc:
-                raise _UsageError(f"a sweep worker process ended abruptly: {exc}")
-            except OSError:  # a fork failed: stop the workers started, and make the blocks here
-                for child in multiprocessing.active_children():
-                    child.terminate()
+        others = set(multiprocessing.active_children())  # the caller's, never stopped here
+        try:
+            stop = multiprocessing.RawValue("b", 0)  # shared: once set, workers begin no block
+            # The workers inherit what the initializer sets: only k and the results are pickled.
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     vars(_pooled).update, ({"work": work, "stop": stop},)) as pool:
+                try:
+                    return list(pool.map(_pooled, range(count)))  # in order: first failing k raises
+                finally:  # after a failing block, the workers finish only those begun
+                    stop.value = 1
+        except process.BrokenProcessPool as exc:
+            raise _UsageError(f"a sweep worker process ended abruptly: {exc}")
+        except OSError:  # no pool, or a fork failed: stop its workers, and make the blocks here
+            for child in set(multiprocessing.active_children()) - others:
+                child.terminate()
     return list(map(work, range(count)))
 
 
 def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, public, layout,
-           names: Iterable[str], options: dict[str, argparse.Action], meta) -> int:
+           names: Sequence[str], options: dict[str, argparse.Action], meta) -> int:
     """Evaluate, spot-check and write a sweep, one block per power in ``--n-list``.
 
     ``grid`` names each axis of the grid, and ``state(*point)`` makes the state of each
@@ -475,7 +480,7 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
         return text, rows
 
     texts, rows = zip(*_map_blocks(work, len(args.n_list), total))
-    _spot_check(args, drawn, rows, states, public, layout)
+    _spot_check(args, drawn, rows, states, public, layout, len(names))
     comments, extra = meta()
     header = [*grid, *layout("n", "valid", "class", names)]
     if as_csv:
@@ -491,12 +496,12 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
 
 
 def _spot_check(args: argparse.Namespace, drawn: list[int], rows: tuple[dict[int, list], ...],
-                states: list[XParams], public, layout) -> None:
+                states: list[XParams], public, layout, width: int) -> None:
     # A per-run guard: each drawn row must equal, bit for bit, the public chain's evaluation.
     for idx in drawn:
         k, j = divmod(idx, len(states))
         n = args.n_list[k]
-        cells = _public_row(_cd_row(n, states[j]), public, len(rows[k][j]) - 3)
+        cells = _public_row(_cd_row(n, states[j]), public, width)
         if layout(n, *cells) != rows[k][j]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 

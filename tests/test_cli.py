@@ -436,11 +436,15 @@ class TestSweepCd:
             main(["sweep-cd", "--steps", "5", "--n-list", "2"])
 
     # Power 3 leaves invalid rows: in sweep-cd's grid, and below p = -1/3 in sweep-werner.
-    # As JSON: a block is encoded before the spot check runs, and the CSV writer's own
-    # format strings already fail on a valid row that gets no measures.
-    @pytest.mark.parametrize("argv", [["sweep-cd", "--json"],
-                                      ["sweep-werner", "--p-min=-1", "--num-dirs", "1", "--json"]])
-    def test_spot_check_reads_rows_through_the_writers_layout(self, argv, monkeypatch):
+    # A block is encoded before the spot check runs.  The JSON writer encodes the shifted
+    # rows and the spot check refuses them; the CSV writer's own format strings may refuse
+    # them first, where a valid row gets no measures or an invalid row some.  Either way
+    # the run fails and writes nothing, in one process and in workers.
+    @pytest.mark.parametrize("argv", [
+        ["sweep-cd"], ["sweep-werner", "--p-min=-1", "--num-dirs", "1"],
+        ["sweep-cd", "--json"], ["sweep-werner", "--p-min=-1", "--num-dirs", "1", "--json"]])
+    def test_spot_check_reads_rows_through_the_writers_layout(self, argv, tmp_path, capsys,
+                                                              monkeypatch):
         spread = cli._spread
 
         def shifted(verdicts, values, fill=None):
@@ -448,8 +452,17 @@ class TestSweepCd:
             return column[-1:] + column[:-1]  # each row gets the measures of the row above
 
         monkeypatch.setattr("xstates.cli._spread", shifted)
-        with pytest.raises(RuntimeError, match="self-check"):
-            main([*argv, "--steps", "5", "--n-list", "2,3"])
+        as_json = "--json" in argv
+        out = tmp_path / "out"
+        for pooled in (False, True):
+            started = force_pools(monkeypatch) if pooled else []
+            for output in ([], ["--output", str(out)]):
+                with pytest.raises(RuntimeError if as_json else (RuntimeError, TypeError),
+                                   match="self-check" if as_json else "self-check|format"):
+                    main([*argv, "--steps", "5", "--n-list", "2,3", *output])
+            assert len(started) == 2 * pooled
+        assert capsys.readouterr() == ("", "")
+        assert not out.exists()
 
     def test_spot_check_recomputes_the_drawn_power_and_point(self, capsys, monkeypatch):
         cd_row = cli._cd_row
@@ -1077,10 +1090,14 @@ def test_a_worker_that_dies_ends_the_run_with_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("failing", [1, 2], ids=["first_fork", "second_fork"])
+# 0: no shared memory for the pool, so nothing is forked.
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["no_pool", "first_fork", "second_fork"])
 def test_a_failed_fork_makes_the_blocks_in_process(failing, capsys, monkeypatch):
     argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
     serial = run(capsys, *argv)
+    # A child of the caller's own, which the sweep must leave running.
+    bystander = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    bystander.start()
     started = force_pools(monkeypatch)
     fork, forks = os.fork, []
 
@@ -1090,15 +1107,46 @@ def test_a_failed_fork_makes_the_blocks_in_process(failing, capsys, monkeypatch)
             raise BlockingIOError(11, "Resource temporarily unavailable")
         return fork(*args)
 
+    def no_shared_memory(*args):
+        raise OSError(38, "Function not implemented")
+
     monkeypatch.setattr(os, "fork", fork_fails_once)
-    assert run(capsys, *argv) == serial
-    assert (started, len(forks)) == ([2], failing)
-    # A worker forked before the failure is stopped, so no child outlives the run
-    # (one that did would hang this interpreter's exit: stop it, then fail).
-    left = multiprocessing.active_children()
-    for child in left:
-        child.kill()
-    assert left == []
+    if not failing:
+        monkeypatch.setattr(multiprocessing, "RawValue", no_shared_memory)
+    try:
+        assert run(capsys, *argv) == serial
+        assert (started, len(forks)) == ([2] if failing else [], failing)
+        # A worker forked before the failure is stopped, so no child of the sweep outlives
+        # the run (one that did would hang this interpreter's exit: stop it, then fail).
+        left = multiprocessing.active_children()
+        assert bystander.is_alive()
+    finally:
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
+    assert left == [bystander]
+
+
+def test_a_failing_block_stops_the_workers_beginning_others(tmp_path, capsys, monkeypatch):
+    argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7,8,9"]
+    evaluate, begun = cli._evaluate, tmp_path / "begun"
+
+    def fails_at_2(n, states, measure):  # each other block takes half a second
+        if n == 2:
+            raise OverflowError("x**n at the power 2")
+        with open(begun, "a") as fh:
+            fh.write(f"{n}\n")
+        time.sleep(0.5)
+        return evaluate(n, states, measure)
+
+    monkeypatch.setattr(cli, "_evaluate", fails_at_2)
+    assert run(capsys, *argv) == (1, "", "error: OverflowError: x**n at the power 2\n")
+    assert not begun.exists()  # in one process, the run ends at the failing block
+    started = force_pools(monkeypatch)
+    assert run(capsys, *argv) == (1, "", "error: OverflowError: x**n at the power 2\n")
+    # Only what the two workers had begun before the parent saw the failure: without the
+    # stop, the pool hands out five more blocks before any worker is free again.
+    assert started == [2] and len(begun.read_text().split()) <= 2
 
 
 # The bench's werner-dirs workload (251 weights, 6 powers: 1,506 rows) and the SmallGrid of
