@@ -405,8 +405,8 @@ def _row_to_csv(cells) -> str:
     return ",".join(cells)
 
 
-def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layout) -> str:
-    """The CSV lines of one block; ``heads`` are each row's grid cells and a comma."""
+def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layout) -> list[str]:
+    """The CSV lines of one block, without newlines; ``heads`` are each row's grid cells."""
     n, verdicts, measures = block
     # Each verdict's cells from n on, with "%.15g" (format(x, ".15g")) in a valid row's
     # measure slots: a row is its head, then its verdict's line % its measures.
@@ -414,40 +414,100 @@ def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layou
                                 ["%.15g" if valid else ""] * len(measures)))
              for valid, cls in _VERDICTS]
     cells = _spread(verdicts, zip(*measures), ())
-    return "\n".join([head + lines[v] % m for head, v, m in zip(heads, verdicts, cells)]) + "\n"
+    return [head + lines[v] % m for head, v, m in zip(heads, verdicts, cells)]
 
 
-# From this many rows on, a sweep makes its blocks in forked workers, one per power up to
-# the CPUs it may run on (``taskset -c 0`` allows one), unless it runs another thread.
-_POOL_ROWS = 1 << 14
+# From this many measure cells on (rows times measures per row), a sweep makes its blocks in
+# forked workers, one per power up to the CPUs it may run on (``taskset -c 0`` allows one),
+# unless it runs another thread.
+_POOL_CELLS = 1 << 15
 
 
-def _pooled(k: int):  # in a worker: the work function that the pool's initializer set,
-    return None if _pooled.stop.value else _pooled.work(k)  # unless the run has stopped
+def _serve(work, tasks: int, out: int, parents: list[int]) -> None:
+    # A worker: for each index k read from ``tasks``, it sends (k, ok, work(k) or its error)
+    # to ``out``.  It closes the parent's pipe ends, so that it ends at its first failing pipe
+    # operation once the parent has gone, and only by os._exit: it flushes nothing inherited.
+    import pickle
+    try:
+        for fd in parents:
+            os.close(fd)
+        results = open(out, "wb")
+        while task := os.read(tasks, 8):
+            k = int.from_bytes(task, "little")
+            try:
+                outcome = k, True, work(k)
+            except BaseException as exc:
+                try:  # an exception that cannot cross the pipe ends the run with one line
+                    outcome = pickle.loads(pickle.dumps((k, False, exc)))
+                except Exception as why:
+                    outcome = k, False, _UsageError(f"a sweep worker cannot return {exc!r}: {why}")
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            results.write(len(data).to_bytes(8, "little") + data)
+            results.flush()
+    except BaseException:
+        os._exit(1)
+    os._exit(0)
 
 
-def _map_blocks(work, count: int, rows: int) -> list:
-    """``[work(k) for k in range(count)]``, in forked workers for a sweep of ``rows`` rows."""
+def _map_blocks(work, count: int, cells: int) -> list:
+    """``[work(k) for k in range(count)]``, in forked workers for a sweep of ``cells`` cells.
+
+    A worker gets the next k when its last result arrives, and none once a block has failed;
+    the first failing k raises.  If a pipe or a fork fails, the blocks are made here.
+    """
     workers = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-    if rows >= _POOL_ROWS and workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-        import numpy  # noqa: F401  (loaded here, or else once in each worker)
-        from concurrent.futures import ProcessPoolExecutor, process
-        others = set(multiprocessing.active_children())  # the caller's, never stopped here
+    if cells < _POOL_CELLS or workers < 2 or threading.active_count() > 1:
+        return list(map(work, range(count)))
+    import numpy  # noqa: F401  (loaded here, or else once in each worker)
+    import pickle
+    import select
+    import signal
+    ends, pool, order, results, failed = [], {}, iter(range(count)), [None] * count, {}
+    try:
         try:
-            stop = multiprocessing.RawValue("b", 0)  # shared: once set, workers begin no block
-            # The workers inherit what the initializer sets: only k and the results are pickled.
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     vars(_pooled).update, ({"work": work, "stop": stop},)) as pool:
-                try:
-                    return list(pool.map(_pooled, range(count)))  # in order: first failing k raises
-                finally:  # after a failing block, the workers finish only those begun
-                    stop.value = 1
-        except process.BrokenProcessPool as exc:
-            raise _UsageError(f"a sweep worker process ended abruptly: {exc}")
-        except OSError:  # no pool, or a fork failed: stop its workers, and make the blocks here
-            for child in set(multiprocessing.active_children()) - others:
-                child.terminate()
+            for _ in range(workers):  # each with a task pipe, a result pipe and a first k
+                ends += os.pipe()
+                ends += os.pipe()
+                pid = os.fork()
+                tasks, out = ends.pop(-4), ends.pop()  # the worker's ends
+                if not pid:
+                    _serve(work, tasks, out, ends)
+                os.close(tasks)
+                os.close(out)
+                pool[ends[-1]] = pid, ends[-2]  # result pipe -> pid, task pipe
+                os.write(ends[-2], next(order).to_bytes(8, "little"))
+        except OSError:  # stop the workers, then make the blocks here
+            pass
+        else:
+            busy = list(pool)
+            while busy:
+                for fd in select.select(busy, [], [])[0]:
+                    with open(fd, "rb", closefd=False) as pipe:
+                        size = int.from_bytes(pipe.read(8), "little")
+                        data = pipe.read(size)
+                    if not size or len(data) < size:
+                        code = os.waitstatus_to_exitcode(os.waitpid(pool.pop(fd)[0], 0)[1])
+                        sig = {s.value: s.name for s in signal.Signals}.get(-code, f"signal {-code}")
+                        how = f"exit code {code}" if code >= 0 else f"killed by {sig}"
+                        raise _UsageError(f"a sweep worker process ended abruptly: {how}")
+                    k, ok, value = pickle.loads(data)
+                    results[k] = value
+                    if not ok:
+                        failed[k], order = value, iter(())
+                    k = next(order, None)
+                    if k is None:
+                        busy.remove(fd)
+                    else:
+                        os.write(pool[fd][1], k.to_bytes(8, "little"))
+            if failed:
+                raise failed[min(failed)]
+            return results
+    finally:  # no worker outlives the run
+        for fd in ends:
+            os.close(fd)
+        for pid, _ in pool.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return list(map(work, range(count)))
 
 
@@ -470,17 +530,19 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
         axes = [[f"{_fmt(x)}," for x in axis] for axis in grid.values()]  # formatted once
         heads = list(map("".join, product(*axes)))  # each row's grid cells, with their commas
     else:
-        columns = list(zip(*product(*grid.values())))
+        columns, heads = list(zip(*product(*grid.values()))), None
 
-    def work(k: int) -> tuple[str, dict[int, list]]:  # block k's text; its drawn rows by point
+    def work(k: int) -> tuple[str, dict]:  # block k's text; its drawn rows by point, as shipped
         block = _evaluate(args.n_list[k], states, fast)
+        mine = [j for j in (i - k * size for i in drawn) if 0 <= j < size]
+        if as_csv:
+            lines = _csv_block(block, heads, layout)
+            return "\n".join(lines) + "\n", {j: lines[j] for j in mine}
         full = _full_columns(block, layout)
-        rows = {j: [col[j] for col in full] for j in (i - k * size for i in drawn) if 0 <= j < size}
-        text = _csv_block(block, heads, layout) if as_csv else _json_block([*zip(*columns, *full)])
-        return text, rows
+        return _json_block([*zip(*columns, *full)]), {j: [col[j] for col in full] for j in mine}
 
-    texts, rows = zip(*_map_blocks(work, len(args.n_list), total))
-    _spot_check(args, drawn, rows, states, public, layout, len(names))
+    texts, rows = zip(*_map_blocks(work, len(args.n_list), total * len(names)))
+    _spot_check(args, drawn, rows, states, public, layout, len(names), heads)
     comments, extra = meta()
     header = [*grid, *layout("n", "valid", "class", names)]
     if as_csv:
@@ -495,14 +557,15 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
     return 0
 
 
-def _spot_check(args: argparse.Namespace, drawn: list[int], rows: tuple[dict[int, list], ...],
-                states: list[XParams], public, layout, width: int) -> None:
-    # A per-run guard: each drawn row must equal, bit for bit, the public chain's evaluation.
+def _spot_check(args: argparse.Namespace, drawn: list[int], rows: tuple[dict, ...],
+                states: list[XParams], public, layout, width: int, heads: list[str] | None) -> None:
+    # A per-run guard: each drawn row, as shipped, must equal the public chain's evaluation,
+    # placed by the layout and, in a CSV line after its grid cells, formatted cell by cell.
     for idx in drawn:
         k, j = divmod(idx, len(states))
         n = args.n_list[k]
-        cells = _public_row(_cd_row(n, states[j]), public, width)
-        if layout(n, *cells) != rows[k][j]:
+        row = layout(n, *_public_row(_cd_row(n, states[j]), public, width))
+        if (row if heads is None else heads[j] + ",".join(map(_fmt, row))) != rows[k][j]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 

@@ -121,26 +121,26 @@ def strict_json_loads(text: str):
 # worker pools ---------------------------------------------------------------
 
 
-def force_pools(monkeypatch, from_rows: int | None = 0) -> list:
-    """Let sweeps of ``from_rows`` rows or more (None: the CLI's own threshold) use two
-    worker processes, whatever CPUs this process may run on; give the list of pools started.
+def force_pools(monkeypatch, from_cells: int | None = 0) -> list:
+    """Let sweeps of ``from_cells`` measure cells or more (None: the CLI's own threshold) use
+    two worker processes, whatever CPUs this process may run on; give the list of the pids
+    that they fork, one per worker.
     """
-    import concurrent.futures
-
     from xstates import cli
 
-    started = []
+    forked, fork = [], os.fork
 
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args[0])
-            super().__init__(*args, **kwargs)
+    def recorded():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "fork", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    if from_rows is not None:
-        monkeypatch.setattr(cli, "_POOL_ROWS", from_rows)
-    return started
+    if from_cells is not None:
+        monkeypatch.setattr(cli, "_POOL_CELLS", from_cells)
+    return forked
 
 
 # acceptance summary ---------------------------------------------------------

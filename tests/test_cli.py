@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -42,7 +43,7 @@ from xstates import cli
 from xstates.cli import _json_block, _json_rows, main
 from xstates.entanglement import _x_entanglement
 from xstates.information import _x_entropies, _x_information
-from xstates.xstate import _x_classify
+from xstates.xstate import ZeroDenominatorError, _x_classify
 
 LN4 = math.log(4.0)
 
@@ -460,7 +461,37 @@ class TestSweepCd:
                 with pytest.raises(RuntimeError if as_json else (RuntimeError, TypeError),
                                    match="self-check" if as_json else "self-check|format"):
                     main([*argv, "--steps", "5", "--n-list", "2,3", *output])
-            assert len(started) == 2 * pooled
+            assert len(started) == 4 * pooled  # two runs of two workers
+        assert capsys.readouterr() == ("", "")
+        assert not out.exists()
+
+    # A CSV line misplaced by _csv_block alone, not in the columns that JSON encodes: the
+    # check reads the drawn lines as written, so each mutant fails the run and writes
+    # nothing, in one process and in workers.  Every row here is valid, and so checkable.
+    @pytest.mark.parametrize("mutant", ["rotated_rows", "swapped_cells"])
+    @pytest.mark.parametrize("argv", [["sweep-cd", "--n-list", "2,4"],
+                                      ["sweep-werner", "--num-dirs", "2", "--n-list", "2,3"]])
+    def test_spot_check_reads_the_csv_lines_it_ships(self, mutant, argv, tmp_path, capsys,
+                                                     monkeypatch):
+        csv_block = cli._csv_block
+
+        def mutated(block, heads, layout):
+            n, verdicts, measures = block
+            if mutant == "rotated_rows":  # each row gets the measures of the row above
+                measures = [m[-1:] + m[:-1] for m in measures]
+            else:  # the last two measure cells of each row change places
+                measures = [*measures[:-2], measures[-1], measures[-2]]
+            return csv_block((n, verdicts, measures), heads, layout)
+
+        monkeypatch.setattr(cli, "_csv_block", mutated)
+        out = tmp_path / "out"
+        for pooled in (False, True):
+            started = force_pools(monkeypatch) if pooled else []
+            for output in ([], ["--output", str(out)]):
+                with pytest.raises(RuntimeError, match="failed its self-check"):
+                    main([*argv, "--steps", "5", *output])
+            assert len(started) == 4 * pooled  # two runs of two workers
+            assert_reaped(started)
         assert capsys.readouterr() == ("", "")
         assert not out.exists()
 
@@ -822,8 +853,8 @@ def test_csv_and_json_agree_cell_by_cell(name, pooled, capsys, monkeypatch):
         started = force_pools(monkeypatch)
         assert run(capsys, *argv) == (0, csv_text, "")
         assert run(capsys, *argv, "--json") == (0, json_text, "")
-        # A sweep of one power has one block, and makes it in-process.
-        assert len(started) == (0 if name in ("cd_odd_power", "werner_no_image") else 2)
+        # Two runs of two workers; a sweep of one power has one block, and makes it in-process.
+        assert len(started) == (0 if name in ("cd_odd_power", "werner_no_image") else 4)
     lines = _assert_csv_matches_json(csv_text, json_text)
     # Each sweep here has invalid rows, with an empty measure cell.
     assert any("" in ln.split(",") for ln in lines)
@@ -1071,26 +1102,215 @@ def test_workers_report_the_first_failing_power_in_list_order(capsys, monkeypatc
 
     monkeypatch.setattr(cli, "_evaluate", late_at_2)
     assert run(capsys, *argv) == serial
-    assert started == [2]
+    assert len(started) == 2
+
+
+def assert_reaped(pids):
+    """Each of ``pids`` was waited for: none is a child of this process any more."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def dies_at_3(monkeypatch, how):
+    """Make the block of power 3 end its process with ``how()``."""
+    evaluate = cli._evaluate
+
+    def dying(n, states, measure):
+        if n == 3:
+            how()
+        return evaluate(n, states, measure)
+
+    monkeypatch.setattr(cli, "_evaluate", dying)
 
 
 def test_a_worker_that_dies_ends_the_run_with_one_line(capsys, monkeypatch):
     started = force_pools(monkeypatch)
+    dies_at_3(monkeypatch, lambda: os._exit(70))
+    code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
+    assert (code, out, len(started)) == (1, "", 2)
+    assert err == "error: a sweep worker process ended abruptly: exit code 70\n"
+    assert_reaped(started)
+
+
+def test_a_worker_killed_by_a_signal_is_named(capsys, monkeypatch):
+    started = force_pools(monkeypatch)
+    dies_at_3(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
+    assert (code, out, len(started)) == (1, "", 2)
+    assert err == "error: a sweep worker process ended abruptly: killed by SIGKILL\n"
+    assert_reaped(started)
+
+
+class TwoPartError(Exception):
+    """Pickles, but cannot be unpickled: its one argument becomes the first of two."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+# Each error the block path raises crosses the pipe as itself: the same exit code and
+# line as in one process, or the same exception where main does not catch it.
+@pytest.mark.parametrize("error", ["overflow", "zero_denominator", "csv_type_error"])
+def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
+    argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3"]
+    if error == "overflow":
+        argv += ["--a", "1e300", "--b", "1e300"]
+    elif error == "zero_denominator":
+        evaluate = cli._evaluate
+
+        def vanishes_at_3(n, states, measure):
+            if n == 3:
+                raise ZeroDenominatorError("Tr rho^3 vanished")
+            return evaluate(n, states, measure)
+
+        monkeypatch.setattr(cli, "_evaluate", vanishes_at_3)
+    else:
+        spread = cli._spread
+        # Power 3's invalid rows: a valid row gets no measures, which its line's format refuses.
+        monkeypatch.setattr(cli, "_spread", lambda *a: (lambda c: c[-1:] + c[:-1])(spread(*a)))
+
+    def outcome():
+        try:
+            return run(capsys, *argv)
+        except TypeError as exc:
+            return repr(exc), capsys.readouterr()
+
+    serial = outcome()
+    started = force_pools(monkeypatch)
+    assert outcome() == serial and len(started) == 2
+    if error == "csv_type_error":
+        assert serial[0].startswith("TypeError(") and serial[1] == ("", "")
+    elif error == "overflow":
+        assert serial[:2] == (1, "") and serial[2].startswith("error: OverflowError: ")
+    else:
+        assert serial == (1, "", "error: ZeroDenominatorError: Tr rho^3 vanished\n")
+    assert_reaped(started)
+
+
+@pytest.mark.parametrize("unpicklable", ["cannot_load", "cannot_dump"])
+def test_an_error_that_cannot_cross_the_pipe_ends_in_one_line(unpicklable, capsys, monkeypatch):
+    started = force_pools(monkeypatch)
     evaluate = cli._evaluate
 
-    def dies_at_3(n, states, measure):
+    class Local(Exception):  # pickle finds no class by this name
+        pass
+
+    def fails_at_3(n, states, measure):
         if n == 3:
-            os._exit(70)
+            raise TwoPartError("power 3", "no") if unpicklable == "cannot_load" else Local("no")
         return evaluate(n, states, measure)
 
-    monkeypatch.setattr(cli, "_evaluate", dies_at_3)
+    monkeypatch.setattr(cli, "_evaluate", fails_at_3)
     code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
-    assert (code, out, started) == (1, "", [2])
-    assert err.startswith("error: a sweep worker process ended abruptly: ")
+    assert (code, out, len(started)) == (1, "", 2)
+    assert err.startswith("error: a sweep worker cannot return ")
+    assert ("TwoPartError('power 3: no')" if unpicklable == "cannot_load" else "Local('no')") in err
     assert err.count("\n") == 1
+    assert_reaped(started)
 
 
-# 0: no shared memory for the pool, so nothing is forked.
+# A fresh interpreter with two workers forced: stdout is a pipe, so "x" sits in its buffer
+# when the workers are forked; a worker that flushed it would print it again.
+FORCED_WORKERS = """
+import os, sys
+from xstates import cli
+
+forks, fork = [], os.fork
+
+def recorded():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = recorded
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._POOL_CELLS = 0
+sys.stdout.write("x")
+assert cli.main(sys.argv[1:]) == 0
+assert len(forks) == 2, forks
+print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules),
+      file=sys.stderr)
+"""
+
+
+def test_workers_flush_nothing_and_load_no_multiprocessing(tmp_path):
+    out = tmp_path / "out.csv"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(xstates.__file__).resolve().parents[1])
+    argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3", "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-c", FORCED_WORKERS, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x", "[]\n")
+    assert out.read_text() == serial_text(argv[:-2])
+
+
+# A fresh interpreter whose process is killed once both workers of its sweep have begun a
+# block: each worker holds none of the parent's pipe ends, so it ends by itself when it
+# sends its result.
+ORPHANED_WORKERS = """
+import os, select, signal, sys, time
+from xstates import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._POOL_CELLS = 0
+evaluate, begun = cli._evaluate, sys.argv[1]
+
+def slow(n, states, measure):
+    with open(begun, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(0.5)
+    return evaluate(n, states, measure)
+
+def parent_dies(*args):
+    while len(open(begun).read().split()) < 2:
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+cli._evaluate, select.select = slow, parent_dies
+cli.main(["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5"])
+"""
+
+
+def running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # a zombie has ended, whether or not its new parent has reaped it
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_end_when_their_parent_dies(tmp_path):
+    begun = tmp_path / "begun"
+    begun.touch()
+    env = dict(os.environ, PYTHONPATH=str(Path(xstates.__file__).resolve().parents[1]))
+    # Not through pipes: a worker left running would hold them open.
+    with open(tmp_path / "err", "w") as err:
+        proc = subprocess.run([sys.executable, "-c", ORPHANED_WORKERS, str(begun)],
+                              stdout=subprocess.DEVNULL, stderr=err, env=env, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, (tmp_path / "err").read_text()
+    workers = [int(pid) for pid in begun.read_text().split()]
+    assert len(workers) == 2
+    deadline = time.monotonic() + 20
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(running, workers))
+
+
+def serial_text(argv):
+    """The text that ``main(argv)`` writes to stdout, in one process."""
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        assert main(argv) == 0
+    return buffer.getvalue()
+
+
+# The pool's first pipe, its first fork or its second fork fails.
 @pytest.mark.parametrize("failing", [0, 1, 2], ids=["no_pool", "first_fork", "second_fork"])
 def test_a_failed_fork_makes_the_blocks_in_process(failing, capsys, monkeypatch):
     argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
@@ -1098,6 +1318,7 @@ def test_a_failed_fork_makes_the_blocks_in_process(failing, capsys, monkeypatch)
     # A child of the caller's own, which the sweep must leave running.
     bystander = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
     bystander.start()
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     started = force_pools(monkeypatch)
     fork, forks = os.fork, []
 
@@ -1107,24 +1328,23 @@ def test_a_failed_fork_makes_the_blocks_in_process(failing, capsys, monkeypatch)
             raise BlockingIOError(11, "Resource temporarily unavailable")
         return fork(*args)
 
-    def no_shared_memory(*args):
-        raise OSError(38, "Function not implemented")
+    def no_pipe(*args):
+        raise OSError(24, "Too many open files")
 
     monkeypatch.setattr(os, "fork", fork_fails_once)
     if not failing:
-        monkeypatch.setattr(multiprocessing, "RawValue", no_shared_memory)
+        monkeypatch.setattr(os, "pipe", no_pipe)
     try:
         assert run(capsys, *argv) == serial
-        assert (started, len(forks)) == ([2] if failing else [], failing)
-        # A worker forked before the failure is stopped, so no child of the sweep outlives
-        # the run (one that did would hang this interpreter's exit: stop it, then fail).
-        left = multiprocessing.active_children()
+        assert (len(started), len(forks)) == (max(failing - 1, 0), failing)
+        # A worker forked before the failure is stopped and waited for, so no child of the
+        # sweep outlives the run, and the pipes made for the pool are closed.
+        assert_reaped(started)
+        assert fds is None or len(os.listdir("/proc/self/fd")) == fds
         assert bystander.is_alive()
     finally:
-        for child in multiprocessing.active_children():
-            child.kill()
-            child.join()
-    assert left == [bystander]
+        bystander.kill()
+        bystander.join()
 
 
 def test_a_failing_block_stops_the_workers_beginning_others(tmp_path, capsys, monkeypatch):
@@ -1144,29 +1364,38 @@ def test_a_failing_block_stops_the_workers_beginning_others(tmp_path, capsys, mo
     assert not begun.exists()  # in one process, the run ends at the failing block
     started = force_pools(monkeypatch)
     assert run(capsys, *argv) == (1, "", "error: OverflowError: x**n at the power 2\n")
-    # Only what the two workers had begun before the parent saw the failure: without the
-    # stop, the pool hands out five more blocks before any worker is free again.
-    assert started == [2] and len(begun.read_text().split()) <= 2
+    # Only what the two workers had begun before the parent saw the failure: a worker is
+    # handed a power only when its last result has come back without an error.
+    assert len(started) == 2 and len(begun.read_text().split()) <= 2
+    assert_reaped(started)
 
 
-# The bench's werner-dirs workload (251 weights, 6 powers: 1,506 rows) and the SmallGrid of
-# its tests (21 x 21 points, 4 powers: 1,764 rows) stay in-process; cd-grid (40,804) does not.
-@pytest.mark.parametrize("argv, pools", [
-    (["sweep-werner", "--steps", "251", "--num-dirs", "64", "--json"], []),
-    (["sweep-cd", "--steps", "21"], []),
-    (["sweep-cd", "--steps", "101"], [2]),
-], ids=["werner_dirs", "small_grid", "cd_grid"])
-def test_only_large_sweeps_start_workers(argv, pools, tmp_path, capsys, monkeypatch):
-    started = force_pools(monkeypatch, from_rows=None)
+# By measure cells (rows times measures per row): the bench's werner-dirs workload (251
+# weights, 6 powers, 65 measures: 97,890 cells) and cd-grid (40,804 rows of 4 measures:
+# 163,216) use workers; the SmallGrid of the bench's tests (21 x 21 points, 4 powers: 7,056
+# cells) stays in-process, as does a sweep-werner one weight short of the threshold.
+WERNER_BELOW = (cli._POOL_CELLS - 1) // (6 * 65)
+
+
+@pytest.mark.parametrize("argv, forks", [
+    (["sweep-werner", "--steps", "251", "--num-dirs", "64", "--json"], 2),
+    (["sweep-cd", "--steps", "21"], 0),
+    (["sweep-werner", "--steps", str(WERNER_BELOW), "--num-dirs", "64"], 0),
+    (["sweep-werner", "--steps", str(WERNER_BELOW + 1), "--num-dirs", "64"], 2),
+    (["sweep-cd", "--steps", "101"], 2),
+], ids=["werner_dirs", "small_grid", "werner_below", "werner_at", "cd_grid"])
+def test_only_large_sweeps_start_workers(argv, forks, tmp_path, capsys, monkeypatch):
+    started = force_pools(monkeypatch, from_cells=None)
     assert run(capsys, *argv, "--output", str(tmp_path / "out")) == (0, "", "")
-    assert started == pools
+    assert len(started) == forks
+    assert_reaped(started)
 
 
 def test_one_cpu_or_a_second_thread_keeps_a_sweep_in_process(capsys, monkeypatch):
     started = force_pools(monkeypatch)
     argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
     pooled = run(capsys, *argv)
-    assert started == [2]
+    assert len(started) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # as under taskset -c 0
     assert run(capsys, *argv) == pooled
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1178,7 +1407,7 @@ def test_one_cpu_or_a_second_thread_keeps_a_sweep_in_process(capsys, monkeypatch
     finally:
         stop.set()
         thread.join()
-    assert started == [2]
+    assert len(started) == 2
 
 
 # The floats of the CLI contract's property test: the edges of the float range and
