@@ -417,95 +417,87 @@ def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layou
     return [head + lines[v] % m for head, v, m in zip(heads, verdicts, cells)]
 
 
-# From this many measure cells on (rows times measures per row), a sweep makes its blocks in
-# forked workers, one per power up to the CPUs it may run on (``taskset -c 0`` allows one),
-# unless it runs another thread.
+# From this many measure cells on (rows times measures per row), a sweep shares its blocks with
+# forked workers, one per further CPU it may run on (``taskset -c 0`` allows one), up to one
+# process per power, unless it runs another thread.
 _POOL_CELLS = 1 << 15
 
 
-def _serve(work, tasks: int, out: int, parents: list[int]) -> None:
-    # A worker: for each index k read from ``tasks``, it sends (k, ok, work(k) or its error)
-    # to ``out``.  It closes the parent's pipe ends, so that it ends at its first failing pipe
-    # operation once the parent has gone, and only by os._exit: it flushes nothing inherited.
+def _serve(work, ks: range, out: int, parents: list[int]) -> None:
+    # A worker: for each k of ``ks`` in order, it sends (True, work(k)) to ``out``, or (False,
+    # its error) and stops.  It closes the parent's pipe ends, so that it ends at its next
+    # write once the parent has gone, and only by os._exit: it flushes nothing inherited.
     import pickle
     try:
         for fd in parents:
             os.close(fd)
         results = open(out, "wb")
-        while task := os.read(tasks, 8):
-            k = int.from_bytes(task, "little")
+        for k in ks:
             try:
-                outcome = k, True, work(k)
+                outcome = True, work(k)
             except BaseException as exc:
                 try:  # an exception that cannot cross the pipe ends the run with one line
-                    outcome = pickle.loads(pickle.dumps((k, False, exc)))
+                    outcome = pickle.loads(pickle.dumps((False, exc)))
                 except Exception as why:
-                    outcome = k, False, _UsageError(f"a sweep worker cannot return {exc!r}: {why}")
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-            results.write(len(data).to_bytes(8, "little") + data)
+                    outcome = False, _UsageError(f"a sweep worker cannot return {exc!r}: {why}")
+            pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
             results.flush()
+            if not outcome[0]:
+                break
     except BaseException:
         os._exit(1)
     os._exit(0)
 
 
 def _map_blocks(work, count: int, cells: int) -> list:
-    """``[work(k) for k in range(count)]``, in forked workers for a sweep of ``cells`` cells.
+    """``[work(k) for k in range(count)]``, shared with forked workers if ``cells`` is large.
 
-    A worker gets the next k when its last result arrives, and none once a block has failed;
-    the first failing k raises.  If a pipe or a fork fails, the blocks are made here.
+    Of ``w`` processes, worker ``i`` makes k = i, i + w, ... and this one each k that w divides.
+    Results are read in k order, so the first failing k raises; the workers are then killed.
+    If a pipe or a fork fails, the blocks are made here.
     """
-    workers = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-    if cells < _POOL_CELLS or workers < 2 or threading.active_count() > 1:
+    width = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if cells < _POOL_CELLS or width < 2 or threading.active_count() > 1:
         return list(map(work, range(count)))
     import numpy  # noqa: F401  (loaded here, or else once in each worker)
     import pickle
-    import select
     import signal
-    ends, pool, order, results, failed = [], {}, iter(range(count)), [None] * count, {}
+    ends, pids = [], []  # worker i's result pipe (read end) and pid at i - 1
     try:
         try:
-            for _ in range(workers):  # each with a task pipe, a result pipe and a first k
-                ends += os.pipe()
+            for i in range(1, width):
                 ends += os.pipe()
                 pid = os.fork()
-                tasks, out = ends.pop(-4), ends.pop()  # the worker's ends
                 if not pid:
-                    _serve(work, tasks, out, ends)
-                os.close(tasks)
-                os.close(out)
-                pool[ends[-1]] = pid, ends[-2]  # result pipe -> pid, task pipe
-                os.write(ends[-2], next(order).to_bytes(8, "little"))
+                    _serve(work, range(i, count, width), ends.pop(), ends)
+                os.close(ends.pop())
+                pids.append(pid)
         except OSError:  # stop the workers, then make the blocks here
             pass
         else:
-            busy = list(pool)
-            while busy:
-                for fd in select.select(busy, [], [])[0]:
-                    with open(fd, "rb", closefd=False) as pipe:
-                        size = int.from_bytes(pipe.read(8), "little")
-                        data = pipe.read(size)
-                    if not size or len(data) < size:
-                        code = os.waitstatus_to_exitcode(os.waitpid(pool.pop(fd)[0], 0)[1])
-                        sig = {s.value: s.name for s in signal.Signals}.get(-code, f"signal {-code}")
+            pipes = [open(fd, "rb", closefd=False) for fd in ends]  # pickle frames each result
+            results = []
+            for k in range(count):
+                if k % width:
+                    try:
+                        ok, value = pickle.load(pipes[k % width - 1])
+                    except (EOFError, pickle.UnpicklingError):  # its worker ended mid-way
+                        code = os.waitstatus_to_exitcode(
+                            os.waitpid(pids.pop(k % width - 1), 0)[1])
+                        sig = {s.value: s.name for s in signal.Signals}.get(
+                            -code, f"signal {-code}")
                         how = f"exit code {code}" if code >= 0 else f"killed by {sig}"
                         raise _UsageError(f"a sweep worker process ended abruptly: {how}")
-                    k, ok, value = pickle.loads(data)
-                    results[k] = value
-                    if not ok:
-                        failed[k], order = value, iter(())
-                    k = next(order, None)
-                    if k is None:
-                        busy.remove(fd)
-                    else:
-                        os.write(pool[fd][1], k.to_bytes(8, "little"))
-            if failed:
-                raise failed[min(failed)]
+                else:  # this process's own share
+                    ok, value = True, work(k)
+                if not ok:
+                    raise value
+                results.append(value)
             return results
     finally:  # no worker outlives the run
         for fd in ends:
             os.close(fd)
-        for pid, _ in pool.values():
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return list(map(work, range(count)))

@@ -121,9 +121,9 @@ def strict_json_loads(text: str):
 # worker pools ---------------------------------------------------------------
 
 
-def force_pools(monkeypatch, from_cells: int | None = 0) -> list:
-    """Let sweeps of ``from_cells`` measure cells or more (None: the CLI's own threshold) use
-    two worker processes, whatever CPUs this process may run on; give the list of the pids
+def force_pools(monkeypatch, from_cells: int | None = 0, cpus: int = 2) -> list:
+    """Let sweeps of ``from_cells`` measure cells or more (None: the CLI's own threshold) run
+    on ``cpus`` processes, whatever CPUs this process may run on; give the list of the pids
     that they fork, one per worker.
     """
     from xstates import cli
@@ -137,7 +137,7 @@ def force_pools(monkeypatch, from_cells: int | None = 0) -> list:
         return pid
 
     monkeypatch.setattr(os, "fork", recorded)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     if from_cells is not None:
         monkeypatch.setattr(cli, "_POOL_CELLS", from_cells)
     return forked

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import re
 import signal
@@ -461,7 +462,7 @@ class TestSweepCd:
                 with pytest.raises(RuntimeError if as_json else (RuntimeError, TypeError),
                                    match="self-check" if as_json else "self-check|format"):
                     main([*argv, "--steps", "5", "--n-list", "2,3", *output])
-            assert len(started) == 4 * pooled  # two runs of two workers
+            assert len(started) == 2 * pooled  # two runs of one worker
         assert capsys.readouterr() == ("", "")
         assert not out.exists()
 
@@ -490,7 +491,7 @@ class TestSweepCd:
             for output in ([], ["--output", str(out)]):
                 with pytest.raises(RuntimeError, match="failed its self-check"):
                     main([*argv, "--steps", "5", *output])
-            assert len(started) == 4 * pooled  # two runs of two workers
+            assert len(started) == 2 * pooled  # two runs of one worker
             assert_reaped(started)
         assert capsys.readouterr() == ("", "")
         assert not out.exists()
@@ -853,8 +854,8 @@ def test_csv_and_json_agree_cell_by_cell(name, pooled, capsys, monkeypatch):
         started = force_pools(monkeypatch)
         assert run(capsys, *argv) == (0, csv_text, "")
         assert run(capsys, *argv, "--json") == (0, json_text, "")
-        # Two runs of two workers; a sweep of one power has one block, and makes it in-process.
-        assert len(started) == (0 if name in ("cd_odd_power", "werner_no_image") else 4)
+        # Two runs of one worker; a sweep of one power has one block, and makes it in-process.
+        assert len(started) == (0 if name in ("cd_odd_power", "werner_no_image") else 2)
     lines = _assert_csv_matches_json(csv_text, json_text)
     # Each sweep here has invalid rows, with an empty measure cell.
     assert any("" in ln.split(",") for ln in lines)
@@ -1102,7 +1103,42 @@ def test_workers_report_the_first_failing_power_in_list_order(capsys, monkeypatc
 
     monkeypatch.setattr(cli, "_evaluate", late_at_2)
     assert run(capsys, *argv) == serial
+    assert len(started) == 1
+
+
+# On three CPUs the parent makes k = 0 and 3 of six powers, its first worker k = 1 and 4,
+# and its second k = 2 and 5; the results are read back in --n-list order.
+@pytest.mark.parametrize("argv", [["sweep-cd", "--steps", "5"],
+                                  ["sweep-werner", "--steps", "5", "--num-dirs", "2"]],
+                         ids=["cd", "werner"])
+def test_three_cpus_share_six_powers_with_two_workers(argv, capsys, monkeypatch):
+    argv = [*argv, "--n-list", "1,2,3,4,5,6"]
+    csv_text, json_text = serial_text(argv), serial_text([*argv, "--json"])
+    started = force_pools(monkeypatch, cpus=3)
+    assert run(capsys, *argv) == (0, csv_text, "")
+    assert run(capsys, *argv, "--json") == (0, json_text, "")
+    assert len(started) == 4  # two runs of two workers
+    assert_reaped(started)
+
+
+def test_a_later_worker_failing_first_in_time_does_not_win(capsys, monkeypatch):
+    argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7"]
+    evaluate = cli._evaluate
+
+    def fails_at_4_and_6(n, states, measure):
+        if n == 4:  # k = 2, the second worker's first block: late
+            time.sleep(0.3)
+        if n in (4, 6):  # k = 4 is the first worker's second block
+            raise OverflowError(f"x**n at the power {n}")
+        return evaluate(n, states, measure)
+
+    monkeypatch.setattr(cli, "_evaluate", fails_at_4_and_6)
+    first = (1, "", "error: OverflowError: x**n at the power 4\n")
+    assert run(capsys, *argv) == first
+    started = force_pools(monkeypatch, cpus=3)
+    assert run(capsys, *argv) == first
     assert len(started) == 2
+    assert_reaped(started)
 
 
 def assert_reaped(pids):
@@ -1128,7 +1164,7 @@ def test_a_worker_that_dies_ends_the_run_with_one_line(capsys, monkeypatch):
     started = force_pools(monkeypatch)
     dies_at_3(monkeypatch, lambda: os._exit(70))
     code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
-    assert (code, out, len(started)) == (1, "", 2)
+    assert (code, out, len(started)) == (1, "", 1)
     assert err == "error: a sweep worker process ended abruptly: exit code 70\n"
     assert_reaped(started)
 
@@ -1137,8 +1173,26 @@ def test_a_worker_killed_by_a_signal_is_named(capsys, monkeypatch):
     started = force_pools(monkeypatch)
     dies_at_3(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
-    assert (code, out, len(started)) == (1, "", 2)
+    assert (code, out, len(started)) == (1, "", 1)
     assert err == "error: a sweep worker process ended abruptly: killed by SIGKILL\n"
+    assert_reaped(started)
+
+
+# A worker that dies part-way through writing its result: the parent reads a truncated
+# pickle, and reports how the worker ended.  Its block is larger than a pipe's buffer.
+def test_a_worker_that_dies_mid_result_ends_the_run_with_one_line(capsys, monkeypatch):
+    started = force_pools(monkeypatch)
+
+    def half_then_exit(obj, file, *args):
+        data = pickle.dumps(obj, *args)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(70)
+
+    monkeypatch.setattr(pickle, "dump", half_then_exit)
+    code, out, err = run(capsys, "sweep-cd", "--steps", "41", "--n-list", "2,3")
+    assert (code, out, len(started)) == (1, "", 1)
+    assert err == "error: a sweep worker process ended abruptly: exit code 70\n"
     assert_reaped(started)
 
 
@@ -1154,8 +1208,8 @@ class TwoPartError(Exception):
 @pytest.mark.parametrize("error", ["overflow", "zero_denominator", "csv_type_error"])
 def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
     argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3"]
-    if error == "overflow":
-        argv += ["--a", "1e300", "--b", "1e300"]
+    if error == "overflow":  # power 1 is finite, so power 2 fails, in the worker
+        argv = ["sweep-cd", "--steps", "3", "--n-list", "1,2", "--a", "1e300", "--b", "1e300"]
     elif error == "zero_denominator":
         evaluate = cli._evaluate
 
@@ -1178,7 +1232,7 @@ def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
 
     serial = outcome()
     started = force_pools(monkeypatch)
-    assert outcome() == serial and len(started) == 2
+    assert outcome() == serial and len(started) == 1
     if error == "csv_type_error":
         assert serial[0].startswith("TypeError(") and serial[1] == ("", "")
     elif error == "overflow":
@@ -1203,15 +1257,15 @@ def test_an_error_that_cannot_cross_the_pipe_ends_in_one_line(unpicklable, capsy
 
     monkeypatch.setattr(cli, "_evaluate", fails_at_3)
     code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
-    assert (code, out, len(started)) == (1, "", 2)
+    assert (code, out, len(started)) == (1, "", 1)
     assert err.startswith("error: a sweep worker cannot return ")
     assert ("TwoPartError('power 3: no')" if unpicklable == "cannot_load" else "Local('no')") in err
     assert err.count("\n") == 1
     assert_reaped(started)
 
 
-# A fresh interpreter with two workers forced: stdout is a pipe, so "x" sits in its buffer
-# when the workers are forked; a worker that flushed it would print it again.
+# A fresh interpreter with a worker forced: stdout is a pipe, so "x" sits in its buffer when
+# the worker is forked; a worker that flushed it would print it again.
 FORCED_WORKERS = """
 import os, sys
 from xstates import cli
@@ -1229,7 +1283,7 @@ os.sched_getaffinity = lambda pid: {0, 1}
 cli._POOL_CELLS = 0
 sys.stdout.write("x")
 assert cli.main(sys.argv[1:]) == 0
-assert len(forks) == 2, forks
+assert len(forks) == 1, forks
 print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules),
       file=sys.stderr)
 """
@@ -1246,30 +1300,29 @@ def test_workers_flush_nothing_and_load_no_multiprocessing(tmp_path):
     assert out.read_text() == serial_text(argv[:-2])
 
 
-# A fresh interpreter whose process is killed once both workers of its sweep have begun a
-# block: each worker holds none of the parent's pipe ends, so it ends by itself when it
-# sends its result.
+# A fresh interpreter on three CPUs, killed from inside its own first block once both of its
+# workers have begun theirs.  A worker holds none of the parent's pipe ends, its sibling's
+# included, so its first result finds no reader: it ends there, having begun one block.
 ORPHANED_WORKERS = """
-import os, select, signal, sys, time
+import os, signal, sys, time
 from xstates import cli
 
-os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 cli._POOL_CELLS = 0
-evaluate, begun = cli._evaluate, sys.argv[1]
+evaluate, begun, parent = cli._evaluate, sys.argv[1], os.getpid()
 
 def slow(n, states, measure):
+    while os.getpid() == parent:
+        if len(open(begun).read().split()) == 2:
+            os.kill(parent, signal.SIGKILL)
+        time.sleep(0.01)
     with open(begun, "a") as fh:
         fh.write(f"{os.getpid()}\\n")
     time.sleep(0.5)
     return evaluate(n, states, measure)
 
-def parent_dies(*args):
-    while len(open(begun).read().split()) < 2:
-        time.sleep(0.01)
-    os.kill(os.getpid(), signal.SIGKILL)
-
-cli._evaluate, select.select = slow, parent_dies
-cli.main(["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5"])
+cli._evaluate = slow
+cli.main(["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7,8,9,10"])
 """
 
 
@@ -1295,11 +1348,12 @@ def test_workers_end_when_their_parent_dies(tmp_path):
                               stdout=subprocess.DEVNULL, stderr=err, env=env, timeout=120)
     assert proc.returncode == -signal.SIGKILL, (tmp_path / "err").read_text()
     workers = [int(pid) for pid in begun.read_text().split()]
-    assert len(workers) == 2
+    assert len(set(workers)) == 2
     deadline = time.monotonic() + 20
     while any(map(running, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(running, workers))
+    assert sorted(map(int, begun.read_text().split())) == sorted(workers)  # one block each
 
 
 def serial_text(argv):
@@ -1310,16 +1364,16 @@ def serial_text(argv):
     return buffer.getvalue()
 
 
-# The pool's first pipe, its first fork or its second fork fails.
+# On three CPUs, the pool's first pipe, its first fork or its second fork fails.
 @pytest.mark.parametrize("failing", [0, 1, 2], ids=["no_pool", "first_fork", "second_fork"])
 def test_a_failed_fork_makes_the_blocks_in_process(failing, capsys, monkeypatch):
-    argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
+    argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3,4"]
     serial = run(capsys, *argv)
     # A child of the caller's own, which the sweep must leave running.
     bystander = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
     bystander.start()
     fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    started = force_pools(monkeypatch)
+    started = force_pools(monkeypatch, cpus=3)
     fork, forks = os.fork, []
 
     def fork_fails_once(*args):
@@ -1364,9 +1418,28 @@ def test_a_failing_block_stops_the_workers_beginning_others(tmp_path, capsys, mo
     assert not begun.exists()  # in one process, the run ends at the failing block
     started = force_pools(monkeypatch)
     assert run(capsys, *argv) == (1, "", "error: OverflowError: x**n at the power 2\n")
-    # Only what the two workers had begun before the parent saw the failure: a worker is
-    # handed a power only when its last result has come back without an error.
-    assert len(started) == 2 and len(begun.read_text().split()) <= 2
+    # The parent makes power 2 itself and fails there before it reads a result, then kills
+    # its worker: at most the worker's first block was begun.
+    assert len(started) == 1 and len(begun.read_text().split() if begun.exists() else []) <= 1
+    assert_reaped(started)
+
+
+def test_a_worker_begins_no_block_after_its_first_failure(tmp_path, capsys, monkeypatch):
+    argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7"]
+    evaluate, begun = cli._evaluate, tmp_path / "begun"
+
+    def fails_at_3(n, states, measure):  # the worker's first block; the parent's takes 0.5 s
+        if n == 3:
+            raise OverflowError("x**n at the power 3")
+        with open(begun, "a") as fh:
+            fh.write(f"{n}\n")
+        time.sleep(0.5)
+        return evaluate(n, states, measure)
+
+    monkeypatch.setattr(cli, "_evaluate", fails_at_3)
+    started = force_pools(monkeypatch)
+    assert run(capsys, *argv) == (1, "", "error: OverflowError: x**n at the power 3\n")
+    assert len(started) == 1 and begun.read_text().split() == ["2"]
     assert_reaped(started)
 
 
@@ -1378,11 +1451,11 @@ WERNER_BELOW = (cli._POOL_CELLS - 1) // (6 * 65)
 
 
 @pytest.mark.parametrize("argv, forks", [
-    (["sweep-werner", "--steps", "251", "--num-dirs", "64", "--json"], 2),
+    (["sweep-werner", "--steps", "251", "--num-dirs", "64", "--json"], 1),
     (["sweep-cd", "--steps", "21"], 0),
     (["sweep-werner", "--steps", str(WERNER_BELOW), "--num-dirs", "64"], 0),
-    (["sweep-werner", "--steps", str(WERNER_BELOW + 1), "--num-dirs", "64"], 2),
-    (["sweep-cd", "--steps", "101"], 2),
+    (["sweep-werner", "--steps", str(WERNER_BELOW + 1), "--num-dirs", "64"], 1),
+    (["sweep-cd", "--steps", "101"], 1),
 ], ids=["werner_dirs", "small_grid", "werner_below", "werner_at", "cd_grid"])
 def test_only_large_sweeps_start_workers(argv, forks, tmp_path, capsys, monkeypatch):
     started = force_pools(monkeypatch, from_cells=None)
@@ -1395,7 +1468,7 @@ def test_one_cpu_or_a_second_thread_keeps_a_sweep_in_process(capsys, monkeypatch
     started = force_pools(monkeypatch)
     argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
     pooled = run(capsys, *argv)
-    assert len(started) == 2
+    assert len(started) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # as under taskset -c 0
     assert run(capsys, *argv) == pooled
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1407,7 +1480,7 @@ def test_one_cpu_or_a_second_thread_keeps_a_sweep_in_process(capsys, monkeypatch
     finally:
         stop.set()
         thread.join()
-    assert len(started) == 2
+    assert len(started) == 1
 
 
 # The floats of the CLI contract's property test: the edges of the float range and

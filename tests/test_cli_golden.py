@@ -245,15 +245,15 @@ def run_case(argv: list[str], config: str | None, tmp: Path) -> dict:
     }
 
 
-# Sweeps run a second time with every block made in a worker process, name -> the workers
-# forked (none for one power, which stays in-process): invalid rows, rows without an image,
-# phases, one power, --output and a config file.  The bytes must not change.
+# Sweeps run a second time on two CPUs, with every other block made in a forked worker, name
+# -> the workers forked (none for one power, which stays in-process): invalid rows, rows
+# without an image, phases, one power, --output and a config file.  The bytes must not change.
 POOLED = {
-    "sweep_cd_csv_output": 2, "sweep_cd_csv_invalid_rows": 2, "sweep_cd_csv_phases": 2,
-    "sweep_cd_json": 2, "sweep_cd_config": 2, "sweep_werner_csv": 2, "sweep_werner_json": 2,
+    "sweep_cd_csv_output": 1, "sweep_cd_csv_invalid_rows": 1, "sweep_cd_csv_phases": 1,
+    "sweep_cd_json": 1, "sweep_cd_config": 1, "sweep_werner_csv": 1, "sweep_werner_json": 1,
     "sweep_werner_out_of_range": 0, "sweep_werner_config_json": 0,
-    "sweep_cd_zero_denominator_csv": 2, "sweep_cd_zero_denominator_json": 2,
-    "sweep_cd_invalid_rows_phases_csv": 2, "sweep_werner_invalid_rows_json": 2,
+    "sweep_cd_zero_denominator_csv": 1, "sweep_cd_zero_denominator_json": 1,
+    "sweep_cd_invalid_rows_phases_csv": 1, "sweep_werner_invalid_rows_json": 1,
 }
 
 
