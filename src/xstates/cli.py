@@ -24,7 +24,7 @@ import re
 import sys
 import threading
 from dataclasses import asdict
-from itertools import chain, product, repeat, starmap
+from itertools import chain, filterfalse, product, repeat, starmap
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .xstate import (
@@ -95,22 +95,21 @@ def _render(report: dict, as_json: bool) -> str:
     return "".join(f"{key}: {_text(value)}\n" for key, value in report.items())
 
 
-# ``json.dumps(..., indent=2)`` runs json's pure-Python encoder.  Without an
-# indent the C encoder runs, and with this item separator it lays out the
-# cells of a row as indent=2 does at depth 2.  Cells are scalars and a raw
-# newline only appears in separators, so "]" + _CELL_SEP + "[" only joins rows.
+# What ``json.dumps(..., indent=2)`` writes between the cells of a row and between
+# rows, for a list of rows that is a value of the top-level object.
 _CELL_SEP = ",\n      "
 _ROW_SEP = "\n    ],\n    [\n      "
 
-
-def _json_block(rows: list[tuple]) -> str:
-    """One nonempty block of rows as ``json.dumps(..., indent=2)`` writes them one level deep."""
-    return json.dumps(rows, separators=(_CELL_SEP, ": "), allow_nan=False)[2:-2].replace(
-        "]" + _CELL_SEP + "[", _ROW_SEP)
+# Each format's (cell, number, sep) for :func:`_block_lines`: how a cell is written, the
+# %-format of a valid row's measure, and what goes between cells.  The JSON cell is what
+# json.dumps(x, allow_nan=False) makes, without a new encoder per call; it refuses inf and
+# nan, as RFC 8259 has neither.  "%r" of a float is float.__repr__, what json writes.
+_CSV = (_fmt, "%.15g", ",")
+_JSON = (json.JSONEncoder(allow_nan=False).encode, "%r", _CELL_SEP)
 
 
 def _json_rows(blocks: Iterable[str]) -> Iterator[str]:
-    """The list of rows whose blocks :func:`_json_block` encoded, in pieces to write in turn."""
+    """The list of rows whose blocks :func:`_block_lines` wrote, in pieces to write in turn."""
     seps = chain(["[\n    [\n      "], repeat(_ROW_SEP))  # the list's opening, then between rows
     return chain(*zip(seps, blocks), ["\n    ]\n  ]"])
 
@@ -297,19 +296,10 @@ def _evaluate(n: int, states: list[XParams], measure) -> tuple[int, list[int], l
     return n, [-1 if p is None else next(index) for p in images], columns
 
 
-def _spread(verdicts: list[int], values: Iterable, fill=None) -> list:
-    """``values``, one per valid row, at their rows and ``fill`` elsewhere, for both writers."""
+def _spread(verdicts: list[int], values: Iterable) -> list:
+    """``values``, one per valid row, at their rows, and ``()`` for a template without slots."""
     values = iter(values)
-    return [next(values) if 0 <= v < 2 else fill for v in verdicts]
-
-
-def _full_columns(block: tuple[int, list[int], list[list]], layout) -> list:
-    """A block's columns from n on, placed by ``layout``; an invalid row's measures are None."""
-    n, verdicts, measures = block
-    valid, cls = zip(*map(_VERDICTS.__getitem__, verdicts))
-    if len(measures[0]) < len(verdicts):  # else every row is valid, and the columns are full
-        measures = [_spread(verdicts, m) for m in measures]
-    return layout([n] * len(verdicts), valid, cls, measures)
+    return [next(values) if 0 <= v < 2 else () for v in verdicts]
 
 
 def _public_row(image: XParams | None, measure, width: int) -> tuple:
@@ -405,16 +395,23 @@ def _row_to_csv(cells) -> str:
     return ",".join(cells)
 
 
-def _csv_block(block: tuple[int, list[int], list[list]], heads: list[str], layout) -> list[str]:
-    """The CSV lines of one block, without newlines; ``heads`` are each row's grid cells."""
+def _block_lines(block: tuple[int, list[int], list[list]], heads: list[str], layout,
+                 style: tuple) -> list[str]:
+    """The lines of one block in ``style`` (``_CSV`` or ``_JSON``), without separators.
+
+    ``heads`` are each row's grid cells, each followed by the style's ``sep``.
+    """
+    cell, number, sep = style
     n, verdicts, measures = block
-    # Each verdict's cells from n on, with "%.15g" (format(x, ".15g")) in a valid row's
-    # measure slots: a row is its head, then its verdict's line % its measures.
-    lines = [_row_to_csv(layout(_fmt(n), _fmt(valid), _fmt(cls),
-                                ["%.15g" if valid else ""] * len(measures)))
-             for valid, cls in _VERDICTS]
-    cells = _spread(verdicts, zip(*measures), ())
-    return [head + lines[v] % m for head, v, m in zip(heads, verdicts, cells)]
+    # Each verdict's cells from n on, with ``number`` in a valid row's measure slots: a row
+    # is its head, then its verdict's template % its measures.
+    templates = [sep.join(layout(cell(n), cell(valid), cell(cls),
+                                 [number if valid else cell(None)] * len(measures)))
+                 for valid, cls in _VERDICTS]
+    for x in filterfalse(math.isfinite, chain.from_iterable(measures)):
+        cell(x)  # JSON refuses a measure that is inf or nan; CSV writes what "%.15g" gives
+    cells = _spread(verdicts, zip(*measures))
+    return [head + templates[v] % m for head, v, m in zip(heads, verdicts, cells)]
 
 
 # From this many measure cells on (rows times measures per row), a sweep shares its blocks with
@@ -509,7 +506,7 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
 
     ``grid`` names each axis of the grid, and ``state(*point)`` makes the state of each
     point, in ``product`` order.  ``layout(n, valid, cls, measures)`` is the row order
-    after the grid columns: the header, both writers and the spot check read it.
+    after the grid columns: the header, the writer and the spot check read it.
     ``fast`` and ``public`` give the measures ``names`` (see :func:`_evaluate`).
     ``meta()`` gives the CSV's comment lines and the JSON's entries after the config; it
     runs after the rows, so that a power the power map refuses fails there first.
@@ -518,27 +515,23 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
     total, size = len(args.n_list) * len(states), len(states)
     drawn = random.Random(args.seed).sample(range(total), min(32, total))
     as_csv = args.format == "csv" and not args.json
-    if as_csv:
-        axes = [[f"{_fmt(x)}," for x in axis] for axis in grid.values()]  # formatted once
-        heads = list(map("".join, product(*axes)))  # each row's grid cells, with their commas
-    else:
-        columns, heads = list(zip(*product(*grid.values()))), None
+    style = _CSV if as_csv else _JSON
+    cell, _, sep = style
+    axes = [[cell(x) + sep for x in axis] for axis in grid.values()]  # written once
+    heads = list(map("".join, product(*axes)))  # each row's grid cells, with their separators
 
-    def work(k: int) -> tuple[str, dict]:  # block k's text; its drawn rows by point, as shipped
-        block = _evaluate(args.n_list[k], states, fast)
-        mine = [j for j in (i - k * size for i in drawn) if 0 <= j < size]
-        if as_csv:
-            lines = _csv_block(block, heads, layout)
-            return "\n".join(lines) + "\n", {j: lines[j] for j in mine}
-        full = _full_columns(block, layout)
-        return _json_block([*zip(*columns, *full)]), {j: [col[j] for col in full] for j in mine}
+    def work(k: int) -> str:  # block k's text, once its drawn rows pass the spot check
+        n = args.n_list[k]
+        lines = _block_lines(_evaluate(n, states, fast), heads, layout, style)
+        _spot_check(n, [i for i in drawn if i // size == k], lines, states, public, layout,
+                    len(names), heads, style)
+        return "\n".join(lines) + "\n" if as_csv else _ROW_SEP.join(lines)
 
-    texts, rows = zip(*_map_blocks(work, len(args.n_list), total * len(names)))
-    _spot_check(args, drawn, rows, states, public, layout, len(names), heads)
+    texts = _map_blocks(work, len(args.n_list), total * len(names))
     comments, extra = meta()
     header = [*grid, *layout("n", "valid", "class", names)]
     if as_csv:
-        parts = chain(["".join(f"{line}\n" for line in [*comments, ",".join(header)])], texts)
+        parts = chain(["".join(f"{line}\n" for line in [*comments, _row_to_csv(header)])], texts)
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
@@ -549,15 +542,16 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
     return 0
 
 
-def _spot_check(args: argparse.Namespace, drawn: list[int], rows: tuple[dict, ...],
-                states: list[XParams], public, layout, width: int, heads: list[str] | None) -> None:
-    # A per-run guard: each drawn row, as shipped, must equal the public chain's evaluation,
-    # placed by the layout and, in a CSV line after its grid cells, formatted cell by cell.
+def _spot_check(n: int, drawn: list[int], lines: list[str], states: list[XParams], public,
+                layout, width: int, heads: list[str], style: tuple) -> None:
+    # A per-run guard: each drawn row of the block of power n, as shipped, must equal the
+    # public chain's evaluation, placed by the layout and written cell by cell after its
+    # grid cells.  ``drawn`` counts rows across the whole sweep, as its error names them.
+    cell, _, sep = style
     for idx in drawn:
-        k, j = divmod(idx, len(states))
-        n = args.n_list[k]
+        j = idx % len(states)
         row = layout(n, *_public_row(_cd_row(n, states[j]), public, width))
-        if (row if heads is None else heads[j] + ",".join(map(_fmt, row))) != rows[k][j]:
+        if heads[j] + sep.join(map(cell, row)) != lines[j]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 

@@ -15,9 +15,8 @@ import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations, repeat
+from itertools import combinations
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ from xstates import (
 from conftest import force_pools, strict_json_loads
 from oracles import werner_i_n
 from xstates import cli
-from xstates.cli import _json_block, _json_rows, main
+from xstates.cli import _CELL_SEP, _CSV, _JSON, _ROW_SEP, _block_lines, _json_rows, main
 from xstates.entanglement import _x_entanglement
 from xstates.information import _x_entropies, _x_information
 from xstates.xstate import ZeroDenominatorError, _x_classify
@@ -437,11 +436,10 @@ class TestSweepCd:
         with pytest.raises(RuntimeError, match="self-check"):
             main(["sweep-cd", "--steps", "5", "--n-list", "2"])
 
-    # Power 3 leaves invalid rows: in sweep-cd's grid, and below p = -1/3 in sweep-werner.
-    # A block is encoded before the spot check runs.  The JSON writer encodes the shifted
-    # rows and the spot check refuses them; the CSV writer's own format strings may refuse
-    # them first, where a valid row gets no measures or an invalid row some.  Either way
-    # the run fails and writes nothing, in one process and in workers.
+    # Each row gets the measures of the row above.  Power 2's block comes first, and every
+    # row of it is valid: the spot check inside that block refuses the shifted rows, before
+    # power 3's block is made, in either format, in one process and in workers, and the run
+    # writes nothing.
     @pytest.mark.parametrize("argv", [
         ["sweep-cd"], ["sweep-werner", "--p-min=-1", "--num-dirs", "1"],
         ["sweep-cd", "--json"], ["sweep-werner", "--p-min=-1", "--num-dirs", "1", "--json"]])
@@ -449,42 +447,42 @@ class TestSweepCd:
                                                               monkeypatch):
         spread = cli._spread
 
-        def shifted(verdicts, values, fill=None):
-            column = spread(verdicts, values, fill)
-            return column[-1:] + column[:-1]  # each row gets the measures of the row above
+        def shifted(verdicts, values):
+            column = spread(verdicts, values)
+            return column[-1:] + column[:-1]
 
         monkeypatch.setattr("xstates.cli._spread", shifted)
-        as_json = "--json" in argv
         out = tmp_path / "out"
         for pooled in (False, True):
             started = force_pools(monkeypatch) if pooled else []
             for output in ([], ["--output", str(out)]):
-                with pytest.raises(RuntimeError if as_json else (RuntimeError, TypeError),
-                                   match="self-check" if as_json else "self-check|format"):
+                with pytest.raises(RuntimeError, match="failed its self-check"):
                     main([*argv, "--steps", "5", "--n-list", "2,3", *output])
             assert len(started) == 2 * pooled  # two runs of one worker
         assert capsys.readouterr() == ("", "")
         assert not out.exists()
 
-    # A CSV line misplaced by _csv_block alone, not in the columns that JSON encodes: the
-    # check reads the drawn lines as written, so each mutant fails the run and writes
-    # nothing, in one process and in workers.  Every row here is valid, and so checkable.
+    # A line misplaced by _block_lines alone, after the measures were made: the check reads
+    # the drawn lines as written, so each mutant fails the run and writes nothing, in either
+    # format, in one process and in workers.  Every row here is valid, and so checkable.
     @pytest.mark.parametrize("mutant", ["rotated_rows", "swapped_cells"])
-    @pytest.mark.parametrize("argv", [["sweep-cd", "--n-list", "2,4"],
-                                      ["sweep-werner", "--num-dirs", "2", "--n-list", "2,3"]])
-    def test_spot_check_reads_the_csv_lines_it_ships(self, mutant, argv, tmp_path, capsys,
-                                                     monkeypatch):
-        csv_block = cli._csv_block
+    @pytest.mark.parametrize("argv", [
+        ["sweep-cd", "--n-list", "2,4"], ["sweep-werner", "--num-dirs", "2", "--n-list", "2,3"],
+        ["sweep-cd", "--n-list", "2,4", "--json"],
+        ["sweep-werner", "--num-dirs", "2", "--n-list", "2,3", "--json"]])
+    def test_spot_check_reads_the_lines_it_ships(self, mutant, argv, tmp_path, capsys,
+                                                 monkeypatch):
+        block_lines = cli._block_lines
 
-        def mutated(block, heads, layout):
+        def mutated(block, heads, layout, style):
             n, verdicts, measures = block
             if mutant == "rotated_rows":  # each row gets the measures of the row above
                 measures = [m[-1:] + m[:-1] for m in measures]
             else:  # the last two measure cells of each row change places
                 measures = [*measures[:-2], measures[-1], measures[-2]]
-            return csv_block((n, verdicts, measures), heads, layout)
+            return block_lines((n, verdicts, measures), heads, layout, style)
 
-        monkeypatch.setattr(cli, "_csv_block", mutated)
+        monkeypatch.setattr(cli, "_block_lines", mutated)
         out = tmp_path / "out"
         for pooled in (False, True):
             started = force_pools(monkeypatch) if pooled else []
@@ -506,12 +504,16 @@ class TestSweepCd:
 
         monkeypatch.setattr("xstates.cli._cd_row", recording)
         assert run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--seed", "8")[0] == 0
-        # 3 blocks of 25 rows are made first, power by power, then 32 rows are recomputed.
+        # Power by power, a block's 25 rows are made, then its drawn rows are recomputed,
+        # in the order they were drawn; 32 are drawn from the 3 blocks.
         axis = (0.0, 0.125, 0.25, 0.375, 0.5)
         grid = [XParams(a=0.33, b=0.17, c=c, d=d) for c in axis for d in axis]
-        assert calls[:75] == [(n, state) for n in (2, 3, 4) for state in grid]
-        drawn = map(divmod, random.Random(8).sample(range(75), 32), repeat(25))
-        assert calls[75:] == [((2, 3, 4)[k], grid[j]) for k, j in drawn]
+        drawn = [divmod(i, 25) for i in random.Random(8).sample(range(75), 32)]
+        assert calls == [
+            call for k, n in enumerate((2, 3, 4))
+            for call in [*((n, state) for state in grid),
+                         *((n, grid[j]) for b, j in drawn if b == k)]]
+        assert len(calls) == 75 + 32
 
     def test_trace_cancelling_below_the_guards_underflow_gives_invalid_rows(self, capsys):
         # Tr rho^7 is exactly 0 at every point; at |d| = 1.4e-45, 1e-12 * scale is 0 too.
@@ -758,49 +760,86 @@ class TestNegativeExponentArguments:
         assert parse_report(out)["validity"] == "invalid_trace"
 
 
-# Every cell type the sweeps emit, plus strings and floats that stress the writer.
+def CD_LAYOUT(n, valid, cls, m):
+    return [n, valid, cls, *m]
+
+
+def WERNER_LAYOUT(n, valid, cls, m):
+    return [n, valid, *m, cls]  # the class goes last
+
+
+EDGE_FLOATS = [-0.0, 1e16, 0.1 + 0.2, 5e-324, -1.7976931348623157e308]
+
+# Blocks (n, verdicts, measures), each with its grid points and layout.  A verdict indexes
+# cli._VERDICTS: 0 and 1 are valid, 2 and 3 invalid, and -1 a row whose Tr rho^n vanished;
+# werner_like and cd_like hold every one of them between them.
 JSON_ROWS = {
-    "one_cell": [(0.5,)],
-    "werner_like": [
-        (0.25, 2, True, 0.1, 1e-300, None, "entangled"),
-        (-3.0, 1, False, None, None, None, None),
-    ],
-    "cd_like": [(0.0, 0.5, 3, False, "invalid_not_psd", None, None, None, None)],
-    "odd_cells": [
-        (-0.0, 1e16, 0.1 + 0.2, 10**20, 5e-324, -1.7976931348623157e308),
-        ("a],\n      [b", 'q"uote\\', "caf\u00e9", "", False, True),
-    ],
+    "one_cell": ([(0.5,)], (1, [0], [[0.5]]), CD_LAYOUT),
+    "werner_like": ([(0.25,), (-3.0,), (1.5,), (0.5,)],
+                    (2, [1, -1, 3, 0], [[0.1, 0.2], [1e-300, 0.0], [0.3, 0.4]]), WERNER_LAYOUT),
+    "cd_like": ([(0.0, 0.5), (0.5, 0.0), (0.5, 0.5)],
+                (3, [2, 0, -1], [[0.5], [0.25], [1.0], [0.75]]), CD_LAYOUT),
+    "odd_cells": ([(x, y) for x in EDGE_FLOATS for y in EDGE_FLOATS[:2]],
+                  (5, [0, 1] * 5, [EDGE_FLOATS * 2, EDGE_FLOATS[::-1] * 2]), CD_LAYOUT),
 }
+
+
+def _json_heads(points):
+    """The grid cells of each point as the JSON writer takes them: each followed by _CELL_SEP."""
+    return ["".join(json.dumps(x) + _CELL_SEP for x in point) for point in points]
+
+
+def _split(points, block, k):
+    """A block and its grid points as two blocks: the rows before k, and the rows from k on."""
+    n, verdicts, measures = block
+    m = sum(0 <= v < 2 for v in verdicts[:k])
+    return [(points[:k], (n, verdicts[:k], [c[:m] for c in measures])),
+            (points[k:], (n, verdicts[k:], [c[m:] for c in measures]))]
 
 
 @pytest.mark.parametrize("name", sorted(JSON_ROWS))
 def test_json_rows_equal_json_dumps(name):
-    rows = JSON_ROWS[name]
+    points, block, layout = JSON_ROWS[name]
+    n, verdicts, measures = block
+    values = iter(zip(*measures))
+    rows = []
+    for point, v in zip(points, verdicts):
+        valid, cls = cli._VERDICTS[v]
+        rows.append([*point, *layout(n, valid, cls,
+                                     next(values) if valid else [None] * len(measures))])
+    assert next(values, None) is None  # one value per valid row
     # One block, and every split into two nonempty blocks.
-    for blocks in [[rows]] + [[rows[:k], rows[k:]] for k in range(1, len(rows))]:
-        text = '{\n  "rows": ' + "".join(_json_rows(map(_json_block, blocks))) + "\n}"
+    for parts in [[(points, block)]] + [_split(points, block, k) for k in range(1, len(points))]:
+        texts = [_ROW_SEP.join(_block_lines(b, _json_heads(p), layout, _JSON)) for p, b in parts]
+        text = '{\n  "rows": ' + "".join(_json_rows(texts)) + "\n}"
         assert text == json.dumps({"rows": rows}, indent=2)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_json_rows_reject_non_finite_cells(value):
-    # RFC 8259 JSON has no Infinity or NaN; the writer refuses them rather than emit them.
+    # RFC 8259 JSON has no Infinity or NaN; the JSON writer refuses a measure that is one,
+    # in any row, rather than emit it.  CSV writes it as "%.15g" does.
+    block = (2, [0, 1, 2], [[0.5, value], [0.25, 0.75]])
+    heads = ["0,", "1,", "2,"]
     with pytest.raises(ValueError, match="JSON compliant"):
-        "".join(_json_rows(map(_json_block, [[(0.5, 1)], [(value, 2)]])))
+        _block_lines(block, _json_heads([(0,), (1,), (2,)]), CD_LAYOUT, _JSON)
+    assert _block_lines(block, heads, CD_LAYOUT, _CSV) == [
+        "0,2,true,separable,0.5,0.25", f"1,2,true,entangled,{value:.15g},0.75",
+        "2,2,false,invalid_not_psd,,"]
 
 
 def test_json_rows_are_encoded_one_power_at_a_time(capsys, monkeypatch):
-    sizes = []
+    block_lines, sizes = cli._block_lines, []
 
-    def dumps(obj, **kwargs):
-        if isinstance(obj, list):
-            sizes.append(len(obj))
-        return json.dumps(obj, **kwargs)
+    def recorded(block, heads, layout, style):
+        lines = block_lines(block, heads, layout, style)
+        sizes.append((block[0], len(lines), style is _JSON))
+        return lines
 
-    monkeypatch.setattr(cli, "json", SimpleNamespace(**{**vars(json), "dumps": dumps}))
+    monkeypatch.setattr(cli, "_block_lines", recorded)
     code, out, _ = run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--json")
     assert code == 0 and len(json.loads(out)["rows"]) == 75
-    assert sizes == [25, 25, 25]
+    assert sizes == [(2, 25, True), (3, 25, True), (4, 25, True)]
 
 
 def _csv_cell(value) -> str:
@@ -1221,8 +1260,14 @@ def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_evaluate", vanishes_at_3)
     else:
         spread = cli._spread
-        # Power 3's invalid rows: a valid row gets no measures, which its line's format refuses.
-        monkeypatch.setattr(cli, "_spread", lambda *a: (lambda c: c[-1:] + c[:-1])(spread(*a)))
+
+        def shifted_at_3(verdicts, values):
+            # Only power 3's block has invalid rows.  Shifted, a valid row there gets no
+            # measures, which its template refuses before the spot check reads the row.
+            column = spread(verdicts, values)
+            return column[-1:] + column[:-1] if max(verdicts) > 1 else column
+
+        monkeypatch.setattr(cli, "_spread", shifted_at_3)
 
     def outcome():
         try:
