@@ -416,8 +416,12 @@ def _block_lines(block: tuple[int, list[int], list[list]], heads: list[str], lay
 
 # From this many measure cells on (rows times measures per row), a sweep shares its blocks with
 # forked workers, one per further CPU it may run on (``taskset -c 0`` allows one), up to one
-# process per power, unless it runs another thread.
+# process per block, unless it runs another thread.
 _POOL_CELLS = 1 << 15
+
+# A block is one chunk of one power's rows: as many rows as hold this many measure cells, and
+# at least one.  Chunks even out the work of powers whose rows cost more or less to make.
+_CHUNK_CELLS = 1 << 13
 
 
 def _serve(work, ks: range, out: int, parents: list[int]) -> None:
@@ -502,7 +506,7 @@ def _map_blocks(work, count: int, cells: int) -> list:
 
 def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, public, layout,
            names: Sequence[str], options: dict[str, argparse.Action], meta) -> int:
-    """Evaluate, spot-check and write a sweep, one block per power in ``--n-list``.
+    """Evaluate, spot-check and write a sweep, one block per chunk of each power's rows.
 
     ``grid`` names each axis of the grid, and ``state(*point)`` makes the state of each
     point, in ``product`` order.  ``layout(n, valid, cls, measures)`` is the row order
@@ -520,14 +524,18 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
     axes = [[cell(x) + sep for x in axis] for axis in grid.values()]  # written once
     heads = list(map("".join, product(*axes)))  # each row's grid cells, with their separators
 
-    def work(k: int) -> str:  # block k's text, once its drawn rows pass the spot check
-        n = args.n_list[k]
-        lines = _block_lines(_evaluate(n, states, fast), heads, layout, style)
-        _spot_check(n, [i for i in drawn if i // size == k], lines, states, public, layout,
-                    len(names), heads, style)
+    rows = max(1, _CHUNK_CELLS // len(names))
+    units = list(product(range(len(args.n_list)), range(0, size, rows)))  # (power, first row)
+
+    def work(u: int) -> str:  # unit u's block's text, once its drawn rows pass the spot check
+        k, lo = units[u]
+        n, chunk, first = args.n_list[k], slice(lo, lo + rows), k * size + lo
+        lines = _block_lines(_evaluate(n, states[chunk], fast), heads[chunk], layout, style)
+        _spot_check(n, [i for i in drawn if first <= i < first + len(lines)], lines, lo, states,
+                    public, layout, len(names), heads, style)
         return "\n".join(lines) + "\n" if as_csv else _ROW_SEP.join(lines)
 
-    texts = _map_blocks(work, len(args.n_list), total * len(names))
+    texts = _map_blocks(work, len(units), total * len(names))
     comments, extra = meta()
     header = [*grid, *layout("n", "valid", "class", names)]
     if as_csv:
@@ -542,16 +550,17 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
     return 0
 
 
-def _spot_check(n: int, drawn: list[int], lines: list[str], states: list[XParams], public,
-                layout, width: int, heads: list[str], style: tuple) -> None:
-    # A per-run guard: each drawn row of the block of power n, as shipped, must equal the
-    # public chain's evaluation, placed by the layout and written cell by cell after its
-    # grid cells.  ``drawn`` counts rows across the whole sweep, as its error names them.
+def _spot_check(n: int, drawn: list[int], lines: list[str], lo: int, states: list[XParams],
+                public, layout, width: int, heads: list[str], style: tuple) -> None:
+    # A per-run guard: each drawn row of a block of power n, as shipped in ``lines`` from grid
+    # point ``lo`` on, must equal the public chain's evaluation, placed by the layout and
+    # written cell by cell after its grid cells.  ``drawn`` counts rows across the whole
+    # sweep, as its error names them.
     cell, _, sep = style
     for idx in drawn:
         j = idx % len(states)
         row = layout(n, *_public_row(_cd_row(n, states[j]), public, width))
-        if heads[j] + sep.join(map(cell, row)) != lines[j]:
+        if heads[j] + sep.join(map(cell, row)) != lines[j - lo]:
             raise RuntimeError(f"sweep row {idx} failed its self-check")
 
 

@@ -465,24 +465,42 @@ class TestSweepCd:
     # A line misplaced by _block_lines alone, after the measures were made: the check reads
     # the drawn lines as written, so each mutant fails the run and writes nothing, in either
     # format, in one process and in workers.  Every row here is valid, and so checkable.
-    @pytest.mark.parametrize("mutant", ["rotated_rows", "swapped_cells"])
-    @pytest.mark.parametrize("argv", [
-        ["sweep-cd", "--n-list", "2,4"], ["sweep-werner", "--num-dirs", "2", "--n-list", "2,3"],
-        ["sweep-cd", "--n-list", "2,4", "--json"],
-        ["sweep-werner", "--num-dirs", "2", "--n-list", "2,3", "--json"]])
-    def test_spot_check_reads_the_lines_it_ships(self, mutant, argv, tmp_path, capsys,
-                                                 monkeypatch):
-        block_lines = cli._block_lines
+    # In chunks of ``cells`` measure cells, each power's 25 points (sweep-cd) or 5 weights
+    # (sweep-werner) split into chunks of 7, 7, 7 and 4 rows or of 3 and 2: a mutant then
+    # touches only each power's last chunk, of ``last`` rows, and "no_row_offset" checks each
+    # drawn row's line against the point as many rows before it as its chunk's first row.
+    @pytest.mark.parametrize("mutant, chunks", [
+        pytest.param(mutant, chunks, id=mutant + "-chunks" * chunks)
+        for chunks, mutants in ((False, ["rotated_rows", "swapped_cells"]),
+                                (True, ["rotated_rows", "swapped_cells", "no_row_offset"]))
+        for mutant in mutants])
+    @pytest.mark.parametrize("argv, cells, last", [
+        (["sweep-cd", "--n-list", "2,4"], 28, 4),
+        (["sweep-werner", "--num-dirs", "2", "--n-list", "2,3"], 9, 2),
+        (["sweep-cd", "--n-list", "2,4", "--json"], 28, 4),
+        (["sweep-werner", "--num-dirs", "2", "--n-list", "2,3", "--json"], 9, 2),
+    ], ids=["argv0", "argv1", "argv2", "argv3"])
+    def test_spot_check_reads_the_lines_it_ships(self, mutant, chunks, argv, cells, last,
+                                                 tmp_path, capsys, monkeypatch):
+        block_lines, spot_check = cli._block_lines, cli._spot_check
 
         def mutated(block, heads, layout, style):
             n, verdicts, measures = block
-            if mutant == "rotated_rows":  # each row gets the measures of the row above
-                measures = [m[-1:] + m[:-1] for m in measures]
-            else:  # the last two measure cells of each row change places
-                measures = [*measures[:-2], measures[-1], measures[-2]]
+            if not chunks or len(heads) == last:
+                if mutant == "rotated_rows":  # each row gets the measures of the row above
+                    measures = [m[-1:] + m[:-1] for m in measures]
+                elif mutant == "swapped_cells":  # the last two measure cells of each row swap
+                    measures = [*measures[:-2], measures[-1], measures[-2]]
             return block_lines((n, verdicts, measures), heads, layout, style)
 
+        def no_row_offset(n, drawn, lines, lo, *rest):  # row j's line against point j - lo
+            return spot_check(n, [i - lo for i in drawn], lines, 0, *rest)
+
         monkeypatch.setattr(cli, "_block_lines", mutated)
+        if mutant == "no_row_offset":
+            monkeypatch.setattr(cli, "_spot_check", no_row_offset)
+        if chunks:
+            monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
         out = tmp_path / "out"
         for pooled in (False, True):
             started = force_pools(monkeypatch) if pooled else []
@@ -837,9 +855,15 @@ def test_json_rows_are_encoded_one_power_at_a_time(capsys, monkeypatch):
         return lines
 
     monkeypatch.setattr(cli, "_block_lines", recorded)
-    code, out, _ = run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--json")
+    argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--json"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and len(json.loads(out)["rows"]) == 75
     assert sizes == [(2, 25, True), (3, 25, True), (4, 25, True)]
+    # In chunks of 40 measure cells, 10 rows of 4 measures: each power's 25 rows as 10, 10, 5.
+    sizes.clear()
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 40)
+    assert run(capsys, *argv) == (0, out, "")
+    assert sizes == [(n, rows, True) for n in (2, 3, 4) for rows in (10, 10, 5)]
 
 
 def _csv_cell(value) -> str:
@@ -900,6 +924,45 @@ def test_csv_and_json_agree_cell_by_cell(name, pooled, capsys, monkeypatch):
     assert any("" in ln.split(",") for ln in lines)
     if argv == WERNER_NO_IMAGE:
         assert lines[0] == "-1.56780542232902,3,false,,,"
+
+
+# Sweeps in chunks of ``cells`` measure cells, of the rows given for each power, made in one
+# process and then by the parent and one worker in turn: the bytes are those of whole powers
+# in one process.  At power 3, sweep-cd's rows from 40 on are invalid, so chunks 6 to 17 have
+# no valid row, nor has sweep-werner's first chunk, its 14 lowest weights; WERNER_NO_IMAGE's
+# first weight, a chunk of its own, has no image.
+CHUNKED = {
+    "cd_invalid_chunks": (["sweep-cd", "--steps", "11", "--n-list", "2,3"], 28, [7] * 17 + [2]),
+    "werner_invalid_chunk": (["sweep-werner", "--p-min=-3", "--steps", "21", "--n-list", "2,3",
+                              "--num-dirs", "1"], 28, [14, 7]),
+    "werner_no_image": (WERNER_NO_IMAGE, 2, [1, 1]),
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_chunks_give_the_bytes_of_whole_powers(name, json_flag, capsys, monkeypatch):
+    argv, cells, chunks = CHUNKED[name]
+    argv = [*argv, *json_flag]
+    text = serial_text(argv)
+    block_lines, sizes, invalid = cli._block_lines, [], set()
+
+    def recorded(block, heads, layout, style):
+        n, verdicts, _ = block
+        sizes.append(len(heads))
+        if not any(0 <= v < 2 for v in verdicts):
+            invalid.add(n)
+        return block_lines(block, heads, layout, style)
+
+    monkeypatch.setattr(cli, "_block_lines", recorded)
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", cells)
+    assert run(capsys, *argv) == (0, text, "")
+    assert sizes == chunks * len(argv[argv.index("--n-list") + 1].split(","))
+    assert invalid == {3}  # a chunk without a valid row, at the odd power only
+    started = force_pools(monkeypatch)
+    assert run(capsys, *argv) == (0, text, "")
+    assert len(started) == 1
+    assert_reaped(started)
 
 
 @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
@@ -1177,6 +1240,31 @@ def test_a_later_worker_failing_first_in_time_does_not_win(capsys, monkeypatch):
     started = force_pools(monkeypatch, cpus=3)
     assert run(capsys, *argv) == first
     assert len(started) == 2
+    assert_reaped(started)
+
+
+# Each power's 25 points in chunks of 10, 10 and 5 rows: the parent makes blocks 0, 2 and 4,
+# power 2's last chunk among them, and its worker blocks 1, 3 and 5, power 3's first chunk
+# among them.  Power 2's chunk fails last in time, but first in the sweep's row order.
+def test_a_later_chunk_failing_last_in_time_still_wins(capsys, monkeypatch):
+    argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
+    evaluate = cli._evaluate
+
+    def fails_at_two_chunks(n, states, measure):
+        if n == 2 and len(states) == 5:  # power 2's last chunk: late
+            time.sleep(0.3)
+            raise OverflowError("x**n at the power 2")
+        if n == 3 and states[0].c == 0:  # power 3's first chunk, from |c| = 0
+            raise ZeroDenominatorError("Tr rho^3 vanished")
+        return evaluate(n, states, measure)
+
+    monkeypatch.setattr(cli, "_evaluate", fails_at_two_chunks)
+    monkeypatch.setattr(cli, "_CHUNK_CELLS", 40)
+    first = (1, "", "error: OverflowError: x**n at the power 2\n")
+    assert run(capsys, *argv) == first
+    started = force_pools(monkeypatch)
+    assert run(capsys, *argv) == first
+    assert len(started) == 1
     assert_reaped(started)
 
 
@@ -1489,9 +1577,10 @@ def test_a_worker_begins_no_block_after_its_first_failure(tmp_path, capsys, monk
 
 
 # By measure cells (rows times measures per row): the bench's werner-dirs workload (251
-# weights, 6 powers, 65 measures: 97,890 cells) and cd-grid (40,804 rows of 4 measures:
-# 163,216) use workers; the SmallGrid of the bench's tests (21 x 21 points, 4 powers: 7,056
-# cells) stays in-process, as does a sweep-werner one weight short of the threshold.
+# weights, 6 powers, 65 measures: 97,890 cells), cd-grid (40,804 rows of 4 measures:
+# 163,216) and one power of its grid (40,804 cells, in five chunks) use workers; the
+# SmallGrid of the bench's tests (21 x 21 points, 4 powers: 7,056 cells) stays in-process,
+# as does a sweep-werner one weight short of the threshold.
 WERNER_BELOW = (cli._POOL_CELLS - 1) // (6 * 65)
 
 
@@ -1501,7 +1590,8 @@ WERNER_BELOW = (cli._POOL_CELLS - 1) // (6 * 65)
     (["sweep-werner", "--steps", str(WERNER_BELOW), "--num-dirs", "64"], 0),
     (["sweep-werner", "--steps", str(WERNER_BELOW + 1), "--num-dirs", "64"], 1),
     (["sweep-cd", "--steps", "101"], 1),
-], ids=["werner_dirs", "small_grid", "werner_below", "werner_at", "cd_grid"])
+    (["sweep-cd", "--steps", "101", "--n-list", "3"], 1),
+], ids=["werner_dirs", "small_grid", "werner_below", "werner_at", "cd_grid", "cd_one_power"])
 def test_only_large_sweeps_start_workers(argv, forks, tmp_path, capsys, monkeypatch):
     started = force_pools(monkeypatch, from_cells=None)
     assert run(capsys, *argv, "--output", str(tmp_path / "out")) == (0, "", "")

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from conftest import force_pools, strict_json_loads
+from xstates import cli
 from xstates.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -274,15 +275,24 @@ def test_matches_recording(name, pooled, tmp_path, monkeypatch):
     assert len(started) == (POOLED[name] if pooled else 0)
 
 
-@pytest.mark.parametrize("name, pooled", _with_pooled(PINNED))
+# Every pinned sweep also runs on two CPUs with each power's rows in chunks of CHUNK_ROWS
+# rows and a shorter last one ("-chunks"), which the parent and one worker make in turn.
+CHUNK_ROWS = 8
+
+
+@pytest.mark.parametrize("name, pooled", _with_pooled(PINNED) + [
+    pytest.param(name, "chunks", id=f"{name}-chunks") for name in sorted(PINNED)])
 def test_matches_pinned_digest(name, pooled, tmp_path, monkeypatch):
     argv, digest, length = PINNED[name]
     started = force_pools(monkeypatch) if pooled else []
+    if pooled == "chunks":  # a row's measures: 4, or one more than --num-dirs
+        measures = 4 if argv[0] == "sweep-cd" else 1 + int(argv[argv.index("--num-dirs") + 1])
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", CHUNK_ROWS * measures)
     got = run_case(argv, None, tmp_path)
     assert (got["code"], got["stderr"], got["output"]) == (0, "", None)
     data = got["stdout"].encode("utf-8")
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, length)
-    assert len(started) == (POOLED[name] if pooled else 0)
+    assert len(started) == (1 if pooled == "chunks" else POOLED[name] if pooled else 0)
 
 
 def test_json_outputs_are_strict_json():
