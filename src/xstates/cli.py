@@ -142,11 +142,11 @@ def _load_config(path: str, options: dict[str, argparse.Action]) -> dict:
         if key in out:
             raise _UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
         if action.choices is not None and value not in action.choices:
-            raise _UsageError(f"unknown {key} {value!r}")
+            raise _UsageError(f"{path}:{lineno}: unknown {key} {value!r}")
         try:
             out[key] = value if action.type is None else action.type(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise _UsageError(f"config key {key!r}: {exc}")
+            raise _UsageError(f"{path}:{lineno}: config key {key!r}: {exc}")
     return out
 
 
@@ -425,37 +425,30 @@ _CHUNK_CELLS = 1 << 13
 
 
 def _serve(work, ks: range, out: int, parents: list[int]) -> None:
-    # A worker: for each k of ``ks`` in order, it sends (True, work(k)) to ``out``, or (False,
-    # its error) and stops.  It closes the parent's pipe ends, so that it ends at its next
-    # write once the parent has gone, and only by os._exit: it flushes nothing inherited.
+    # A worker: for each k of ``ks`` in order, it sends work(k) to ``out``; at its first error
+    # it stops, and the parent makes that k and the rest itself.  It closes the parent's pipe
+    # ends, so that it ends at its next write once the parent has gone, and only by os._exit:
+    # it flushes nothing inherited.
     import pickle
     try:
         for fd in parents:
             os.close(fd)
         results = open(out, "wb")
         for k in ks:
-            try:
-                outcome = True, work(k)
-            except BaseException as exc:
-                try:  # an exception that cannot cross the pipe ends the run with one line
-                    outcome = pickle.loads(pickle.dumps((False, exc)))
-                except Exception as why:
-                    outcome = False, _UsageError(f"a sweep worker cannot return {exc!r}: {why}")
-            pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(work(k), results, pickle.HIGHEST_PROTOCOL)
             results.flush()
-            if not outcome[0]:
-                break
     except BaseException:
         os._exit(1)
     os._exit(0)
 
 
-def _map_blocks(work, count: int, cells: int) -> list:
+def _map_blocks(work, count: int, cells: int) -> list[str]:
     """``[work(k) for k in range(count)]``, shared with forked workers if ``cells`` is large.
 
     Of ``w`` processes, worker ``i`` makes k = i, i + w, ... and this one each k that w divides.
-    Results are read in k order, so the first failing k raises; the workers are then killed.
-    If a pipe or a fork fails, the blocks are made here.
+    Results are read in k order, and each k that no worker sent (it failed, its worker ended,
+    or a pipe or a fork failed) is made here: the first failing k raises as in one process.
+    The workers are then killed.  Each ``work(k)`` is a str.
     """
     width = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if cells < _POOL_CELLS or width < 2 or threading.active_count() > 1:
@@ -473,35 +466,26 @@ def _map_blocks(work, count: int, cells: int) -> list:
                     _serve(work, range(i, count, width), ends.pop(), ends)
                 os.close(ends.pop())
                 pids.append(pid)
-        except OSError:  # stop the workers, then make the blocks here
-            pass
-        else:
-            pipes = [open(fd, "rb", closefd=False) for fd in ends]  # pickle frames each result
-            results = []
-            for k in range(count):
-                if k % width:
-                    try:
-                        ok, value = pickle.load(pipes[k % width - 1])
-                    except (EOFError, pickle.UnpicklingError):  # its worker ended mid-way
-                        code = os.waitstatus_to_exitcode(
-                            os.waitpid(pids.pop(k % width - 1), 0)[1])
-                        sig = {s.value: s.name for s in signal.Signals}.get(
-                            -code, f"signal {-code}")
-                        how = f"exit code {code}" if code >= 0 else f"killed by {sig}"
-                        raise _UsageError(f"a sweep worker process ended abruptly: {how}")
-                else:  # this process's own share
-                    ok, value = True, work(k)
-                if not ok:
-                    raise value
-                results.append(value)
-            return results
+        except OSError:  # close this attempt's pipe ends: the workers not forked send nothing
+            while len(ends) > len(pids):
+                os.close(ends.pop())
+        pipes = [open(fd, "rb", closefd=False) for fd in ends]  # pickle frames each text
+        texts = []
+        for k in range(count):
+            text = None  # unit k's text, if its worker sent it
+            if 0 < k % width <= len(pipes):
+                try:
+                    text = pickle.load(pipes[k % width - 1])
+                except (EOFError, pickle.UnpicklingError):  # its worker ended before sending it
+                    pass
+            texts.append(work(k) if text is None else text)
+        return texts
     finally:  # no worker outlives the run
         for fd in ends:
             os.close(fd)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return list(map(work, range(count)))
 
 
 def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, public, layout,

@@ -186,6 +186,16 @@ class TestAnalyze:
         assert code == 1
         assert "what" in err
 
+    @pytest.mark.parametrize("line, why", [
+        ("format = xml", "unknown format 'xml'"),
+        ("steps = x", "config key 'steps': invalid literal for int() with base 10: 'x'"),
+    ], ids=["choice", "type"])
+    def test_bad_config_value_names_its_file_and_line(self, line, why, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"# a sweep\n\nn_list = 2\n{line}\n")
+        code, out, err = run(capsys, "sweep-cd", "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: {cfg}:4: {why}\n")
+
     def test_malformed_config_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "state.cfg"
         cfg.write_text("a 0.375\n")
@@ -1275,74 +1285,61 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def dies_at_3(monkeypatch, how):
-    """Make the block of power 3 end its process with ``how()``."""
-    evaluate = cli._evaluate
+# A worker that ends before it has sent its block of power 3: by its own exit, by a signal,
+# or part-way through writing the block, which is larger than a pipe's buffer.  The parent
+# makes that block itself, so the run writes what one process writes.
+@pytest.mark.parametrize("death", ["exit", "sigkill", "mid_result"])
+def test_a_worker_that_dies_costs_time_not_the_run(death, capsys, monkeypatch):
+    argv = ["sweep-cd", "--steps", "41", "--n-list", "2,3"]
+    serial = serial_text(argv)
+    started, parent = force_pools(monkeypatch), os.getpid()
+    if death == "mid_result":
+        dump = pickle.dump
 
-    def dying(n, states, measure):
-        if n == 3:
-            how()
-        return evaluate(n, states, measure)
+        def half_then_exit(obj, file, *args):
+            if os.getpid() == parent:
+                return dump(obj, file, *args)
+            data = pickle.dumps(obj, *args)
+            file.write(data[:len(data) // 2])
+            file.flush()
+            os._exit(70)
 
-    monkeypatch.setattr(cli, "_evaluate", dying)
+        monkeypatch.setattr(pickle, "dump", half_then_exit)
+    else:
+        evaluate = cli._evaluate
 
+        def dying(n, states, measure):
+            if n == 3 and os.getpid() != parent:
+                if death == "exit":
+                    os._exit(70)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return evaluate(n, states, measure)
 
-def test_a_worker_that_dies_ends_the_run_with_one_line(capsys, monkeypatch):
-    started = force_pools(monkeypatch)
-    dies_at_3(monkeypatch, lambda: os._exit(70))
-    code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
-    assert (code, out, len(started)) == (1, "", 1)
-    assert err == "error: a sweep worker process ended abruptly: exit code 70\n"
+        monkeypatch.setattr(cli, "_evaluate", dying)
+    assert run(capsys, *argv) == (0, serial, "")
+    assert len(started) == 1
     assert_reaped(started)
-
-
-def test_a_worker_killed_by_a_signal_is_named(capsys, monkeypatch):
-    started = force_pools(monkeypatch)
-    dies_at_3(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
-    assert (code, out, len(started)) == (1, "", 1)
-    assert err == "error: a sweep worker process ended abruptly: killed by SIGKILL\n"
-    assert_reaped(started)
-
-
-# A worker that dies part-way through writing its result: the parent reads a truncated
-# pickle, and reports how the worker ended.  Its block is larger than a pipe's buffer.
-def test_a_worker_that_dies_mid_result_ends_the_run_with_one_line(capsys, monkeypatch):
-    started = force_pools(monkeypatch)
-
-    def half_then_exit(obj, file, *args):
-        data = pickle.dumps(obj, *args)
-        file.write(data[:len(data) // 2])
-        file.flush()
-        os._exit(70)
-
-    monkeypatch.setattr(pickle, "dump", half_then_exit)
-    code, out, err = run(capsys, "sweep-cd", "--steps", "41", "--n-list", "2,3")
-    assert (code, out, len(started)) == (1, "", 1)
-    assert err == "error: a sweep worker process ended abruptly: exit code 70\n"
-    assert_reaped(started)
-
-
-class TwoPartError(Exception):
-    """Pickles, but cannot be unpickled: its one argument becomes the first of two."""
-
-    def __init__(self, what, why):
-        super().__init__(f"{what}: {why}")
 
 
 # Each error the block path raises crosses the pipe as itself: the same exit code and
 # line as in one process, or the same exception where main does not catch it.
-@pytest.mark.parametrize("error", ["overflow", "zero_denominator", "csv_type_error"])
+@pytest.mark.parametrize("error", ["overflow", "zero_denominator", "csv_type_error",
+                                   "unpicklable"])
 def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
     argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3"]
+
+    class Local(Exception):  # pickle finds no class by this name
+        pass
+
     if error == "overflow":  # power 1 is finite, so power 2 fails, in the worker
         argv = ["sweep-cd", "--steps", "3", "--n-list", "1,2", "--a", "1e300", "--b", "1e300"]
-    elif error == "zero_denominator":
+    elif error in ("zero_denominator", "unpicklable"):
         evaluate = cli._evaluate
 
         def vanishes_at_3(n, states, measure):
             if n == 3:
-                raise ZeroDenominatorError("Tr rho^3 vanished")
+                raise (ZeroDenominatorError if error == "zero_denominator" else Local)(
+                    "Tr rho^3 vanished")
             return evaluate(n, states, measure)
 
         monkeypatch.setattr(cli, "_evaluate", vanishes_at_3)
@@ -1360,40 +1357,20 @@ def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
     def outcome():
         try:
             return run(capsys, *argv)
-        except TypeError as exc:
-            return repr(exc), capsys.readouterr()
+        except (TypeError, Local) as exc:  # and what it was raised while handling
+            return repr(exc), repr(exc.__context__), capsys.readouterr()
 
     serial = outcome()
     started = force_pools(monkeypatch)
     assert outcome() == serial and len(started) == 1
     if error == "csv_type_error":
-        assert serial[0].startswith("TypeError(") and serial[1] == ("", "")
+        assert serial[0].startswith("TypeError(") and serial[1:] == ("None", ("", ""))
+    elif error == "unpicklable":
+        assert serial == ("Local('Tr rho^3 vanished')", "None", ("", ""))
     elif error == "overflow":
         assert serial[:2] == (1, "") and serial[2].startswith("error: OverflowError: ")
     else:
         assert serial == (1, "", "error: ZeroDenominatorError: Tr rho^3 vanished\n")
-    assert_reaped(started)
-
-
-@pytest.mark.parametrize("unpicklable", ["cannot_load", "cannot_dump"])
-def test_an_error_that_cannot_cross_the_pipe_ends_in_one_line(unpicklable, capsys, monkeypatch):
-    started = force_pools(monkeypatch)
-    evaluate = cli._evaluate
-
-    class Local(Exception):  # pickle finds no class by this name
-        pass
-
-    def fails_at_3(n, states, measure):
-        if n == 3:
-            raise TwoPartError("power 3", "no") if unpicklable == "cannot_load" else Local("no")
-        return evaluate(n, states, measure)
-
-    monkeypatch.setattr(cli, "_evaluate", fails_at_3)
-    code, out, err = run(capsys, "sweep-cd", "--steps", "3", "--n-list", "2,3")
-    assert (code, out, len(started)) == (1, "", 1)
-    assert err.startswith("error: a sweep worker cannot return ")
-    assert ("TwoPartError('power 3: no')" if unpicklable == "cannot_load" else "Local('no')") in err
-    assert err.count("\n") == 1
     assert_reaped(started)
 
 
