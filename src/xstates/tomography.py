@@ -162,12 +162,58 @@ def _pair_from_unit_cube(x: list[float]) -> tuple[Direction, Direction]:
     return Direction(theta=theta_a, psi=psi_a), Direction(theta=theta_b, psi=psi_b)
 
 
+# numpy's SeedSequence and PCG64 constants, for the seeded half of direction sets.
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniforms(seed: int, k: int) -> list[float]:
+    """``numpy.random.default_rng(seed).uniform(0.0, 1.0, size=k).tolist()``, bit for bit.
+
+    numpy's SeedSequence hashes the seed's little-endian 32-bit words into a pool
+    of four, and the pool into PCG64's 128-bit state and increment.  Each draw
+    steps the state and keeps the top 53 bits of its XSL-RR output.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length() or 1, 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int, multiplier: int = 0x931E8875) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(max(4, len(words))):  # the pool's own words, then the seed's others
+        source = pool[src] if src < 4 else words[src]
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(source))
+    hash_const = 0x8B51F9DD
+    w = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]  # generate_state(8, uint32)
+    initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    inc = ((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 | 1  # bit 128 drops out below
+    state = ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128  # step, add, step
+    drawn = []
+    for _ in range(k):
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        drawn.append((((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0**-53)
+    return drawn
+
+
 def direction_pairs(count: int, seed: int) -> list[tuple[Direction, Direction]]:
     """Reproducible direction pairs for inequality and information sweeps.
 
     The first half walks a low-discrepancy Kronecker sequence on the
-    (theta_a, theta_b, psi_a, psi_b) cube, the rest is drawn from a PRNG
-    seeded with ``seed``; the same arguments always give the same list.
+    (theta_a, theta_b, psi_a, psi_b) cube, the rest takes four numbers a pair
+    from numpy's ``default_rng(seed).uniform(0.0, 1.0)`` stream, made here bit
+    for bit without numpy; the same arguments always give the same list.
     ``count`` must be a positive ``int`` and ``seed`` a non-negative one
     (neither a ``bool``).
     """
@@ -175,9 +221,9 @@ def direction_pairs(count: int, seed: int) -> list[tuple[Direction, Direction]]:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    import numpy as np
     n_grid = (count + 1) // 2
     kronecker = ([math.modf(k * alpha)[0] for alpha in _KRONECKER_ALPHAS]
                  for k in range(1, n_grid + 1))
-    drawn = np.random.default_rng(seed).uniform(0.0, 1.0, size=(count - n_grid, 4)).tolist()
+    u = _uniforms(seed, 4 * (count - n_grid))
+    drawn = (u[i:i + 4] for i in range(0, len(u), 4))
     return [_pair_from_unit_cube(x) for x in chain(kronecker, drawn)]

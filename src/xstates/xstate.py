@@ -138,8 +138,8 @@ def _modulus(z: complex) -> float:
 # floats, abs of a complex and sorted do.  Only these steps differ between them:
 # the moduli, picking the first test that holds, sorting, flooring at 0, and the
 # entropy of a list of weights.  numpy is imported inside the functions that take
-# or make a block (and in direction_pairs and to_dense), never at module level, so
-# `import xstates` and the scalar functions run without loading it.
+# or make a block (and in to_dense), never at module level, so `import xstates`,
+# the scalar functions and direction_pairs run without loading it.
 
 
 def _class_tests(a, b, cm, dm):

@@ -1127,7 +1127,7 @@ HOSTILE = {
         ["analyze", "--a", "0.25", "--b", "0.25", "--c-abs", "0", "--d-abs", "0", "--n", "1000"],
         None,
     ),
-    # numpy's default_rng rejects a negative seed with a ValueError.
+    # main refuses a negative seed itself: error: --seed must be >= 0, got -1.
     "negative_cd_seed": (["sweep-cd", "--seed", "-1", "--steps", "2"], None),
     "negative_werner_seed": (["sweep-werner", "--seed", "-1", "--steps", "2"], None),
     "undecodable_config": (["analyze"], b"a = 0.3\xff\n"),

@@ -1,7 +1,7 @@
-"""The scalar library and the single-state commands run without numpy.
+"""The scalar library, ``direction_pairs`` and the single-state commands run without numpy.
 
-Only the sweeps, ``direction_pairs`` and ``to_dense`` load it; without it, a
-sweep exits 1 with one line.
+Only the sweeps and ``to_dense`` load it; without it, a sweep exits 1 with
+one line.
 
 Each test runs a fresh interpreter, since this one has numpy loaded already.
 """
@@ -95,8 +95,12 @@ def test_single_state_commands_are_the_same_without_numpy():
     assert blocked.stdout == plain.stdout
 
 
-def test_sweep_cd_leaves_numpy_random_unloaded(tmp_path):
-    # Its spot check draws from the standard library's random; numpy 2 loads
+@pytest.mark.parametrize("argv", [["sweep-cd", "--steps", "3"],
+                                  ["sweep-werner", "--steps", "3", "--num-dirs", "4"]],
+                         ids=["sweep-cd", "sweep-werner"])
+def test_sweeps_leave_numpy_random_unloaded(argv, tmp_path):
+    # sweep-cd's spot check draws from the standard library's random, and
+    # direction_pairs makes numpy's PCG64 stream itself.  numpy 2 loads
     # numpy.random only when it is first used, numpy 1 with numpy itself.
     code = f"""
 import sys, numpy
@@ -104,7 +108,7 @@ if "numpy.random" in sys.modules:
     print("skip")
 else:
     import xstates.cli
-    assert xstates.cli.main(["sweep-cd", "--steps", "3", "--output", {str(tmp_path / "cd.csv")!r}]) == 0
+    assert xstates.cli.main([*{argv!r}, "--output", {str(tmp_path / "out")!r}]) == 0
     print("numpy.random" in sys.modules)
 """
     proc = run_python(code)
@@ -124,10 +128,26 @@ def test_scalar_chain_is_the_same_without_numpy():
     assert blocked.stdout == plain.stdout
 
 
-@pytest.mark.parametrize("call", ["direction_pairs(3, 0)", "to_dense(werner(0.5))"])
+def test_direction_pairs_are_the_same_without_numpy():
+    code = """
+import sys
+from xstates import direction_pairs
+for da, db in direction_pairs(9, 7):
+    print(repr(da), repr(db))
+assert "numpy" not in sys.modules, "direction_pairs loaded numpy"
+"""
+    plain = run_python(code)
+    blocked = run_python(BLOCK_NUMPY + code)
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert plain.stdout.count("\n") == 9
+    assert blocked.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("call", ["to_dense(werner(0.5))"])
 def test_numpy_names_raise_import_error_without_numpy(call):
     code = BLOCK_NUMPY + f"""
-from xstates import direction_pairs, to_dense, werner
+from xstates import to_dense, werner
 try:
     {call}
 except ImportError as exc:

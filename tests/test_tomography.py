@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -26,6 +27,7 @@ from xstates import (
     tomogram,
     werner,
 )
+from xstates.tomography import _pair_from_unit_cube, _uniforms
 
 HALF_PI = math.pi / 2
 
@@ -196,6 +198,40 @@ class TestDirectionPairs:
         for seed in (None, True, False, -1, 1.5, "3"):
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 direction_pairs(3, seed)
+
+    def test_tail_is_numpy_stream(self):
+        cube = np.random.default_rng(7).uniform(0.0, 1.0, size=(4, 4)).tolist()
+        assert direction_pairs(9, 7)[5:] == [_pair_from_unit_cube(x) for x in cube]
+
+
+def numpy_uniforms(seed: int, k: int) -> list[str]:
+    return [x.hex() for x in np.random.default_rng(seed).uniform(0.0, 1.0, size=k).tolist()]
+
+
+class TestUniforms:
+    """The seeded draws are numpy's PCG64 ``uniform`` stream, compared as ``float.hex``."""
+
+    # Seeds above 2**128 have more than four 32-bit words, so the pool mixes in the rest;
+    # 2**256 - 1 has eight full words, and a ninth, zero word would change the pool.
+    @given(st.integers(0, 2**300), st.integers(0, 300))
+    @example(2**300, 300)
+    @example(2**256 - 1, 3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy(self, seed, k):
+        assert [x.hex() for x in _uniforms(seed, k)] == numpy_uniforms(seed, k)
+
+    # The first three draws, from seeds of 1, 1, 1, 2, 3 and 5 little-endian 32-bit words.
+    @pytest.mark.parametrize("seed, expected", [
+        (0, ["0x1.461fd79fb3850p-1", "0x1.1442f7e20b674p-2", "0x1.4fa7b529d9bd0p-5"]),
+        (1, ["0x1.060d7be6f245cp-1", "0x1.e6a32d7782a55p-1", "0x1.273d27b04760cp-3"]),
+        (2**32 - 1, ["0x1.01fd7ea4c363ep-2", "0x1.c0a59175cb424p-3", "0x1.262df73ba3636p-2"]),
+        (2**32, ["0x1.c78bd7c50b582p-1", "0x1.1d4132d1fc63bp-1", "0x1.9a109ff09b1bdp-1"]),
+        (2**64, ["0x1.cc0542cb8f230p-2", "0x1.906d382019ab4p-2", "0x1.276873df88cbbp-1"]),
+        (2**128, ["0x1.5ab98be352f88p-1", "0x1.f1a30952d2850p-3", "0x1.39391ab428710p-1"]),
+    ], ids=["0", "1", "2**32-1", "2**32", "2**64", "2**128"])
+    def test_exact_draws(self, seed, expected):
+        assert [x.hex() for x in _uniforms(seed, 3)] == expected
+        assert numpy_uniforms(seed, 3) == expected
 
 
 class TestWernerTomogram:
