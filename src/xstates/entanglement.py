@@ -1,56 +1,43 @@
 """Entanglement measures for X states: negativity and concurrence.
 
-Both measures collapse to short closed forms on the X family, and both must
-agree with the PPT classification: a valid X state is entangled exactly when
-its negativity exceeds 1, exactly when its concurrence is positive.
+The partial transpose of a valid X state has eigenvalues a +- |c| and b +- |d|,
+so each measure is a closed form that rounds once (Wootters, PRL 80, 2245, 1998;
+Yu and Eberly, QIC 7, 459, 2007).  classify calls a valid X state entangled exactly
+when its concurrence exceeds 2 EPS_PSD: an eigenvalue a - |c| or b - |d| below -EPS_PSD.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .xstate import XParams, _spectrum, _valid_moduli, _x_moduli
+from .xstate import XParams, _valid_moduli, _x_moduli
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def _negativity(a, b, cm, dm):
-    """Trace norm of the partial transpose, whose spectrum is a +- |c| and b +- |d|."""
-    return abs(a + cm) + abs(a - cm) + abs(b + dm) + abs(b - dm)
-
-
-def _excess(roots):
-    """The largest of the ascending ``roots`` minus the other three."""
-    return roots[3] - roots[2] - roots[1] - roots[0]
-
-
 def negativity(p: XParams) -> float:
-    """Trace norm of the partial transpose: 1 for separable states, up to 2."""
+    """Trace norm of the partial transpose, 2 (max(a, |c|) + max(b, |d|)): 1 to 2."""
     cm, dm = _valid_moduli(p)
-    return _negativity(p.a, p.b, cm, dm)
+    a, b = p.a, p.b
+    return 2.0 * ((cm if cm > a else a) + (dm if dm > b else b))
 
 
 def concurrence(p: XParams) -> float:
-    """Concurrence of a valid X state.
-
-    Because rho equals its own spin flip, the usual root spectrum is just
-    the state's eigenvalue magnitudes; the measure is the largest minus the
-    other three, floored at zero.
-    """
+    """Concurrence of a valid X state: 2 max(0, |c| - a, |d| - b)."""
     cm, dm = _valid_moduli(p)
-    excess = _excess(sorted(map(abs, _spectrum(p.a, p.b, cm, dm))))
-    return excess if excess > 0.0 else 0.0  # max(0.0, excess), without the call
+    e = max(cm - p.a, dm - p.b)
+    return 2.0 * e if e > 0.0 else 0.0
 
 
 def _x_entanglement(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`negativity` and :func:`concurrence` of each valid X state in the columns ``x``.
 
-    The kernels are the scalar ones; see the note above
-    :func:`~xstates.xstate._class_tests`.  No validity check: the caller
-    vouches for the states.
+    The scalar forms, with ``np.where`` and ``np.maximum``; see the note above
+    :func:`~xstates.xstate._class_tests`.  The caller vouches for validity.
     """
     import numpy as np
-    moduli = _x_moduli(x)
-    excess = _excess(np.sort(np.abs(_spectrum(*moduli)), axis=0))
-    return _negativity(*moduli), np.where(excess > 0.0, excess, 0.0)  # max(0.0, excess)
+    a, b, cm, dm = _x_moduli(x)
+    e = np.maximum(cm - a, dm - b)
+    neg = 2.0 * (np.where(cm > a, cm, a) + np.where(dm > b, dm, b))
+    return neg, np.where(e > 0.0, 2.0 * e, 0.0)

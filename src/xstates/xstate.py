@@ -131,15 +131,15 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-# Each closed form, here and in entanglement.py and information.py, is written once
-# over (a, b, |c|, |d|): floats for one state, or numpy arrays for a block of states
-# in the columns that _x_columns builds, with the moduli from _x_moduli.  Both give
-# the same bits: numpy's + - *, comparisons, abs, hypot and sort round as Python
-# floats, abs of a complex and sorted do.  Only these steps differ between them:
-# the moduli, picking the first test that holds, sorting, flooring at 0, and the
-# entropy of a list of weights.  numpy is imported inside the functions that take
-# or make a block (and in to_dense), never at module level, so `import xstates`,
-# the scalar functions and direction_pairs run without loading it.
+# Each closed form, here and in information.py, is written once over
+# (a, b, |c|, |d|): floats for one state, or numpy arrays for a block of states in
+# the columns that _x_columns builds, with the moduli from _x_moduli.  Both give the
+# same bits: numpy's + - *, comparisons, abs and hypot round as Python floats and
+# abs of a complex do.  Only these steps differ between them: the moduli, picking
+# the first test that holds, the if-else and max that entanglement.py writes as
+# np.where and np.maximum, and the entropy of a list of weights.  numpy is imported
+# inside the functions that take or make a block (and in to_dense), never at module
+# level, so `import xstates`, the scalar functions and direction_pairs run without it.
 
 
 def _class_tests(a, b, cm, dm):
@@ -313,7 +313,7 @@ def werner_entanglement_threshold(n: int) -> float:
     toward 0 as n grows.
     """
     _check_power(n)
-    return 1.0 - 4.0 / (3.0 ** (1.0 / n) + 3.0)
+    return 1.0 - 4.0 / (3.0 ** (1 / n) + 3.0)
 
 
 def werner_entanglement_threshold_lower(n: int) -> float:
@@ -327,4 +327,4 @@ def werner_entanglement_threshold_lower(n: int) -> float:
     _check_power(n)
     if n % 2:
         raise ValueError("lower threshold exists only for even powers")
-    return 1.0 + 4.0 / (3.0 ** (1.0 / n) - 3.0)
+    return 1.0 + 4.0 / (3.0 ** (1 / n) - 3.0)

@@ -6,8 +6,8 @@ from ``numpy.linalg``, the Werner power sums written out by hand for the
 tomogram and the mutual information, or the power map through ``spectrum``
 and phases of its own.  Beside them, :func:`werner_i_n` is the library's own
 chain at a Werner state, which several tests hold against those references,
-and the ``*_reference`` functions are the scalar measures as the library once
-wrote them, which the library must match bit for bit.
+and the ``*_reference`` functions are the scalar measures written out again
+without the library's memos, which the library must match bit for bit.
 Matrix powers need no helper: the tests call ``numpy.linalg`` directly.
 """
 
@@ -30,7 +30,6 @@ from xstates import (
     system_entropies,
 )
 from xstates.dense import to_dense
-from xstates.entanglement import _excess, _negativity
 from xstates.information import _entropies
 from xstates.tomography import Direction, InvalidAngleError, TomogramTable, _weights
 from xstates.xstate import (
@@ -215,7 +214,7 @@ def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
     return ChannelResult(params=out, n=n)
 
 
-# The scalar measures as the library once wrote them: a validity check of its
+# The scalar measures without the library's memos: a validity check of their
 # own, then the coherences' moduli once more; every weight clamped, then added;
 # both marginal entropies computed; each result through its constructor.
 
@@ -258,12 +257,12 @@ def require_valid_reference(p: XParams) -> None:
 
 def negativity_reference(p: XParams) -> float:
     require_valid_reference(p)
-    return _negativity(p.a, p.b, abs(p.c), abs(p.d))
+    return 2.0 * (max(p.a, abs(p.c)) + max(p.b, abs(p.d)))
 
 
 def concurrence_reference(p: XParams) -> float:
     require_valid_reference(p)
-    return max(0.0, _excess(sorted(map(abs, _spectrum(p.a, p.b, abs(p.c), abs(p.d))))))
+    return max(0.0, 2.0 * (abs(p.c) - p.a), 2.0 * (abs(p.d) - p.b))
 
 
 def pair_coefficients_reference(dir_a: Direction, dir_b: Direction) -> tuple:

@@ -8,6 +8,9 @@ to ``{tmp}/cfg`` and output files go to ``{tmp}/out``.
 To re-record after a deliberate output change::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+That rewrites the fixtures and prints each ``PINNED`` sweep's sha256 and byte
+length, which are copied into ``PINNED`` by hand.
 """
 
 from __future__ import annotations
@@ -195,17 +198,18 @@ PINNED: dict[str, tuple[list[str], str, int]] = {
         "aa457023078882b52f98a6e9f8b6e78facc1d83aa4b948907aea3cadf34633da",
         64517,
     ),
+    # The sweep-cd digests below, except the two zero-denominator ones, were
+    # re-recorded when negativity and concurrence became one closed form each,
+    # correctly rounded, which moved the last digits of some of those cells.
     "sweep_cd_21_json": (
         ["sweep-cd", "--steps", "21", "--n-list", "1,3", "--json"],
-        "2cf026b738801807c67d0a9933233dbc0c1c2c25f9eb81530f5f04bfaac744dc",
-        123737,
+        "5f9706d1478998d88cf139d4d9707907471aa2ffabb31bead734c0d3a69d95ad",
+        123451,
     ),
-    # Recorded from the commit before sweep-cd measured each power block in
-    # one columnar pass and formatted its cells by column.
     "sweep_cd_101_phases_csv": (
         ["sweep-cd", "--steps", "101", "--c-phase", "1.1", "--d-phase", "4.2"],
-        "1999d2fcdd8acdc4d38a4172ada758386cbf9e769afda58a399b313350de83b4",
-        2980229,
+        "85a2314d34b410ef3c2e567477b73cafcf6389d394a367cc190774ef93256222",
+        2980218,
     ),
     # Tr rho^n vanishes in every n = 1 row and at the origin for n = 2.
     "sweep_cd_zero_denominator_csv": (
@@ -221,10 +225,16 @@ PINNED: dict[str, tuple[list[str], str, int]] = {
     "sweep_cd_invalid_rows_phases_csv": (
         ["sweep-cd", "--a", "0.4", "--b", "0.1", "--c-abs-max", "0.6", "--d-abs-max", "0.9",
          "--c-phase", "0.3", "--d-phase", "2", "--steps", "41", "--n-list", "1,2,3,7"],
-        "bed76958c54cc97a9b26fd4c307378b15498b3f7c4ff5833215531bc01de06f4",
-        375643,
+        "5c5698fa54a1ff1ed611d708edeab9424a3bd104118f0540a4d28ec8de87c9a2",
+        375545,
     ),
 }
+
+
+def digest_of(got: dict) -> tuple[str, int]:
+    """The sha256 and byte length of a recorded run's stdout, as ``PINNED`` holds them."""
+    data = got["stdout"].encode("utf-8")
+    return hashlib.sha256(data).hexdigest(), len(data)
 
 
 def run_case(argv: list[str], config: str | None, tmp: Path) -> dict:
@@ -290,8 +300,7 @@ def test_matches_pinned_digest(name, pooled, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_CHUNK_CELLS", CHUNK_ROWS * measures)
     got = run_case(argv, None, tmp_path)
     assert (got["code"], got["stderr"], got["output"]) == (0, "", None)
-    data = got["stdout"].encode("utf-8")
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, length)
+    assert digest_of(got) == (digest, length)
     assert len(started) == (1 if pooled == "chunks" else POOLED[name] if pooled else 0)
 
 
@@ -321,6 +330,10 @@ def record() -> None:
         path = GOLDEN / f"{name}.json"
         path.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")
         print(f"{path.name}: exit {result['code']}", file=sys.stderr)
+    for name, (argv, _, _) in PINNED.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            digest, length = digest_of(run_case(argv, None, Path(tmp)))
+        print(f"{name}: {digest!r}, {length}", file=sys.stderr)
 
 
 if __name__ == "__main__":

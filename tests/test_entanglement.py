@@ -3,23 +3,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
     EDGE_STATES,
+    clamp_band_params_st,
     kernel_images_st,
     random_channel_image,
     random_separable_params,
     random_valid_params,
     valid_params_st,
 )
+from exact import concurrence_exact, negativity_exact
 from oracles import concurrence_dense, negativity_dense, spin_flip
 from xstates import (
+    EPS_PSD,
     InvalidStateError,
     StateClass,
     XParams,
+    ZeroDenominatorError,
     apply_power_channel,
     classify,
     concurrence,
@@ -27,6 +31,7 @@ from xstates import (
     ppt,
     spectrum,
     to_dense,
+    validate,
     werner,
 )
 from xstates.entanglement import _x_entanglement
@@ -131,6 +136,14 @@ class TestMeasureConsistency:
             assert entangled == (negativity(p) > 1.0 + 1e-12)
             assert entangled == (concurrence(p) > 1e-12)
 
+    @given(st.one_of(valid_params_st(), clamp_band_params_st()))
+    @example(XParams(a=0.2, b=0.3, c=0.2 + 5e-13, d=0.0))  # separable, concurrence 1e-12
+    @example(XParams(a=0.2, b=0.3, c=0.2 + EPS_PSD, d=0.0))
+    @example(XParams(a=0.3, b=0.2, c=0.0, d=math.nextafter(0.2 + EPS_PSD, 1.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_entangled_iff_concurrence_beyond_the_ppt_band(self, p):
+        assert (classify(p) is StateClass.ENTANGLED) == (concurrence(p) > 2.0 * EPS_PSD)
+
     def test_channel_amplifies_werner_measures(self):
         for p in np.linspace(0.4, 1.0, 7):
             neg = []
@@ -188,3 +201,75 @@ class TestXEntanglement:
         for p, n, c in zip(images, neg.tolist(), conc.tolist()):
             assert_allclose((negativity(p), n), negativity_dense(p), atol=1e-10, rtol=0)
             assert_allclose((concurrence(p), c), concurrence_dense(p), atol=1e-10, rtol=0)
+
+
+# Strata for the exact oracle.  Coherences are rotated only by 1, -1, 1j or -1j,
+# which is exact, so |c| and |d| keep the bits the margins were made with.
+_ROTATION = st.sampled_from([1, -1, 1j, -1j])
+_TINY = st.floats(0.0, 1e-300)  # subnormals down to 5e-324 included
+
+
+@st.composite
+def near_threshold_st(draw) -> XParams:
+    """A valid state whose |c| - a or |d| - b is one ulp, or 1e-6 to 1e-300, of either sign."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        low = draw(st.floats(1e-300, 0.2))
+        high = math.nextafter(low, sign * math.inf)
+    else:
+        margin = draw(st.sampled_from([1e-6, 1e-9, 1e-12]) | st.floats(1e-300, 1e-6))
+        low = min(0.2, margin * draw(st.floats(2.0, 2.0**52)))
+        high = low + sign * margin
+    near, other = high * draw(_ROTATION), low * draw(st.floats(0.0, 1.0)) * draw(_ROTATION)
+    if draw(st.booleans()):
+        return XParams(a=low, b=0.5 - low, c=near, d=other)
+    return XParams(a=0.5 - low, b=low, c=other, d=near)
+
+
+@st.composite
+def tiny_coherences_st(draw) -> XParams:
+    """A valid state with both coherences' parts at most 1e-300, and a or b maybe as small."""
+    low = draw(st.just(0.0) | _TINY | st.floats(0.0, 0.5))
+    c, d = (complex(draw(_TINY), draw(_TINY)) * draw(_ROTATION) for _ in range(2))
+    if draw(st.booleans()):
+        return XParams(a=low, b=0.5 - low, c=c, d=d)
+    return XParams(a=0.5 - low, b=low, c=c, d=d)
+
+
+@st.composite
+def power_images_st(draw) -> XParams:
+    """A valid image of a valid state under a power up to 600."""
+    try:
+        image = apply_power_channel(draw(valid_params_st()), draw(st.integers(1, 600))).params
+    except ZeroDenominatorError:  # every eigenvalue to the power underflows
+        assume(False)
+    assume(validate(image) is None)
+    return image
+
+
+def assert_correctly_rounded(states):
+    """Both measures, scalar and columnar, are the exact values correctly rounded."""
+    neg, conc = _x_entanglement(_x_columns(states))
+    for p, neg_column, conc_column in zip(states, neg.tolist(), conc.tolist()):
+        moduli = p.a, p.b, abs(p.c), abs(p.d)
+        want = float(negativity_exact(*moduli)).hex()
+        assert (negativity(p).hex(), neg_column.hex()) == (want, want), p
+        want = float(concurrence_exact(*moduli)).hex()
+        assert (concurrence(p).hex(), conc_column.hex()) == (want, want), p
+
+
+class TestCorrectlyRounded:
+    def test_edge_states(self):
+        assert_correctly_rounded(EDGE_STATES)
+
+    @pytest.mark.parametrize("stratum", [near_threshold_st, tiny_coherences_st, power_images_st])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_strata(self, stratum, data):
+        assert_correctly_rounded(data.draw(st.lists(stratum(), min_size=1, max_size=4)))
+
+    @pytest.mark.parametrize("margin", [1e-6, 1e-9, 1e-12])
+    def test_concurrence_at_small_margins(self, margin):
+        # Subtracting the three smaller eigenvalue magnitudes from the largest one
+        # cancels here, to a relative error of 1.4e-11, 1.4e-8 and 1.4e-5.
+        assert_correctly_rounded([XParams(a=0.3, b=0.2, c=0.0, d=0.2 + margin)])

@@ -1,8 +1,8 @@
 """The public scalar measures give the bits, and raise the errors, of their reference copies.
 
-``tests/oracles.py`` holds the measures as the library once wrote them; each
-case here compares a result by ``float.hex`` of every float in it, and a raised
-error by its type, message and ``state_class``.
+``tests/oracles.py`` holds the measures written out again without the
+library's memos; each case here compares a result by ``float.hex`` of every
+float in it, and a raised error by its type, message and ``state_class``.
 """
 
 from __future__ import annotations

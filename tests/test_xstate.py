@@ -654,6 +654,20 @@ class TestThresholds:
         with pytest.raises(ValueError):
             werner_entanglement_threshold_lower(3)
 
+    def test_powers_beyond_the_float_range_give_the_limits(self):
+        # 1 / n of an int is correctly rounded, 0.0 here; float(10**400) would overflow.
+        assert werner_entanglement_threshold(10**400) == 0.0
+        assert werner_entanglement_threshold_lower(10**400) == -1.0
+
+    @given(st.integers(1, 2**53))
+    @example(2**53)
+    @example(3)
+    def test_int_reciprocal_keeps_the_float_bits(self, n):
+        # Below 2**53 an int is an exact float, so 1 / n rounds as 1.0 / n does.
+        assert werner_entanglement_threshold(n) == 1.0 - 4.0 / (3.0 ** (1.0 / n) + 3.0)
+        if n % 2 == 0:
+            assert werner_entanglement_threshold_lower(n) == 1.0 + 4.0 / (3.0 ** (1.0 / n) - 3.0)
+
     def test_lower_branch_flip(self):
         for n in (2, 4):
             p_low = werner_entanglement_threshold_lower(n)
