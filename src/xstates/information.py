@@ -73,14 +73,29 @@ def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
     return acc
 
 
-def _entropies(joint, q, entropy):
+def _twin_entropy(q: float) -> float:
+    """``von_neumann_entropy((q, q))``, from one logarithm.
+
+    The closed form is the loop's arithmetic in the loop's order, total
+    ``q + q`` and entropy ``(0.0 - t) - t``, so its bits are the loop's.
+    A sum within ``EPS_TRACE`` of 1 makes ``q`` positive; any other ``q``,
+    NaN included, goes to the loop, which raises as it always has.
+    """
+    if abs((q + q) - 1.0) <= EPS_TRACE:
+        t = q * math.log(q)
+        return (0.0 - t) - t
+    return von_neumann_entropy((q, q))
+
+
+def _entropies(joint, q, entropy, twin_entropy):
     """Joint and marginal entropy, and mutual information, of weights whose marginals are (q, q).
 
-    ``entropy`` takes the weights: floats for :func:`von_neumann_entropy`,
-    :func:`_xlogx` pairs for :func:`_entropy`.
+    ``entropy`` takes the joint weights and ``twin_entropy`` the marginal
+    ``q``: :func:`von_neumann_entropy` and :func:`_twin_entropy` for floats,
+    :func:`_entropy` of :func:`_xlogx` pairs for columns.
     """
     s12 = entropy(joint)
-    s1 = entropy((q, q))
+    s1 = twin_entropy(q)
     return s12, s1, s1 + s1 - s12
 
 
@@ -91,7 +106,8 @@ def system_entropies(p: XParams) -> InfoReport:
     trace-normalized X state they equal ln 2.
     """
     cm, dm = _valid_moduli(p)
-    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, cm, dm), p.a + p.b, von_neumann_entropy)
+    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, cm, dm), p.a + p.b, von_neumann_entropy,
+                              _twin_entropy)
     report = object.__new__(InfoReport)
     _SET_S12(report, s12)
     _SET_S1(report, s1)
@@ -101,12 +117,24 @@ def system_entropies(p: XParams) -> InfoReport:
 
 
 def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
-    """Shannon entropies of an already-computed tomogram."""
-    h12 = von_neumann_entropy(table)
-    first, second = marginals(table)
-    h1 = von_neumann_entropy(first)
-    # Equal weights give equal bits; tomogram's (s, c, c, s) tables always have them.
-    h2 = h1 if second == first else von_neumann_entropy(second)
+    """Shannon entropies of an already-computed tomogram.
+
+    A :func:`~xstates.tomography.tomogram` table ``(s, c, c, s)`` with
+    ``s, c > 0`` takes two logarithms for ``h12`` and one for ``h1 = h2``,
+    whose marginals are both ``(s + c, s + c)``; any other table takes
+    :func:`von_neumann_entropy` of its weights and of each marginal.  Both
+    give the same bits and errors.
+    """
+    s, c, c2, s2 = table
+    # The loop's sums, left to right; a sum off 1 goes to the loop, which raises.
+    if s > 0.0 and c > 0.0 and s == s2 and c == c2 and abs(s + c + c + s - 1.0) <= EPS_TRACE:
+        ts, tc = s * math.log(s), c * math.log(c)
+        h12 = (((0.0 - ts) - tc) - tc) - ts
+        h1 = h2 = _twin_entropy(s + c)
+    else:
+        h12 = von_neumann_entropy(table)
+        first, second = marginals(table)
+        h1, h2 = von_neumann_entropy(first), von_neumann_entropy(second)
     report = object.__new__(ShannonReport)
     _SET_H12(report, h12)
     _SET_H1(report, h1)
@@ -165,6 +193,11 @@ def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return acc
 
 
+def _x_twin_entropy(q: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """:func:`_entropy` of the weights ``(q, q)``, given as one :func:`_xlogx` pair."""
+    return _entropy((q, q))
+
+
 def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``system_entropies(p).s12`` and ``.i_n`` of each valid X state in the columns ``x``.
 
@@ -173,7 +206,8 @@ def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vouches for the states.
     """
     a, b, cm, dm = _x_moduli(x)
-    s12, _, i_n = _entropies(map(_xlogx, _spectrum(a, b, cm, dm)), _xlogx_distinct(a + b), _entropy)
+    s12, _, i_n = _entropies(map(_xlogx, _spectrum(a, b, cm, dm)), _xlogx_distinct(a + b),
+                             _entropy, _x_twin_entropy)
     return s12, i_n
 
 
@@ -191,4 +225,4 @@ def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
     import numpy as np
     same, cross = _weights(*x[:, :, None], np.array(coefficients, dtype=float).T)
     s, c = _xlogx(same), _xlogx(cross)
-    return _entropies((s, c, c, s), _xlogx_distinct(same + cross), _entropy)[2]
+    return _entropies((s, c, c, s), _xlogx_distinct(same + cross), _entropy, _x_twin_entropy)[2]

@@ -1,14 +1,19 @@
-"""Exact values of the entanglement measures, in rational arithmetic on the float inputs.
+"""Exact values of the measures, in rational and 60-digit decimal arithmetic on the float inputs.
 
-Each function takes the floats ``a``, ``b``, ``|c|`` and ``|d|`` of an X state
-and works in :class:`fractions.Fraction`, sharing no code with ``xstates``.
-``float()`` of a result is the exact value correctly rounded, since
-``Fraction.__float__`` rounds correctly.
+Each function takes floats, ``a``, ``b``, ``|c|`` and ``|d|`` of an X state or
+a list of weights, and shares no code with ``xstates``.  The entanglement
+measures work in :class:`fractions.Fraction`; ``float()`` of a result is the
+exact value correctly rounded, since ``Fraction.__float__`` rounds correctly.
+The entropies take logarithms in :mod:`decimal` at 60 significant digits, so
+their relative error is below 1e-58, far under any float's.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
+
+DIGITS = 60
 
 
 def _partial_transpose_spectrum(a, b, cm, dm) -> tuple[Fraction, ...]:
@@ -30,3 +35,22 @@ def concurrence_exact(a, b, cm, dm) -> Fraction:
     with rho_11 = rho_44 = a, rho_22 = rho_33 = b, rho_23 = c and rho_14 = d.
     """
     return max(Fraction(0), -2 * min(_partial_transpose_spectrum(a, b, cm, dm)))
+
+
+def spectrum_exact(a, b, cm, dm) -> tuple[Fraction, ...]:
+    """The state's eigenvalues a + |d|, b + |c|, b - |c| and a - |d|, exactly."""
+    a, b, cm, dm = map(Fraction, (a, b, cm, dm))
+    return a + dm, b + cm, b - cm, a - dm
+
+
+def entropy_exact(weights) -> Decimal:
+    """-sum(w ln w) over positive weights, floats or fractions, to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        total = Decimal(0)
+        for w in map(Fraction, weights):
+            if w <= 0:
+                raise ValueError(f"weight {w} is not positive")
+            w = Decimal(w.numerator) / Decimal(w.denominator)
+            total -= w * w.ln()
+        return +total

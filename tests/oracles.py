@@ -30,7 +30,6 @@ from xstates import (
     system_entropies,
 )
 from xstates.dense import to_dense
-from xstates.information import _entropies
 from xstates.tomography import Direction, InvalidAngleError, TomogramTable, _weights
 from xstates.xstate import (
     ChannelResult,
@@ -320,9 +319,10 @@ def von_neumann_entropy_reference(eigenvalues: Sequence[float]) -> float:
 def system_entropies_reference(p: XParams) -> InfoReport:
     """Joint and marginal entropies of a valid X state."""
     require_valid_reference(p)
-    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, abs(p.c), abs(p.d)), p.a + p.b,
-                              von_neumann_entropy_reference)
-    return InfoReport(s12=s12, s1=s1, s2=s1, i_n=i_n)
+    s12 = von_neumann_entropy_reference(_spectrum(p.a, p.b, abs(p.c), abs(p.d)))
+    q = p.a + p.b
+    s1 = von_neumann_entropy_reference((q, q))
+    return InfoReport(s12=s12, s1=s1, s2=s1, i_n=s1 + s1 - s12)
 
 
 def shannon_report_from_table_reference(table: TomogramTable) -> ShannonReport:

@@ -2,11 +2,13 @@ import copy
 import math
 import pickle
 from dataclasses import FrozenInstanceError, asdict, fields, replace
+from decimal import Decimal
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -19,6 +21,7 @@ from conftest import (
     random_valid_params,
     valid_params_st,
 )
+from exact import entropy_exact, spectrum_exact
 from oracles import entropy_dense, werner_i_n, werner_i_n_closed_form
 from xstates import (
     EPS_PSD,
@@ -27,6 +30,7 @@ from xstates import (
     InvalidSpectrumError,
     InvalidStateError,
     ShannonReport,
+    TomogramTable,
     XParams,
     apply_power_channel,
     direction_pairs,
@@ -208,6 +212,66 @@ class TestShannonReport:
         info = system_entropies(p)
         assert rep.i_s <= info.i_n + 1e-10
         assert rep.i_s >= -1e-10
+
+
+# README's Accuracy bound for S(rho) and a table's H12, relative to the exact entropy of
+# the float inputs.  A spectrum weight w rounds once from a, b, |c| and |d|, and w <= 1/2
+# passes that rounding on to -w ln w at most once, since |1 + 1 / ln w| < 1.  Its
+# logarithm, its product and three sums add at most one rounding each.
+ENTROPY_BOUND = 6 * 2.0**-53
+
+
+@st.composite
+def half_spectrum_st(draw) -> XParams:
+    """A valid state whose eigenvalues a +- |d| and b +- |c| all lie in (0, 1/2], some tiny."""
+    a = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True) | st.floats(5e-324, 1e-6))
+    a, b = draw(st.permutations([a, 0.5 - a]))
+    bound = min(a, b)  # |c|, |d| < min(a, b) keeps every eigenvalue in (0, a + b]
+    cm, dm = (bound * draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(2))
+    assume(all(0 < w <= Fraction(1, 2) for w in spectrum_exact(a, b, cm, dm)))
+    return XParams(a=a, b=b, c=cm, d=dm * 1j)  # |c| and |d| keep their bits
+
+
+@st.composite
+def positive_table_st(draw) -> TomogramTable:
+    """A tomogram with positive weights, or a table of weights in (0, 1/2] that sum to 1."""
+    if draw(st.booleans()):
+        p = draw(valid_params_st() | half_spectrum_st())
+        table = tomogram(p, draw(direction_st()), draw(direction_st()))
+        assume(min(table) > 0.0)
+        return table
+    w = [draw(st.floats(5e-324, 1.0)) for _ in range(4)]
+    table = TomogramTable(*(x / math.fsum(w) for x in w))
+    assume(min(table) > 0.0 and max(table) <= 0.5)
+    return table
+
+
+def assert_entropy_within_bound(got: float, weights) -> None:
+    want = entropy_exact(weights)
+    assert abs(Decimal(got) - want) <= Decimal(ENTROPY_BOUND) * want, (got, weights)
+
+
+class TestExactEntropies:
+    """S(rho) and H12 hold README's relative bound against tests/exact.py: weights in (0, 1/2]."""
+
+    @given(half_spectrum_st())
+    @example(XParams(a=0.25, b=0.25, c=0.0, d=0.0))
+    @example(werner(1 / 3))
+    @example(XParams(a=0.3, b=0.2, c=0.1 - 0.1j, d=0.2 - 5e-17))
+    @example(XParams(a=0.5, b=5e-324, c=0.0, d=0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_s12(self, p):
+        spec = spectrum_exact(p.a, p.b, abs(p.c), abs(p.d))
+        assert_entropy_within_bound(system_entropies(p).s12, spec)
+
+    @given(positive_table_st())
+    @example(tomogram(werner(1.0), Direction(theta=1e-4), Direction(theta=0.0)))
+    @example(TomogramTable(5e-324, 0.5, 0.5, 5e-324))
+    @example(TomogramTable(1e-300, 0.5, 0.5, 1e-300))
+    @example(TomogramTable(0.5 - 1e-17, 1e-17, 1e-17, 0.5 - 1e-17))
+    @settings(max_examples=200, deadline=None)
+    def test_h12(self, table):
+        assert_entropy_within_bound(shannon_report_from_table(table).h12, table)
 
 
 _STATE = apply_power_channel(XParams(a=0.3, b=0.2, c=0.1 + 0.05j, d=0.15j), 3).params
@@ -393,7 +457,8 @@ class TestXlogxDistinct:
 
 
 class TestMarginalLogCount:
-    """Each marginal weight takes one logarithm per distinct value; joint weights take one each."""
+    """One logarithm per distinct marginal value, and per distinct (s, c, c, s) weight in the
+    scalar chain; the columns' joint weights take one each."""
 
     @staticmethod
     def count_logs(monkeypatch, kernel, *args):
@@ -429,6 +494,11 @@ class TestMarginalLogCount:
         assert len(distinct) < k
         calls = self.count_logs(monkeypatch, _x_entropies, _x_columns(WERNER_CUBES))
         assert calls == 4 * k + len(distinct)
+
+    def test_scalar_chain(self, monkeypatch):
+        # The spectrum's four weights and q; then s, c and s + c.
+        assert self.count_logs(monkeypatch, system_entropies, _STATE) == 5
+        assert self.count_logs(monkeypatch, shannon_report_from_table, _TABLE) == 3
 
 
 # Slack allowed before an inequality counts as violated.

@@ -34,6 +34,7 @@ from oracles import (
 )
 from xstates import (
     EPS_PSD,
+    EPS_TRACE,
     Direction,
     TomogramTable,
     StateClass,
@@ -107,13 +108,23 @@ def distribution_st(draw) -> list[float]:
 
 @st.composite
 def table_st(draw) -> TomogramTable:
-    """Tomograms with w_ud != w_du as well as (s, c, c, s) ones, with any weights."""
-    kind = draw(st.sampled_from(["distribution", "symmetric", "any"]))
+    """Tomograms with w_ud != w_du as well as (s, c, c, s) ones, with any weights.
+
+    The "tomogram" kind is shaped as tomogram makes its tables: (s, c, c, s)
+    with s + c within EPS_TRACE of 1/2, so that the unit-sum test lands on
+    either side of its edge, and s or c maybe a special weight.
+    """
+    kind = draw(st.sampled_from(["distribution", "symmetric", "tomogram", "any"]))
     if kind == "distribution":
         w = draw(distribution_st().filter(lambda w: len(w) <= 4))
         return TomogramTable(*draw(st.permutations(w + [0.0] * (4 - len(w)))))
     if kind == "symmetric":
         s, c = draw(_weight), draw(_weight)
+        return TomogramTable(s, c, c, s)
+    if kind == "tomogram":
+        s = draw(st.one_of(st.floats(0.0, 0.5), _clamped, st.sampled_from(_SPECIAL_WEIGHTS)))
+        c = 0.5 - s + draw(st.floats(-EPS_TRACE, EPS_TRACE))
+        s, c = draw(st.permutations([s, c]))
         return TomogramTable(s, c, c, s)
     return TomogramTable(*(draw(_weight) for _ in range(4)))
 
@@ -142,6 +153,27 @@ class TestEntropies:
     @example(TomogramTable(0.25, -0.0, 0.0, 0.75))  # marginals (0.25, 0.75) and (0.25, 0.75)
     @example(TomogramTable(0.5, NAN, NAN, 0.5))
     @example(TomogramTable(INF, -INF, 0.5, 0.5))
+    # (s, c, c, s) at the unit sum's edges, with s + c + c + s - 1 as noted: the last
+    # float inside the test on each side, and the next one out
+    @example(TomogramTable(0.3, 0.20000000049999997, 0.20000000049999997, 0.3))  # +9.99999861e-10
+    @example(TomogramTable(0.3, 0.2000000005, 0.2000000005, 0.3))  # +1.00000008e-09
+    @example(TomogramTable(0.3, 0.19999999950000003, 0.19999999950000003, 0.3))  # -9.99999861e-10
+    @example(TomogramTable(0.3, 0.1999999995, 0.1999999995, 0.3))  # -1.00000008e-09
+    # the joint sum inside (-9.99999972e-10) and the marginals' (s + c) + (s + c) out, and
+    # the other way round
+    @example(TomogramTable(0.1999999995, 0.3, 0.3, 0.1999999995))
+    @example(TomogramTable(0.2, 0.2999999995, 0.2999999995, 0.2))
+    # (s, c, c, s) with s or c not positive, subnormal or not finite
+    @example(TomogramTable(0.0, 0.5, 0.5, 0.0))
+    @example(TomogramTable(0.5, -0.0, -0.0, 0.5))
+    @example(TomogramTable(0.0, 0.5, 0.5, -0.0))  # s == w_dd, with another sign
+    @example(TomogramTable(-0.5 * EPS_PSD, 0.5, 0.5, -0.5 * EPS_PSD))
+    @example(TomogramTable(0.5, -EPS_PSD, -EPS_PSD, 0.5))
+    @example(TomogramTable(5e-324, 0.5, 0.5, 5e-324))
+    @example(TomogramTable(0.5, 5e-324, 5e-324, 0.5))
+    @example(TomogramTable(NAN, 0.5, 0.5, NAN))
+    @example(TomogramTable(INF, 0.5, 0.5, INF))
+    @example(TomogramTable(0.5, INF, INF, 0.5))
     @settings(max_examples=400, deadline=None)
     def test_shannon_report_from_table(self, table):
         assert_same_outcome(shannon_report_from_table, shannon_report_from_table_reference, table)
@@ -166,8 +198,16 @@ def not_psd_st(draw) -> XParams:
     return XParams(a=p.a, b=p.b, c=p.c, d=d)
 
 
+@st.composite
+def trace_edge_st(draw) -> XParams:
+    """A valid state with a moved by up to EPS_TRACE / 2: 2(a + b) either side of 1 +- EPS_TRACE."""
+    p = draw(valid_params_st())
+    return XParams(a=p.a + draw(st.floats(-EPS_TRACE / 2, EPS_TRACE / 2)), b=p.b, c=p.c, d=p.d)
+
+
 _states = st.one_of(
     valid_params_st(),
+    trace_edge_st(),
     clamp_band_params_st(),
     st.sampled_from(EDGE_STATES),
     st.builds(lambda p, n: apply_power_channel(p, n).params, valid_params_st(), st.integers(1, 9)),
@@ -183,6 +223,18 @@ _INVALID = [
     XParams(a=0.33, b=0.17, c=0.2, d=0.1),  # not PSD
 ]
 
+# The marginals are (q, q) with q = a + b.  Here 2q - 1 is as noted: the last float
+# inside the trace test on each side, and the next one out; then b not positive or subnormal.
+_Q_EDGES = [
+    XParams(a=0.25000000049999993, b=0.25, c=0.1, d=0.2j),  # +9.99999861e-10
+    XParams(a=0.25000000050000004, b=0.25, c=0.1, d=0.2j),  # +1.00000008e-09
+    XParams(a=0.24999999950000001, b=0.25, c=0.1, d=0.2j),  # -9.99999972e-10
+    XParams(a=0.24999999949999996, b=0.25, c=0.1, d=0.2j),  # -1.00000008e-09
+    XParams(a=0.5, b=-0.0, c=0.0, d=0.5j),
+    XParams(a=0.5 + 5e-13, b=-5e-13, c=0.0, d=0.5),
+    XParams(a=0.5, b=5e-324, c=0.0, d=0.5),
+]
+
 
 MEASURES = [(classify, classify_reference), (negativity, negativity_reference),
             (concurrence, concurrence_reference), (system_entropies, system_entropies_reference)]
@@ -195,6 +247,13 @@ class TestMeasures:
     @example(_INVALID[2], Direction(theta=1.0), Direction(theta=0.5))
     @example(_INVALID[3], Direction(theta=1.0), Direction(theta=0.5))
     @example(_INVALID[4], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[0], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[1], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[2], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[3], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[4], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[5], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[6], Direction(theta=1.0), Direction(theta=0.5))
     @settings(max_examples=400, deadline=None)
     def test_same_bits_and_errors(self, p, dir_a, dir_b):
         for fn, reference in MEASURES:
