@@ -73,25 +73,46 @@ def von_neumann_entropy(eigenvalues: Sequence[float]) -> float:
     return acc
 
 
+def _spectrum_entropy(weights: tuple[float, float, float, float]) -> float:
+    """``von_neumann_entropy`` of four weights, unrolled where all are positive.
+
+    The closed form is the loop's arithmetic in the loop's order, total
+    ``((l1 + l2) + l3) + l4`` and entropy ``(((0.0 - t1) - t2) - t3) - t4``,
+    so its bits are the loop's.  Weights with a zero, clamp-band or NaN
+    entry, or a sum off 1, go to the loop, which clamps or raises as ever.
+    """
+    l1, l2, l3, l4 = weights
+    if (l1 > 0.0 and l2 > 0.0 and l3 > 0.0 and l4 > 0.0
+            and abs(l1 + l2 + l3 + l4 - 1.0) <= EPS_TRACE):
+        return ((((0.0 - l1 * math.log(l1)) - l2 * math.log(l2)) - l3 * math.log(l3))
+                - l4 * math.log(l4))
+    return von_neumann_entropy(weights)
+
+
 def _twin_entropy(q: float) -> float:
-    """``von_neumann_entropy((q, q))``, from one logarithm.
+    """``von_neumann_entropy((q, q))``, from one logarithm, or none at ``q = 1/2``.
 
     The closed form is the loop's arithmetic in the loop's order, total
     ``q + q`` and entropy ``(0.0 - t) - t``, so its bits are the loop's.
     A sum within ``EPS_TRACE`` of 1 makes ``q`` positive; any other ``q``,
     NaN included, goes to the loop, which raises as it always has.
     """
+    if q == 0.5:  # a trace-normalized state's marginal, most often exactly
+        return _HALF_ENTROPY
     if abs((q + q) - 1.0) <= EPS_TRACE:
         t = q * math.log(q)
         return (0.0 - t) - t
     return von_neumann_entropy((q, q))
 
 
+_HALF_ENTROPY = von_neumann_entropy((0.5, 0.5))
+
+
 def _entropies(joint, q, entropy, twin_entropy):
     """Joint and marginal entropy, and mutual information, of weights whose marginals are (q, q).
 
     ``entropy`` takes the joint weights and ``twin_entropy`` the marginal
-    ``q``: :func:`von_neumann_entropy` and :func:`_twin_entropy` for floats,
+    ``q``: :func:`_spectrum_entropy` and :func:`_twin_entropy` for floats,
     :func:`_entropy` of :func:`_xlogx` pairs for columns.
     """
     s12 = entropy(joint)
@@ -106,7 +127,7 @@ def system_entropies(p: XParams) -> InfoReport:
     trace-normalized X state they equal ln 2.
     """
     cm, dm = _valid_moduli(p)
-    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, cm, dm), p.a + p.b, von_neumann_entropy,
+    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, cm, dm), p.a + p.b, _spectrum_entropy,
                               _twin_entropy)
     report = object.__new__(InfoReport)
     _SET_S12(report, s12)
@@ -120,7 +141,7 @@ def shannon_report_from_table(table: TomogramTable) -> ShannonReport:
     """Shannon entropies of an already-computed tomogram.
 
     A :func:`~xstates.tomography.tomogram` table ``(s, c, c, s)`` with
-    ``s, c > 0`` takes two logarithms for ``h12`` and one for ``h1 = h2``,
+    ``s, c > 0`` takes two logarithms for ``h12`` and at most one for ``h1 = h2``,
     whose marginals are both ``(s + c, s + c)``; any other table takes
     :func:`von_neumann_entropy` of its weights and of each marginal.  Both
     give the same bits and errors.

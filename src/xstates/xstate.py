@@ -261,8 +261,9 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     except OverflowError:
         raise OverflowError(f"an eigenvalue of {p} to the power {n} is not finite") from None
     denom = 2.0 * (l1 + l2 + l3 + l4)
-    scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
-    if denom == 0.0 or abs(denom) < 1e-12 * scale:
+    # With no power negative, the scale 2 * sum(|l_i^n|) is denom itself, so only 0 vanishes.
+    if denom == 0.0 or (not (l1 >= 0.0 and l2 >= 0.0 and l3 >= 0.0 and l4 >= 0.0)
+                        and abs(denom) < 1e-12 * (2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4)))):
         raise ZeroDenominatorError(f"Tr rho^{n} vanishes for {p}")
     a, b = (l1 + l4) / denom, (l2 + l3) / denom
     c, d = (l2 - l3) / denom, (l1 - l4) / denom  # times the phases below

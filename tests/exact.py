@@ -1,9 +1,10 @@
 """Exact values of the measures, in rational and 60-digit decimal arithmetic on the float inputs.
 
-Each function takes floats, ``a``, ``b``, ``|c|`` and ``|d|`` of an X state or
-a list of weights, and shares no code with ``xstates``.  The entanglement
-measures work in :class:`fractions.Fraction`; ``float()`` of a result is the
-exact value correctly rounded, since ``Fraction.__float__`` rounds correctly.
+Each function takes floats, ``a``, ``b``, ``|c|`` and ``|d|`` of an X state
+(and a power) or a list of weights, and shares no code with ``xstates``.  The
+image and the entanglement measures work in :class:`fractions.Fraction`;
+``float()`` of a result is the exact value correctly rounded, since
+``Fraction.__float__`` rounds correctly.
 The entropies take logarithms in :mod:`decimal` at 60 significant digits, so
 their relative error is below 1e-58, far under any float's.
 """
@@ -41,6 +42,18 @@ def spectrum_exact(a, b, cm, dm) -> tuple[Fraction, ...]:
     """The state's eigenvalues a + |d|, b + |c|, b - |c| and a - |d|, exactly."""
     a, b, cm, dm = map(Fraction, (a, b, cm, dm))
     return a + dm, b + cm, b - cm, a - dm
+
+
+def image_exact(a, b, cm, dm, n: int) -> tuple[Fraction, ...]:
+    """``a``, ``b``, ``|c|`` and ``|d|`` of the image under rho -> rho^n / Tr rho^n, exactly.
+
+    The image's eigenvalues are the state's to the power ``n`` over their
+    sum, and each block's pair gives its diagonal entry as half their sum
+    and its coherence's modulus as half their difference.
+    """
+    l1, l2, l3, l4 = (x**n for x in spectrum_exact(a, b, cm, dm))
+    trace = 2 * (l1 + l2 + l3 + l4)
+    return (l1 + l4) / trace, (l2 + l3) / trace, abs(l2 - l3) / trace, abs(l1 - l4) / trace
 
 
 def entropy_exact(weights) -> Decimal:

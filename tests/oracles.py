@@ -197,10 +197,15 @@ def power_channel_via_spectrum(p: XParams, n: int) -> ChannelResult:
     Raises each eigenvalue in ``spectrum(p)`` to the power ``n`` and puts the
     image's coherences back on the input's phases, computed here.  Every
     float operation is the library's, in the same order, so the two must
-    agree bit for bit, and raise the same exceptions.
+    agree bit for bit, and raise the same exceptions with the same messages.
+    The vanishing test takes the scale ``2 * sum(|l_i^n|)`` for every
+    spectrum, not only where a power is negative.
     """
     _check_power(n)
-    l1, l2, l3, l4 = (x**n for x in spectrum(p))
+    try:
+        l1, l2, l3, l4 = (x**n for x in spectrum(p))
+    except OverflowError:
+        raise OverflowError(f"an eigenvalue of {p} to the power {n} is not finite") from None
     denom = 2.0 * (l1 + l2 + l3 + l4)
     scale = 2.0 * (abs(l1) + abs(l2) + abs(l3) + abs(l4))
     if denom == 0.0 or abs(denom) < 1e-12 * scale:

@@ -264,6 +264,15 @@ class TestExactEntropies:
         spec = spectrum_exact(p.a, p.b, abs(p.c), abs(p.d))
         assert_entropy_within_bound(system_entropies(p).s12, spec)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: an eigenvalue w near 1 passes its "
+                                           "rounding on to -w ln w times |1 + 1/ln w|")
+    def test_s12_near_a_pure_state(self):
+        # a + |d| = 0.9999775 rounds once: 1.8e3 units of 2^-53 were measured.
+        p = XParams(a=0.49999000000000005, b=9.99999999995449e-06, c=4e-06, d=0.4999875)
+        spec = spectrum_exact(p.a, p.b, abs(p.c), abs(p.d))
+        assert 0.9 < spec[0] < 1 - 1e-6
+        assert_entropy_within_bound(system_entropies(p).s12, spec)
+
     @given(positive_table_st())
     @example(tomogram(werner(1.0), Direction(theta=1e-4), Direction(theta=0.0)))
     @example(TomogramTable(5e-324, 0.5, 0.5, 5e-324))
@@ -496,9 +505,16 @@ class TestMarginalLogCount:
         assert calls == 4 * k + len(distinct)
 
     def test_scalar_chain(self, monkeypatch):
-        # The spectrum's four weights and q; then s, c and s + c.
+        # The spectrum's four weights and q; then s, c and s + c.  Here q = s + c = 1/2 + 2^-53.
+        assert _STATE.a + _STATE.b != 0.5 and _TABLE[0] + _TABLE[1] != 0.5
         assert self.count_logs(monkeypatch, system_entropies, _STATE) == 5
         assert self.count_logs(monkeypatch, shannon_report_from_table, _TABLE) == 3
+        # A marginal weight of exactly 1/2 takes no logarithm.
+        state = XParams(a=0.3, b=0.2, c=0.1 + 0.05j, d=0.15j)
+        table = tomogram(state, Direction(theta=0.9, psi=0.3), Direction(theta=2.0))
+        assert state.a + state.b == 0.5 and table[0] + table[1] == 0.5
+        assert self.count_logs(monkeypatch, system_entropies, state) == 4
+        assert self.count_logs(monkeypatch, shannon_report_from_table, table) == 2
 
 
 # Slack allowed before an inequality counts as violated.

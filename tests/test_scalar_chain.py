@@ -7,6 +7,7 @@ float in it, and a raised error by its type, message and ``state_class``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import threading
@@ -205,8 +206,38 @@ def trace_edge_st(draw) -> XParams:
     return XParams(a=p.a + draw(st.floats(-EPS_TRACE / 2, EPS_TRACE / 2)), b=p.b, c=p.c, d=p.d)
 
 
+_SUBNORMAL = st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True)
+_UNIT = st.floats(0.0, 1.0)
+_UNIT_PHASE = st.sampled_from([1.0, -1.0, 1j, -1j])  # |x * phase| == x exactly
+_HALF_AND_NEIGHBOURS = [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+
+
+@st.composite
+def spectrum_edge_st(draw) -> XParams:
+    """A valid state on an edge of system_entropies' closed forms.
+
+    Either the eigenvalue a - |d| is 0.0, in [-EPS_PSD, 0) or a positive
+    subnormal, or the marginal weight q = a + b is 1/2 or one ulp either side.
+    """
+    kind = draw(st.sampled_from(["zero", "band", "subnormal", "q"]))
+    if kind == "subnormal":  # a - |d| = a itself
+        a, b, dm = draw(_SUBNORMAL), 0.5, 0.0
+    elif kind == "q":
+        # b in [q/2, 2q] makes q - b exact (Sterbenz), so a + b == q
+        b = draw(st.floats(0.25, 0.5))
+        a, b = draw(st.permutations([draw(st.sampled_from(_HALF_AND_NEIGHBOURS)) - b, b]))
+        dm = a * draw(_UNIT)
+    else:
+        b = draw(st.floats(0.0, 0.5))
+        a = 0.5 - b
+        dm = a if kind == "zero" else a + draw(st.floats(0.0, 9e-13, exclude_min=True))
+    c = b * draw(_UNIT) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return XParams(a=a, b=b, c=c, d=dm * draw(_UNIT_PHASE))
+
+
 _states = st.one_of(
     valid_params_st(),
+    spectrum_edge_st(),
     trace_edge_st(),
     clamp_band_params_st(),
     st.sampled_from(EDGE_STATES),
@@ -233,6 +264,16 @@ _Q_EDGES = [
     XParams(a=0.5, b=-0.0, c=0.0, d=0.5j),
     XParams(a=0.5 + 5e-13, b=-5e-13, c=0.0, d=0.5),
     XParams(a=0.5, b=5e-324, c=0.0, d=0.5),
+    # q = 1/2 and one ulp either side of it
+    XParams(a=0.3, b=0.2, c=0.1, d=0.2j),
+    XParams(a=0.2500000000000001, b=0.25, c=0.1, d=0.2j),
+    XParams(a=0.24999999999999994, b=0.25, c=0.1, d=0.2j),
+]
+# The last eigenvalue a - |d| at 0.0, in the clamp band and a positive subnormal.
+_SPECTRUM_EDGES = [
+    XParams(a=0.3, b=0.2, c=0.1, d=0.3j),
+    XParams(a=0.3, b=0.2, c=0.1, d=0.3 + 5e-13),
+    XParams(a=5e-324, b=0.5, c=0.1j, d=0.0),
 ]
 
 
@@ -254,6 +295,12 @@ class TestMeasures:
     @example(_Q_EDGES[4], Direction(theta=1.0), Direction(theta=0.5))
     @example(_Q_EDGES[5], Direction(theta=1.0), Direction(theta=0.5))
     @example(_Q_EDGES[6], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[7], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[8], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_Q_EDGES[9], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_SPECTRUM_EDGES[0], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_SPECTRUM_EDGES[1], Direction(theta=1.0), Direction(theta=0.5))
+    @example(_SPECTRUM_EDGES[2], Direction(theta=1.0), Direction(theta=0.5))
     @settings(max_examples=400, deadline=None)
     def test_same_bits_and_errors(self, p, dir_a, dir_b):
         for fn, reference in MEASURES:

@@ -6,10 +6,11 @@ import re
 import sys
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from enum import IntEnum
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,6 +22,7 @@ from conftest import (
     random_valid_params,
     valid_params_st,
 )
+from exact import image_exact, spectrum_exact
 from oracles import classify_dense, partial_transpose, power_channel_via_spectrum
 from xstates import (
     EPS_PSD,
@@ -235,11 +237,11 @@ def _image_inputs_st():
 
 
 def _outcome(power_map, p: XParams, n: int):
-    """Every field of the image as float.hex strings, or the type of the exception raised."""
+    """Every field of the image as float.hex strings, or the type and message of the exception."""
     try:
         r = power_map(p, n)
     except (ZeroDenominatorError, OverflowError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return (r.n, validate(r.params), *map(float.hex, _parts(r.params)))
 
 
@@ -345,6 +347,13 @@ class TestPowerChannel:
     @example((XParams(a=0.0, b=0.0, c=0.0, d=1.401298464324817e-45), 7))  # 1e-12 * scale = 0
     @example((XParams(a=1e154, b=-1e154, c=0.0, d=0.0), 2))  # a sum of powers overflows
     @example((XParams(a=0.3, b=0.2, c=1e308, d=-1e308j), 1))
+    @example((XParams(a=0.3, b=0.2, c=1e308, d=0.0), 2))  # (0.2 + 1e308)^2 overflows
+    # Tr rho^n = 2 (|d| + a)^n - 2 (|d| - a)^n against 1e-12 * scale: inside the band, then out
+    @example((XParams(a=1e-13, b=0.0, c=0.0, d=0.5), 1))
+    @example((XParams(a=1e-11, b=0.0, c=0.0, d=0.5), 1))
+    @example((XParams(a=1e-13, b=0.0, c=0.0, d=0.5), 3))
+    @example((XParams(a=1e-11, b=0.0, c=0.0, d=0.5), 3))
+    @example((XParams(a=0.33, b=0.17, c=0.2, d=0.1), 2))  # not PSD, but no power is negative
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit_as_through_the_spectrum(self, case):
         p, n = case
@@ -417,6 +426,47 @@ class TestPowerChannel:
             m = np.linalg.matrix_power(to_dense(random_valid_params(rng)), int(rng.integers(1, 7)))
             m = m / np.trace(m).real
             assert np.max(np.abs(m[~mask])) < 1e-14
+
+
+def _within_image_bound(got: float, want: Fraction, n: int) -> bool:
+    """Whether ``got`` is within README's relative bound on the image's a and b at power n.
+
+    The bound is 2(n + 5) units of 2^-53.  Each eigenvalue rounds once (one
+    unit), which its n-th power carries n times, and libm's pow adds under an
+    ulp (two units).  a and b are ratios of two sums of such powers, so
+    2(n + 2) units, and the sums and the quotient round five more times.
+    """
+    return abs(Fraction(got) - want) <= Fraction(2 * (n + 5), 2**53) * want
+
+
+class TestExactImage:
+    """The image's a and b hold README's bound against tests/exact.py on PSD states at n <= 64."""
+
+    @given(valid_params_st(), st.integers(1, 64))
+    @example(werner(0.5), 64)
+    @example(XParams(a=0.25, b=0.25, c=0.0, d=0.0), 64)
+    @example(XParams(a=0.3, b=0.2, c=0.2j, d=0.1), 37)  # an eigenvalue at 0
+    @example(XParams(a=0.34261296976367217, b=0.15738703023632786,
+                     c=-0.05662217911381377 + 0.11351019613161802j,
+                     d=0.05119019403006457 - 0.3387671930477438j), 2)  # 2.4 units measured
+    @settings(max_examples=200, deadline=None)
+    def test_a_and_b(self, p, n):
+        cm, dm = abs(p.c), abs(p.d)
+        spec = spectrum_exact(p.a, p.b, cm, dm)
+        # No eigenvalue below 0, and no power below the normal range, where item 5's
+        # underflow starts.
+        assume(min(spec) >= 0 and not any(0 < x**n < Fraction(2) ** -1022 for x in spec))
+        img = apply_power_channel(p, n).params
+        want = image_exact(p.a, p.b, cm, dm, n)
+        assert _within_image_bound(img.a, want[0], n), (img.a, float(want[0]))
+        assert _within_image_bound(img.b, want[1], n), (img.b, float(want[1]))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: (l2^n - l3^n) / denom cancels at "
+                                           "small |c|; 7.1e-6 relative at |c| = 1e-12, n = 5")
+    def test_small_coherence_modulus(self):
+        p, n = XParams(a=0.3, b=0.2, c=1e-12, d=0.1), 5
+        want = image_exact(p.a, p.b, abs(p.c), abs(p.d), n)
+        assert _within_image_bound(abs(apply_power_channel(p, n).params.c), want[2], n)
 
 
 class TestPpt:
