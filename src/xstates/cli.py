@@ -489,15 +489,15 @@ def _map_blocks(work, count: int, cells: int) -> list[str]:
 
 
 def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, public, layout,
-           names: Sequence[str], options: dict[str, argparse.Action], meta) -> int:
+           names: Sequence[str], options: dict[str, argparse.Action], comments: list[str],
+           extra: dict) -> int:
     """Evaluate, spot-check and write a sweep, one block per chunk of each power's rows.
 
     ``grid`` names each axis of the grid, and ``state(*point)`` makes the state of each
     point, in ``product`` order.  ``layout(n, valid, cls, measures)`` is the row order
     after the grid columns: the header, the writer and the spot check read it.
     ``fast`` and ``public`` give the measures ``names`` (see :func:`_evaluate`).
-    ``meta()`` gives the CSV's comment lines and the JSON's entries after the config; it
-    runs after the rows, so that a power the power map refuses fails there first.
+    ``comments`` are the CSV's comment lines, and ``extra`` the JSON's entries after the config.
     """
     states = list(starmap(state, product(*grid.values())))
     total, size = len(args.n_list) * len(states), len(states)
@@ -520,7 +520,6 @@ def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, 
         return "\n".join(lines) + "\n" if as_csv else _ROW_SEP.join(lines)
 
     texts = _map_blocks(work, len(units), total * len(names))
-    comments, extra = meta()
     header = [*grid, *layout("n", "valid", "class", names)]
     if as_csv:
         parts = chain(["".join(f"{line}\n" for line in [*comments, _row_to_csv(header)])], texts)
@@ -545,7 +544,7 @@ def _spot_check(n: int, drawn: list[int], lines: list[str], lo: int, states: lis
         j = idx % len(states)
         row = layout(n, *_public_row(_cd_row(n, states[j]), public, width))
         if heads[j] + sep.join(map(cell, row)) != lines[j - lo]:
-            raise RuntimeError(f"sweep row {idx} failed its self-check")
+            raise _UsageError(f"sweep row {idx} failed its self-check")
 
 
 def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
@@ -560,8 +559,7 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
     return _sweep(args, lambda c, d: _image(args.a, args.b, c * c_unit, d * d_unit),
                   {"c_abs": c_grid, "d_abs": d_grid}, _columnar_measures, _scalar_measures,
-                  lambda n, valid, cls, m: [n, valid, cls, *m], _CD_MEASURES, options,
-                  lambda: ([], {}))
+                  lambda n, valid, cls, m: [n, valid, cls, *m], _CD_MEASURES, options, [], {})
 
 
 def _werner_header(args: argparse.Namespace, pairs) -> tuple[list[str], dict]:
@@ -608,7 +606,7 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
     return _sweep(args, werner, {"p": p_values}, columnar, public,
                   lambda n, valid, cls, m: [n, valid, *m, cls],  # the class goes last
                   ["i_n", *(f"i_s_dir{k}" for k in range(args.num_dirs))], options,
-                  lambda: _werner_header(args, pairs))
+                  *_werner_header(args, pairs))
 
 
 # ---------------------------------------------------------------------------

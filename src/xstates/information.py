@@ -108,18 +108,6 @@ def _twin_entropy(q: float) -> float:
 _HALF_ENTROPY = von_neumann_entropy((0.5, 0.5))
 
 
-def _entropies(joint, q, entropy, twin_entropy):
-    """Joint and marginal entropy, and mutual information, of weights whose marginals are (q, q).
-
-    ``entropy`` takes the joint weights and ``twin_entropy`` the marginal
-    ``q``: :func:`_spectrum_entropy` and :func:`_twin_entropy` for floats,
-    :func:`_entropy` of :func:`_xlogx` pairs for columns.
-    """
-    s12 = entropy(joint)
-    s1 = twin_entropy(q)
-    return s12, s1, s1 + s1 - s12
-
-
 def system_entropies(p: XParams) -> InfoReport:
     """Joint and marginal entropies of a valid X state.
 
@@ -127,13 +115,13 @@ def system_entropies(p: XParams) -> InfoReport:
     trace-normalized X state they equal ln 2.
     """
     cm, dm = _valid_moduli(p)
-    s12, s1, i_n = _entropies(_spectrum(p.a, p.b, cm, dm), p.a + p.b, _spectrum_entropy,
-                              _twin_entropy)
+    s12 = _spectrum_entropy(_spectrum(p.a, p.b, cm, dm))
+    s1 = _twin_entropy(p.a + p.b)
     report = object.__new__(InfoReport)
     _SET_S12(report, s12)
     _SET_S1(report, s1)
     _SET_S2(report, s1)
-    _SET_I_N(report, i_n)
+    _SET_I_N(report, s1 + s1 - s12)
     return report
 
 
@@ -214,11 +202,6 @@ def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return acc
 
 
-def _x_twin_entropy(q: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """:func:`_entropy` of the weights ``(q, q)``, given as one :func:`_xlogx` pair."""
-    return _entropy((q, q))
-
-
 def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``system_entropies(p).s12`` and ``.i_n`` of each valid X state in the columns ``x``.
 
@@ -227,9 +210,11 @@ def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vouches for the states.
     """
     a, b, cm, dm = _x_moduli(x)
-    s12, _, i_n = _entropies(map(_xlogx, _spectrum(a, b, cm, dm)), _xlogx_distinct(a + b),
-                             _entropy, _x_twin_entropy)
-    return s12, i_n
+    joint = map(_xlogx, _spectrum(a, b, cm, dm))  # lazy: the marginal's logarithms come first
+    q = _xlogx_distinct(a + b)
+    s12 = _entropy(joint)
+    s1 = _entropy((q, q))
+    return s12, s1 + s1 - s12
 
 
 def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
@@ -246,4 +231,7 @@ def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
     import numpy as np
     same, cross = _weights(*x[:, :, None], np.array(coefficients, dtype=float).T)
     s, c = _xlogx(same), _xlogx(cross)
-    return _entropies((s, c, c, s), _xlogx_distinct(same + cross), _entropy, _x_twin_entropy)[2]
+    q = _xlogx_distinct(same + cross)
+    h12 = _entropy((s, c, c, s))
+    h1 = _entropy((q, q))
+    return h1 + h1 - h12

@@ -213,11 +213,6 @@ def _valid_moduli(p: XParams) -> tuple[float, float]:
     return entry[2]
 
 
-def require_valid(p: XParams) -> None:
-    """Raise :class:`InvalidStateError` unless ``p`` is a genuine state."""
-    _valid_moduli(p)
-
-
 def spectrum(p: XParams) -> tuple[float, float, float, float]:
     """Closed-form eigenvalues of the X matrix, ordered (a+|d|, b+|c|, b-|c|, a-|d|).
 

@@ -38,7 +38,6 @@ from xstates.xstate import (
     _check_power,
     _spectrum,
     apply_power_channel,
-    require_valid,
     spectrum,
     werner,
 )
@@ -58,7 +57,7 @@ def su2_matrix(direction: Direction) -> np.ndarray:
 
 def tomogram_dense_oracle(p: XParams, dir_a: Direction, dir_b: Direction) -> TomogramTable:
     """Tomogram by dense rotation: diagonal of (u_a x u_b) rho (u_a x u_b)^H."""
-    require_valid(p)
+    require_valid_reference(p)
     u = np.kron(su2_matrix(dir_a), su2_matrix(dir_b))
     w = np.diag(u @ to_dense(p) @ u.conj().T).real
     return TomogramTable(*map(float, w))
@@ -139,7 +138,7 @@ def werner_tomogram(p: float, n: int, dir_a: Direction, dir_b: Direction) -> Tom
     hi = 0.5 * (u + v) / norm
     lo = v / norm
     image = XParams(a=hi, b=lo, c=0.0, d=hi - lo)
-    require_valid(image)
+    require_valid_reference(image)
     # Shares f+ and f- with tomogram(); the coherence term below is its own.
     f_plus, f_minus = pair_coefficients_reference(dir_a, dir_b)[:2]
     r = (

@@ -15,6 +15,8 @@ import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -38,6 +40,7 @@ from xstates import (
     werner,
 )
 from conftest import force_pools, strict_json_loads
+from exact import concurrence_exact, entropy_exact, negativity_exact, spectrum_exact
 from oracles import werner_i_n
 from xstates import cli
 from xstates.cli import _CELL_SEP, _CSV, _JSON, _ROW_SEP, _block_lines, _json_rows, main
@@ -52,6 +55,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SELF_CHECK_FAILED = re.compile(r"error: sweep row (\d+) failed its self-check\n")
+
+
+def failed_row(capsys, *argv) -> int:
+    """The row that ``main(argv)`` names in its one stderr line as it exits 1, writing nothing."""
+    code, out, err = run(capsys, *argv)
+    failed = SELF_CHECK_FAILED.fullmatch(err)
+    assert (code, out, failed is not None) == (1, "", True), err
+    return int(failed[1])
 
 
 def parse_report(text):
@@ -406,7 +420,7 @@ class TestSweepCd:
         for state, twin in zip(states, expected):
             assert (state, hash(state), repr(state)) == (twin, hash(twin), repr(twin))
 
-    def test_spot_check_catches_a_wrong_class(self, monkeypatch):
+    def test_spot_check_catches_a_wrong_class(self, capsys, monkeypatch):
         # Swap separable with entangled, or not PSD with bad trace, in one row that
         # the spot check draws: block k, grid point j.
         drawn = random.Random(0).sample(range(2 * 25), 32)[0]
@@ -421,19 +435,17 @@ class TestSweepCd:
             return index
 
         monkeypatch.setattr("xstates.cli._x_classify", one_flipped)
-        with pytest.raises(RuntimeError, match="self-check"):
-            main(["sweep-cd", "--steps", "5", "--n-list", "1,3"])
+        assert failed_row(capsys, "sweep-cd", "--steps", "5", "--n-list", "1,3") == drawn
 
     @pytest.mark.parametrize("kernel", [_x_entanglement, _x_entropies])
-    def test_spot_check_catches_a_wrong_kernel(self, kernel, monkeypatch):
+    def test_spot_check_catches_a_wrong_kernel(self, kernel, capsys, monkeypatch):
         monkeypatch.setattr(
             f"xstates.cli.{kernel.__name__}", lambda *a: np.nextafter(kernel(*a), np.inf)
         )
         # Every image of an even power is valid, and all 25 rows are checked.
-        with pytest.raises(RuntimeError, match="self-check"):
-            main(["sweep-cd", "--steps", "5", "--n-list", "2"])
+        failed_row(capsys, "sweep-cd", "--steps", "5", "--n-list", "2")
 
-    def test_spot_check_catches_rows_out_of_place(self, monkeypatch):
+    def test_spot_check_catches_rows_out_of_place(self, capsys, monkeypatch):
         measures = cli._columnar_measures
 
         def rotated(x):
@@ -443,8 +455,7 @@ class TestSweepCd:
 
         monkeypatch.setattr("xstates.cli._columnar_measures", rotated)
         # Every image of an even power is valid, and all 25 rows are checked.
-        with pytest.raises(RuntimeError, match="self-check"):
-            main(["sweep-cd", "--steps", "5", "--n-list", "2"])
+        failed_row(capsys, "sweep-cd", "--steps", "5", "--n-list", "2")
 
     # Each row gets the measures of the row above.  Power 2's block comes first, and every
     # row of it is valid: the spot check inside that block refuses the shifted rows, before
@@ -466,23 +477,23 @@ class TestSweepCd:
         for pooled in (False, True):
             started = force_pools(monkeypatch) if pooled else []
             for output in ([], ["--output", str(out)]):
-                with pytest.raises(RuntimeError, match="failed its self-check"):
-                    main([*argv, "--steps", "5", "--n-list", "2,3", *output])
+                failed_row(capsys, *argv, "--steps", "5", "--n-list", "2,3", *output)
             assert len(started) == 2 * pooled  # two runs of one worker
-        assert capsys.readouterr() == ("", "")
         assert not out.exists()
 
-    # A line misplaced by _block_lines alone, after the measures were made: the check reads
-    # the drawn lines as written, so each mutant fails the run and writes nothing, in either
-    # format, in one process and in workers.  Every row here is valid, and so checkable.
+    # A line misplaced or misprinted by _block_lines alone, after the measures were made: the
+    # check reads the drawn lines as written, so each mutant fails the run with one line and
+    # writes nothing, in either format, in one process and in workers.  Every row here is
+    # valid, and so checkable.
     # In chunks of ``cells`` measure cells, each power's 25 points (sweep-cd) or 5 weights
     # (sweep-werner) split into chunks of 7, 7, 7 and 4 rows or of 3 and 2: a mutant then
     # touches only each power's last chunk, of ``last`` rows, and "no_row_offset" checks each
     # drawn row's line against the point as many rows before it as its chunk's first row.
     @pytest.mark.parametrize("mutant, chunks", [
         pytest.param(mutant, chunks, id=mutant + "-chunks" * chunks)
-        for chunks, mutants in ((False, ["rotated_rows", "swapped_cells"]),
-                                (True, ["rotated_rows", "swapped_cells", "no_row_offset"]))
+        for chunks, mutants in ((False, ["rotated_rows", "swapped_cells", "one_digit_off"]),
+                                (True, ["rotated_rows", "swapped_cells", "one_digit_off",
+                                        "no_row_offset"]))
         for mutant in mutants])
     @pytest.mark.parametrize("argv, cells, last", [
         (["sweep-cd", "--n-list", "2,4"], 28, 4),
@@ -501,6 +512,9 @@ class TestSweepCd:
                     measures = [m[-1:] + m[:-1] for m in measures]
                 elif mutant == "swapped_cells":  # the last two measure cells of each row swap
                     measures = [*measures[:-2], measures[-1], measures[-2]]
+                elif mutant == "one_digit_off":  # the last digit of each line, one up
+                    return [re.sub(r"(\d)(\D*)$", lambda m: f"{(int(m[1]) + 1) % 10}{m[2]}", line)
+                            for line in block_lines(block, heads, layout, style)]
             return block_lines((n, verdicts, measures), heads, layout, style)
 
         def no_row_offset(n, drawn, lines, lo, *rest):  # row j's line against point j - lo
@@ -515,11 +529,9 @@ class TestSweepCd:
         for pooled in (False, True):
             started = force_pools(monkeypatch) if pooled else []
             for output in ([], ["--output", str(out)]):
-                with pytest.raises(RuntimeError, match="failed its self-check"):
-                    main([*argv, "--steps", "5", *output])
+                failed_row(capsys, *argv, "--steps", "5", *output)
             assert len(started) == 2 * pooled  # two runs of one worker
             assert_reaped(started)
-        assert capsys.readouterr() == ("", "")
         assert not out.exists()
 
     def test_spot_check_recomputes_the_drawn_power_and_point(self, capsys, monkeypatch):
@@ -674,26 +686,23 @@ class TestSweepWerner:
             valid and i_n == werner_i_n(p, n) for p, n, valid, i_n, *_ in rows
         )
 
-    def test_spot_check_catches_a_wrong_fast_path(self, monkeypatch):
+    def test_spot_check_catches_a_wrong_fast_path(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "xstates.cli._x_information", lambda *a: np.nextafter(_x_information(*a), np.inf)
         )
-        with pytest.raises(RuntimeError, match="self-check"):
-            main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+        failed_row(capsys, "sweep-werner", "--steps", "5", "--num-dirs", "2")
 
-    def test_spot_check_catches_swapped_pair_columns(self, monkeypatch):
+    def test_spot_check_catches_swapped_pair_columns(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "xstates.cli._x_information", lambda *a: _x_information(*a)[:, [1, 0]]
         )
-        with pytest.raises(RuntimeError, match="self-check"):
-            main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+        failed_row(capsys, "sweep-werner", "--steps", "5", "--num-dirs", "2")
 
-    def test_spot_check_sees_the_columnar_i_n(self, monkeypatch):
+    def test_spot_check_sees_the_columnar_i_n(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "xstates.cli._x_entropies", lambda *a: np.nextafter(_x_entropies(*a), np.inf)
         )
-        with pytest.raises(RuntimeError, match="self-check"):
-            main(["sweep-werner", "--steps", "5", "--num-dirs", "2"])
+        failed_row(capsys, "sweep-werner", "--steps", "5", "--num-dirs", "2")
 
     def test_size_limit_by_arithmetic(self, capsys, monkeypatch):
         def nothing_built(*args):
@@ -973,6 +982,50 @@ def test_chunks_give_the_bytes_of_whole_powers(name, json_flag, capsys, monkeypa
     assert run(capsys, *argv) == (0, text, "")
     assert len(started) == 1
     assert_reaped(started)
+
+
+def _half_unit_in_15th_digit(cell: str) -> Fraction:
+    """The most that writing a float with ``%.15g`` can move it, read from the cell it wrote."""
+    return Fraction(5) * Fraction(10) ** (Decimal(cell).adjusted() - 15)
+
+
+# README's Accuracy bounds, held by the cells a sweep prints, against tests/exact.py on each
+# row's float image.  A JSON cell reads back as the float itself, so it meets the float's
+# bound; a CSV cell is that float rounded once more, to 15 significant digits.
+def test_printed_cells_meet_the_accuracy_bounds(capsys):
+    argv = ["sweep-cd", "--steps", "21", "--n-list", "2,3"]
+    code, csv_text, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_text, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    header, *csv_rows = [line.split(",") for line in csv_text.splitlines()]
+    json_rows = strict_json_loads(json_text)["rows"]
+    assert header[5:8] == ["negativity", "concurrence", "s12"]
+    grid = [0.5 * k / 20 for k in range(21)]  # the CLI's grid for --c-abs-max 0.5, --steps 21
+    unit = cmath.exp(1j * 0.0)  # the CLI's phase factor for a phase of 0
+    points = [(n, c, d) for n in (2, 3) for c in grid for d in grid]
+    assert len(csv_rows) == len(json_rows) == len(points)
+    checked = {"negativity": 0, "concurrence": 0, "s12": 0}
+    for (n, c, d), csv_row, json_row in zip(points, csv_rows, json_rows):
+        assert json_row[:3] == [c, d, n] and csv_row[:2] == [format(c, ".15g"), format(d, ".15g")]
+        if not json_row[3]:  # an invalid image has no measures
+            continue
+        image = apply_power_channel(XParams(0.33, 0.17, c * unit, d * unit), n).params
+        moduli = image.a, image.b, abs(image.c), abs(image.d)
+        spec = spectrum_exact(*moduli)
+        exact = {"negativity": negativity_exact(*moduli), "concurrence": concurrence_exact(*moduli)}
+        bound = {name: Fraction(math.ulp(float(value))) / 2 for name, value in exact.items()}
+        if all(0 < w <= Fraction(1, 2) for w in spec):
+            exact["s12"] = Fraction(entropy_exact(spec))
+            bound["s12"] = 6 * Fraction(2) ** -53 * exact["s12"]
+        for k, name in enumerate(["negativity", "concurrence", "s12"], start=5):
+            if name in exact:
+                checked[name] += 1
+                assert abs(Fraction(json_row[k]) - exact[name]) <= bound[name], (json_row, name)
+                printing = _half_unit_in_15th_digit(csv_row[k])
+                assert abs(Fraction(csv_row[k]) - exact[name]) <= bound[name] + printing, (
+                    csv_row, name)
+    assert checked == {"negativity": 539, "concurrence": 539, "s12": 110}
 
 
 @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])

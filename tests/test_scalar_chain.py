@@ -25,7 +25,6 @@ from oracles import (
     marginals_reference,
     negativity_reference,
     pair_coefficients_reference,
-    require_valid_reference,
     shannon_report_from_table_reference,
     spectrum_reference,
     system_entropies_reference,
@@ -53,7 +52,6 @@ from xstates import (
     von_neumann_entropy,
 )
 from xstates import tomography
-from xstates.xstate import require_valid
 
 NAN, INF = math.nan, math.inf
 BEYOND_FLOAT_RANGE = complex(1.7e308, 1.7e308)  # finite parts, abs() overflows
@@ -343,7 +341,7 @@ DIRECTION_POOL = [
 
 STATE_CALLS = [
     (classify, classify_reference), (validate, validate_reference),
-    (require_valid, require_valid_reference), (spectrum, spectrum_reference), *MEASURES[1:],
+    (spectrum, spectrum_reference), *MEASURES[1:],
 ]
 PAIR_CALLS = [
     (lambda p, da, db: tomography._pair_coefficients(da, db),
