@@ -1,9 +1,9 @@
 """Command-line front end: single-state reports and reproducible sweeps.
 
 Exit codes: 0 on success, 1 for usage or configuration problems, 2 when the
-requested state is not a genuine density matrix.  Sweep output is plain CSV
-(or a JSON mirror) with fixed column order and 15-significant-digit number
-formatting, so identical configurations produce byte-identical files.
+requested state is not a genuine density matrix.  Sweep output is CSV with
+15-significant-digit numbers (``%.15g``), or a JSON mirror with each float's
+``repr``, in a fixed column order: identical configurations give identical bytes.
 
 Every option is declared once, in its subcommand's parser.  A ``--config``
 file may set any of them by dest name; its values become the parser's

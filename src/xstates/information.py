@@ -157,9 +157,8 @@ def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises :class:`InvalidSpectrumError` for a weight below ``-EPS_PSD``, as
     :func:`von_neumann_entropy` does.  The logarithm is libm's ``math.log``
-    per element, as there; a zero weight takes ``ln 1 = 0``.  This is the
-    one place the columnar kernels clamp, check and take logarithms;
-    :func:`_xlogx_distinct` calls it on the distinct values of a column.
+    per element, as there; a zero weight takes ``ln 1 = 0``.  The columns'
+    joint weights take their logarithms here, the marginals in :func:`_twin_entropies`.
     """
     import numpy as np
     if x.size and x.min() < -EPS_PSD:
@@ -168,21 +167,6 @@ def _xlogx(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clamped = np.where(x <= 0.0, 0.0, x)  # a NaN weight is kept, so that its sum fails
     logs = map(math.log, np.where(positive, x, 1.0).ravel().tolist())
     return clamped, clamped * np.fromiter(logs, float, x.size).reshape(x.shape)
-
-
-def _xlogx_distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_xlogx` of ``x``, with one logarithm per distinct value, gathered back.
-
-    For a marginal weight, which is 1/2 up to rounding and so repeats a few
-    values.  Each output, and any error, equals ``_xlogx(x)``'s bit for bit:
-    ``+0.0``, ``-0.0`` and every NaN map to the same outputs whichever copy
-    :func:`numpy.unique` keeps, and an error names the same smallest weight.
-    """
-    import numpy as np
-    # Flattened first: numpy 1.x returns a flat inverse, numpy 2.x one of the input's shape.
-    values, inverse = np.unique(x.ravel(), return_inverse=True)
-    clamped, xlogx = _xlogx(values)
-    return clamped[inverse].reshape(x.shape), xlogx[inverse].reshape(x.shape)
 
 
 def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -202,6 +186,30 @@ def _entropy(terms: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return acc
 
 
+def _twin_entropies(m: np.ndarray) -> np.ndarray:
+    """:func:`_twin_entropy` of each entry of ``m``, called once per distinct value.
+
+    A marginal weight is 1/2 up to rounding, so a block repeats a few values.
+    They go to the kernel in ascending order, NaN last, so an error names
+    the smallest bad value.
+    """
+    import numpy as np
+    # Flattened first: numpy 1.x returns a flat inverse, numpy 2.x one of the input's shape.
+    values, inverse = np.unique(m.ravel(), return_inverse=True)
+    return np.array([_twin_entropy(q) for q in values.tolist()], float)[inverse].reshape(m.shape)
+
+
+def _x_mutual_information(q: np.ndarray, joint: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The joint entropies ``h12`` and the informations ``h1 + h1 - h12``, elementwise.
+
+    ``joint`` holds the :func:`_xlogx` pairs of the joint weights, and ``q``
+    each state's marginal weight: its marginals are both ``(q, q)``.
+    """
+    h12 = _entropy(joint)
+    h1 = _twin_entropies(q)
+    return h12, h1 + h1 - h12
+
+
 def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``system_entropies(p).s12`` and ``.i_n`` of each valid X state in the columns ``x``.
 
@@ -210,11 +218,7 @@ def _x_entropies(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vouches for the states.
     """
     a, b, cm, dm = _x_moduli(x)
-    joint = map(_xlogx, _spectrum(a, b, cm, dm))  # lazy: the marginal's logarithms come first
-    q = _xlogx_distinct(a + b)
-    s12 = _entropy(joint)
-    s1 = _entropy((q, q))
-    return s12, s1 + s1 - s12
+    return _x_mutual_information(a + b, map(_xlogx, _spectrum(a, b, cm, dm)))
 
 
 def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
@@ -223,15 +227,10 @@ def _x_information(x: np.ndarray, coefficients: Sequence[tuple]) -> np.ndarray:
     ``x`` holds the states in columns and ``coefficients`` the
     :func:`~xstates.tomography._pair_coefficients` of each pair.  Entry
     ``[i, k]`` is the public chain's ``i_s`` of state ``i`` and pair ``k``,
-    from the same kernels.  Both marginals are ``(same + cross, cross + same)``,
-    1/2 up to rounding, so their logarithms are taken once per distinct value
-    (:func:`_xlogx_distinct`); the joint weights, nearly all distinct, take
-    one each.  No validity check: the caller vouches for the states.
+    from the same kernels, with both marginals ``(same + cross, cross + same)``.
+    No validity check: the caller vouches for the states.
     """
     import numpy as np
     same, cross = _weights(*x[:, :, None], np.array(coefficients, dtype=float).T)
     s, c = _xlogx(same), _xlogx(cross)
-    q = _xlogx_distinct(same + cross)
-    h12 = _entropy((s, c, c, s))
-    h1 = _entropy((q, q))
-    return h1 + h1 - h12
+    return _x_mutual_information(same + cross, (s, c, c, s))[1]

@@ -25,6 +25,7 @@ from exact import entropy_exact, spectrum_exact
 from oracles import entropy_dense, werner_i_n, werner_i_n_closed_form
 from xstates import (
     EPS_PSD,
+    EPS_TRACE,
     Direction,
     InfoReport,
     InvalidSpectrumError,
@@ -44,7 +45,7 @@ from xstates import (
     werner,
 )
 from xstates.information import (
-    _entropy, _x_entropies, _x_information, _xlogx, _xlogx_distinct,
+    _entropy, _twin_entropies, _twin_entropy, _x_entropies, _x_information, _xlogx,
 )
 from xstates.tomography import _pair_coefficients
 from xstates.xstate import _x_columns
@@ -219,6 +220,14 @@ class TestShannonReport:
 # passes that rounding on to -w ln w at most once, since |1 + 1 / ln w| < 1.  Its
 # logarithm, its product and three sums add at most one rounding each.
 ENTROPY_BOUND = 6 * 2.0**-53
+# README's bound for S(q, q) = -2 q ln q, q in the unit sum's band: ln q ~ -ln 2 adds libm's
+# error, under an ulp, or 1.44 x 2^-53 relative; the product rounds once, 0.72 x 2^-53 more.
+MARGINAL_BOUND = 3 * 2.0**-53
+# Marginal weights q with q + q in the unit sum's band, as a valid state's are: the band,
+# 1/2 and its neighbours, and the last float inside the band on each side.
+_marginal_st = st.floats(0.5 - EPS_TRACE / 2, 0.5 + EPS_TRACE / 2, exclude_max=True) | (
+    st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+                     0.4999999995, 0.5000000004999999]))
 
 
 @st.composite
@@ -246,13 +255,13 @@ def positive_table_st(draw) -> TomogramTable:
     return table
 
 
-def assert_entropy_within_bound(got: float, weights) -> None:
+def assert_entropy_within_bound(got: float, weights, bound=ENTROPY_BOUND) -> None:
     want = entropy_exact(weights)
-    assert abs(Decimal(got) - want) <= Decimal(ENTROPY_BOUND) * want, (got, weights)
+    assert abs(Decimal(got) - want) <= Decimal(bound) * want, (got, weights)
 
 
 class TestExactEntropies:
-    """S(rho) and H12 hold README's relative bound against tests/exact.py: weights in (0, 1/2]."""
+    """S(rho), H12 and S(q, q) hold README's relative bounds against tests/exact.py."""
 
     @given(half_spectrum_st())
     @example(XParams(a=0.25, b=0.25, c=0.0, d=0.0))
@@ -282,8 +291,28 @@ class TestExactEntropies:
     def test_h12(self, table):
         assert_entropy_within_bound(shannon_report_from_table(table).h12, table)
 
+    # The marginal kernel of s1 and s2, h1 and h2, and the sweeps' I_n and I_s.
+    @given(_marginal_st)
+    @settings(max_examples=300, deadline=None)
+    def test_marginal(self, q):
+        assert abs((q + q) - 1.0) <= EPS_TRACE
+        assert_entropy_within_bound(_twin_entropy(q), (q, q), MARGINAL_BOUND)
 
-_STATE = apply_power_channel(XParams(a=0.3, b=0.2, c=0.1 + 0.05j, d=0.15j), 3).params
+    # The reports' marginal entropies, exact in a + b and in s + c: the sum's one rounding
+    # moves -2 q ln q by at most 0.22 x 2^-53 relative more.
+    @given(valid_params_st() | half_spectrum_st(), direction_st(), direction_st())
+    @example(XParams(a=0.5, b=5e-324, c=0.0, d=0.0), Direction(theta=0.0), Direction(theta=0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_s1_and_h1(self, p, da, db):
+        q = Fraction(p.a) + Fraction(p.b)
+        assert_entropy_within_bound(system_entropies(p).s1, (q, q), MARGINAL_BOUND)
+        table = tomogram(p, da, db)
+        q = Fraction(table.w_uu) + Fraction(table.w_ud)
+        assert_entropy_within_bound(shannon_report_from_table(table).h1, (q, q), MARGINAL_BOUND)
+
+
+_STATE_BASE = XParams(a=0.3, b=0.2, c=0.1 + 0.05j, d=0.15j)
+_STATE = apply_power_channel(_STATE_BASE, 3).params
 _TABLE = tomogram(_STATE, Direction(theta=0.9, psi=0.3), Direction(theta=2.0))
 # The chain builds its reports through the slots' setters; the public constructor must agree.
 REPORTS = {
@@ -414,15 +443,13 @@ class TestXEntropies:
                 _x_entropies(_x_columns([BELL, bad]))
 
 
-def _hex(x):
-    return x.shape, [v.hex() for v in x.ravel().tolist()]
-
-
-# Weights of every kind _xlogx tells apart: clamped, zero of either sign, subnormal, NaN.
+# Weights of every kind _twin_entropy tells apart: exactly 1/2, the unit sum's band and
+# beyond it, clamped, zero of either sign, subnormal, NaN.
 _weight_st = st.one_of(
     st.floats(-EPS_PSD, 0.0),
     st.floats(0.0, 1.0),
     st.floats(0.0, 1e-300),
+    st.floats(0.5 - EPS_TRACE, 0.5 + EPS_TRACE),
     st.sampled_from([0.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), math.nan]),
 )
 
@@ -439,35 +466,61 @@ def repeating_weights_st(draw, pool=_weight_st):
     return np.array(flat, dtype=float).reshape(shape)
 
 
-class TestXlogxDistinct:
-    @given(repeating_weights_st())
+def _twin_outcome(q):
+    try:
+        return "value", _twin_entropy(q).hex()
+    except InvalidSpectrumError as exc:
+        return "raised", str(exc)
+
+
+class TestTwinEntropies:
+    @given(repeating_weights_st() | repeating_weights_st(_marginal_st))
     @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
     @example(np.array([-0.0, 0.0, -1e-13, 5e-324, -0.0]))
+    @example(np.array([[0.5, math.nextafter(0.5, 1.0)], [0.5000000004999999, 0.5]]))
+    @example(np.array([0.5, math.nan, 0.5000000005]))
+    @example(np.empty(0))
     @example(np.empty((0, 3)))
     @settings(max_examples=300, deadline=None)
-    def test_equals_xlogx_exactly(self, x):
-        expected, got = _xlogx(x), _xlogx_distinct(x)
-        assert [_hex(a) for a in got] == [_hex(a) for a in expected]
+    def test_equals_twin_entropy_per_entry(self, m):
+        entries = m.ravel().tolist()
+        # The distinct values in ascending order, NaN last: the first that raises is the error.
+        for q in sorted(set(entries), key=lambda q: (q != q, q)):
+            kind, outcome = _twin_outcome(q)
+            if kind == "raised":
+                with pytest.raises(InvalidSpectrumError) as got:
+                    _twin_entropies(m)
+                assert str(got.value) == outcome
+                return
+        got = _twin_entropies(m)
+        assert got.shape == m.shape
+        want = [_twin_entropy(q).hex() for q in entries]
+        assert list(map(float.hex, got.ravel().tolist())) == want
 
-    # Weights from [0, 1] only: a NaN would hide the bad weight from min() in both functions.
+    # Weights from [0, 1] only: the weight below the band is then the smallest value.
     @given(
         repeating_weights_st(st.floats(0.0, 1.0)),
         st.floats(max_value=-EPS_PSD, exclude_max=True),
     )
     @example(np.array([[0.5, 0.5], [0.5, 0.5]]), -2 * EPS_PSD)
     @settings(max_examples=100, deadline=None)
-    def test_weight_below_the_band_raises_the_same_error(self, x, bad):
-        x = np.append(x, [bad, bad])
+    def test_weight_below_the_band_raises_the_same_error(self, m, bad):
+        m = np.append(m, [bad, bad])
         with pytest.raises(InvalidSpectrumError, match="negative weight") as expected:
-            _xlogx(x)
+            _twin_entropy(float(m.min()))
         with pytest.raises(InvalidSpectrumError) as got:
-            _xlogx_distinct(x)
+            _twin_entropies(m)
         assert str(got.value) == str(expected.value)
 
 
+# Werner cubes: every a + b, and one of four tomogram marginals, is exactly 1/2.  The images
+# of one state at eight powers: a + b is 1/2 at four and one ulp off it at the others.
+LOG_COUNT_BLOCKS = [WERNER_CUBES, [apply_power_channel(_STATE_BASE, n).params for n in range(1, 9)]]
+
+
 class TestMarginalLogCount:
-    """One logarithm per distinct marginal value, and per distinct (s, c, c, s) weight in the
-    scalar chain; the columns' joint weights take one each."""
+    """One logarithm per distinct marginal value other than 1/2, which takes none, and per
+    distinct (s, c, c, s) weight in the scalar chain; the columns' joint weights take one each."""
 
     @staticmethod
     def count_logs(monkeypatch, kernel, *args):
@@ -485,24 +538,26 @@ class TestMarginalLogCount:
 
     def test_x_information(self, monkeypatch):
         pairs = direction_pairs(6, 7)
-        k, m = len(WERNER_CUBES), len(pairs)
-        distinct = {
-            marginal
-            for p in WERNER_CUBES
-            for da, db in pairs
-            for marginal in marginals(tomogram(p, da, db))[0]
-        }
-        assert len(distinct) < k * m
-        x, coefficients = _x_columns(WERNER_CUBES), [_pair_coefficients(*pair) for pair in pairs]
-        calls = self.count_logs(monkeypatch, _x_information, x, coefficients)
-        assert calls == 2 * k * m + len(distinct)
+        for images in LOG_COUNT_BLOCKS:
+            k, m = len(images), len(pairs)
+            distinct = {
+                marginal
+                for p in images
+                for da, db in pairs
+                for marginal in marginals(tomogram(p, da, db))[0]
+            }
+            assert len(distinct) < k * m and 0.5 in distinct
+            x, coefficients = _x_columns(images), [_pair_coefficients(*pair) for pair in pairs]
+            calls = self.count_logs(monkeypatch, _x_information, x, coefficients)
+            assert calls == 2 * k * m + len(distinct - {0.5})
 
     def test_x_entropies(self, monkeypatch):
-        k = len(WERNER_CUBES)
-        distinct = {p.a + p.b for p in WERNER_CUBES}
-        assert len(distinct) < k
-        calls = self.count_logs(monkeypatch, _x_entropies, _x_columns(WERNER_CUBES))
-        assert calls == 4 * k + len(distinct)
+        for images in LOG_COUNT_BLOCKS:
+            k = len(images)
+            distinct = {p.a + p.b for p in images}
+            assert len(distinct) < k and 0.5 in distinct
+            calls = self.count_logs(monkeypatch, _x_entropies, _x_columns(images))
+            assert calls == 4 * k + len(distinct - {0.5})
 
     def test_scalar_chain(self, monkeypatch):
         # The spectrum's four weights and q; then s, c and s + c.  Here q = s + c = 1/2 + 2^-53.

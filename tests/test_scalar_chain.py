@@ -52,6 +52,7 @@ from xstates import (
     von_neumann_entropy,
 )
 from xstates import tomography
+from xstates.information import _spectrum_entropy, _twin_entropy
 
 NAN, INF = math.nan, math.inf
 BEYOND_FLOAT_RANGE = complex(1.7e308, 1.7e308)  # finite parts, abs() overflows
@@ -176,6 +177,44 @@ class TestEntropies:
     @settings(max_examples=400, deadline=None)
     def test_shannon_report_from_table(self, table):
         assert_same_outcome(shannon_report_from_table, shannon_report_from_table_reference, table)
+
+    # The kernels that system_entropies, shannon_report_from_table and the sweeps' blocks
+    # share: each gives von_neumann_entropy's bits of its weights, or raises its error.
+    @given(st.one_of(
+        _weight,
+        st.floats(0.5 - EPS_TRACE, 0.5 + EPS_TRACE),  # the unit sum's band, and beyond its edges
+        st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),
+    ))
+    # q + q - 1 at the band's edges: the last float inside the test on each side, and the
+    # next one out
+    @example(0.5000000004999999)
+    @example(0.5000000005)
+    @example(0.4999999995)
+    @example(0.49999999949999996)
+    @example(-0.0)
+    @example(-0.5 * EPS_PSD)
+    @example(math.nextafter(-EPS_PSD, -INF))
+    @example(1e-310)
+    @example(NAN)
+    @settings(max_examples=400, deadline=None)
+    def test_twin_entropy(self, q):
+        assert_same_outcome(_twin_entropy, lambda q: von_neumann_entropy((q, q)), q)
+
+    @given(table_st() | st.lists(st.floats(5e-324, 1.0), min_size=4, max_size=4).map(
+        lambda w: TomogramTable(*(x / math.fsum(w) for x in w))))  # four positive weights
+    @example(TomogramTable(0.4, 0.1, 0.2, 0.3))
+    # ((l1 + l2) + l3) + l4 - 1 at the unit sum's edges, inside and out (see above)
+    @example(TomogramTable(0.3, 0.20000000049999997, 0.20000000049999997, 0.3))
+    @example(TomogramTable(0.3, 0.2000000005, 0.2000000005, 0.3))
+    @example(TomogramTable(0.3, 0.19999999950000003, 0.19999999950000003, 0.3))
+    @example(TomogramTable(0.3, 0.1999999995, 0.1999999995, 0.3))
+    @example(TomogramTable(0.25, -0.0, 0.0, 0.75))
+    @example(TomogramTable(0.5, -0.5 * EPS_PSD, 1e-310, 0.5))
+    @example(TomogramTable(0.5, 0.5, math.nextafter(-EPS_PSD, -INF), 0.0))
+    @example(TomogramTable(0.5, NAN, 0.25, 0.25))
+    @settings(max_examples=400, deadline=None)
+    def test_spectrum_entropy(self, table):
+        assert_same_outcome(_spectrum_entropy, von_neumann_entropy, tuple(table))
 
 
 # states --------------------------------------------------------------------
