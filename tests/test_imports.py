@@ -99,6 +99,7 @@ def test_single_state_commands_are_the_same_without_numpy():
                                   ["sweep-werner", "--steps", "3", "--num-dirs", "4"]],
                          ids=["sweep-cd", "sweep-werner"])
 def test_sweeps_leave_numpy_random_unloaded(argv, tmp_path):
+    pytest.importorskip("numpy")
     # sweep-cd's spot check draws from the standard library's random, and
     # direction_pairs makes numpy's PCG64 stream itself.  numpy 2 loads
     # numpy.random only when it is first used, numpy 1 with numpy itself.
