@@ -24,7 +24,7 @@ import re
 import sys
 import threading
 from dataclasses import asdict
-from itertools import chain, filterfalse, product, repeat, starmap
+from itertools import chain, filterfalse, product, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .xstate import (
@@ -399,7 +399,8 @@ def _block_lines(block: tuple[int, list[int], list[list]], heads: list[str], lay
                  style: tuple) -> list[str]:
     """The lines of one block in ``style`` (``_CSV`` or ``_JSON``), without separators.
 
-    ``heads`` are each row's grid cells, each followed by the style's ``sep``.
+    ``heads`` are each row's grid cells, each followed by the style's ``sep``.  One sum
+    tests the block's measures for inf and nan; they are sought one by one only if it fails.
     """
     cell, number, sep = style
     n, verdicts, measures = block
@@ -408,8 +409,9 @@ def _block_lines(block: tuple[int, list[int], list[list]], heads: list[str], lay
     templates = [sep.join(layout(cell(n), cell(valid), cell(cls),
                                  [number if valid else cell(None)] * len(measures)))
                  for valid, cls in _VERDICTS]
-    for x in filterfalse(math.isfinite, chain.from_iterable(measures)):
-        cell(x)  # JSON refuses a measure that is inf or nan; CSV writes what "%.15g" gives
+    if not math.isfinite(sum(map(sum, measures))):  # finite measures can overflow the sum
+        for x in filterfalse(math.isfinite, chain.from_iterable(measures)):
+            cell(x)  # JSON refuses a measure that is inf or nan; CSV writes what "%.15g" gives
     cells = _spread(verdicts, zip(*measures))
     return [head + templates[v] % m for head, v, m in zip(heads, verdicts, cells)]
 
@@ -488,18 +490,17 @@ def _map_blocks(work, count: int, cells: int) -> list[str]:
             os.waitpid(pid, 0)
 
 
-def _sweep(args: argparse.Namespace, state, grid: dict[str, list[float]], fast, public, layout,
-           names: Sequence[str], options: dict[str, argparse.Action], comments: list[str],
-           extra: dict) -> int:
+def _sweep(args: argparse.Namespace, states: list[XParams], grid: dict[str, list[float]], fast,
+           public, layout, names: Sequence[str], options: dict[str, argparse.Action],
+           comments: list[str], extra: dict) -> int:
     """Evaluate, spot-check and write a sweep, one block per chunk of each power's rows.
 
-    ``grid`` names each axis of the grid, and ``state(*point)`` makes the state of each
-    point, in ``product`` order.  ``layout(n, valid, cls, measures)`` is the row order
+    ``grid`` names each axis of the grid, and ``states`` holds the state of each point,
+    in ``product`` order.  ``layout(n, valid, cls, measures)`` is the row order
     after the grid columns: the header, the writer and the spot check read it.
     ``fast`` and ``public`` give the measures ``names`` (see :func:`_evaluate`).
     ``comments`` are the CSV's comment lines, and ``extra`` the JSON's entries after the config.
     """
-    states = list(starmap(state, product(*grid.values())))
     total, size = len(args.n_list) * len(states), len(states)
     drawn = random.Random(args.seed).sample(range(total), min(32, total))
     as_csv = args.format == "csv" and not args.json
@@ -557,9 +558,11 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
 
     # XParams' own field types, all finite: main checked --a, --b; _grid each |c|, |d|; |unit| = 1.
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
-    return _sweep(args, lambda c, d: _image(args.a, args.b, c * c_unit, d * d_unit),
-                  {"c_abs": c_grid, "d_abs": d_grid}, _columnar_measures, _scalar_measures,
-                  lambda n, valid, cls, m: [n, valid, cls, *m], _CD_MEASURES, options, [], {})
+    cs, ds = [c * c_unit for c in c_grid], [d * d_unit for d in d_grid]  # once per axis value
+    states = [_image(args.a, args.b, c, d) for c in cs for d in ds]
+    return _sweep(args, states, {"c_abs": c_grid, "d_abs": d_grid}, _columnar_measures,
+                  _scalar_measures, lambda n, valid, cls, m: [n, valid, cls, *m], _CD_MEASURES,
+                  options, [], {})
 
 
 def _werner_header(args: argparse.Namespace, pairs) -> tuple[list[str], dict]:
@@ -603,7 +606,7 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
         i_s = [shannon_report_from_table(tomogram(image, da, db)).i_s for da, db in pairs]
         return (system_entropies(image).i_n, *i_s)
 
-    return _sweep(args, werner, {"p": p_values}, columnar, public,
+    return _sweep(args, list(map(werner, p_values)), {"p": p_values}, columnar, public,
                   lambda n, valid, cls, m: [n, valid, *m, cls],  # the class goes last
                   ["i_n", *(f"i_s_dir{k}" for k in range(args.num_dirs))], options,
                   *_werner_header(args, pairs))

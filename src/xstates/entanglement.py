@@ -26,7 +26,8 @@ def negativity(p: XParams) -> float:
 def concurrence(p: XParams) -> float:
     """Concurrence of a valid X state: 2 max(0, |c| - a, |d| - b)."""
     cm, dm = _valid_moduli(p)
-    e = max(cm - p.a, dm - p.b)
+    e, f = cm - p.a, dm - p.b
+    e = f if f > e else e  # max(e, f), which keeps e unless f > e, without the builtin's call
     return 2.0 * e if e > 0.0 else 0.0
 
 

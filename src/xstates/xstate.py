@@ -19,7 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -93,8 +92,7 @@ _SET_A, _SET_B, _SET_C, _SET_D = (XParams.__dict__[name].__set__ for name in "ab
 def _image(a: float, b: float, c: complex, d: complex) -> XParams:
     """An XParams built without __init__'s conversions and finiteness test.
 
-    Only for fields that are already a finite float, float, complex and
-    complex, such as sweep-cd's grid states and the power map's images.
+    Only for fields that are already a finite float, float, complex and complex: sweep-cd's grid.
     """
     p = object.__new__(XParams)
     _SET_A(p, a)
@@ -227,10 +225,13 @@ def spectrum(p: XParams) -> tuple[float, float, float, float]:
 
 
 def _x_columns(states: list[XParams]) -> np.ndarray:
-    """The columnar kernels' input: rows a, b, Re c, Im c, Re d and Im d, one column per state."""
+    """The columnar kernels' input: rows a, b, Re c, Im c, Re d and Im d, one column per state.
+
+    The coherences go into two complex arrays, whose ``.real`` and ``.imag`` keep every bit.
+    """
     import numpy as np
-    values = chain.from_iterable((p.a, p.b, p.c.real, p.c.imag, p.d.real, p.d.imag) for p in states)
-    return np.fromiter(values, float, 6 * len(states)).reshape(-1, 6).T
+    c, d = np.array([p.c for p in states], complex), np.array([p.d for p in states], complex)
+    return np.array([[p.a for p in states], [p.b for p in states], c.real, c.imag, d.real, d.imag])
 
 
 def apply_power_channel(p: XParams, n: int) -> ChannelResult:
@@ -246,10 +247,11 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     """
     if n.__class__ is not int or n < 1:  # bool, float, numpy ints: the full check
         _check_power(n)
+    pc, pd = p.c, p.d
     try:
-        cm, dm = abs(p.c), abs(p.d)
+        cm, dm = abs(pc), abs(pd)
     except OverflowError:
-        cm, dm = _modulus(p.c), _modulus(p.d)
+        cm, dm = _modulus(pc), _modulus(pd)
     l1, l2, l3, l4 = _spectrum(p.a, p.b, cm, dm)
     try:
         l1, l2, l3, l4 = l1**n, l2**n, l3**n, l4**n
@@ -266,7 +268,11 @@ def apply_power_channel(p: XParams, n: int) -> ChannelResult:
     # powers overflows, the quotients are 0 or inf / inf = nan.
     if not math.isfinite(a + b + c + d):
         raise OverflowError(f"the image of {p} under rho^{n} / Tr rho^{n} is not finite")
-    img = _image(a, b, c * (p.c / cm if cm else _ONE), d * (p.d / dm if dm else _ONE))
+    img = object.__new__(XParams)
+    _SET_A(img, a)
+    _SET_B(img, b)
+    _SET_C(img, c * (pc / cm if cm else _ONE))
+    _SET_D(img, d * (pd / dm if dm else _ONE))
     result = object.__new__(ChannelResult)
     _SET_PARAMS(result, img)
     _SET_N(result, n)

@@ -809,7 +809,9 @@ EDGE_FLOATS = [-0.0, 1e16, 0.1 + 0.2, 5e-324, -1.7976931348623157e308]
 
 # Blocks (n, verdicts, measures), each with its grid points and layout.  A verdict indexes
 # cli._VERDICTS: 0 and 1 are valid, 2 and 3 invalid, and -1 a row whose Tr rho^n vanished;
-# werner_like and cd_like hold every one of them between them.
+# werner_like and cd_like hold every one of them between them.  The measures of the sum_*
+# blocks are finite, but their sum is inf or nan: the writer's one finite check per block
+# fails, and its cell-by-cell search must then find nothing to refuse.
 JSON_ROWS = {
     "one_cell": ([(0.5,)], (1, [0], [[0.5]]), CD_LAYOUT),
     "werner_like": ([(0.25,), (-3.0,), (1.5,), (0.5,)],
@@ -818,6 +820,8 @@ JSON_ROWS = {
                 (3, [2, 0, -1], [[0.5], [0.25], [1.0], [0.75]]), CD_LAYOUT),
     "odd_cells": ([(x, y) for x in EDGE_FLOATS for y in EDGE_FLOATS[:2]],
                   (5, [0, 1] * 5, [EDGE_FLOATS * 2, EDGE_FLOATS[::-1] * 2]), CD_LAYOUT),
+    "sum_inf": ([(0.0,), (0.5,)], (2, [0, 1], [[1e308, 1e308]]), CD_LAYOUT),
+    "sum_nan": ([(0.0,), (0.5,)], (4, [1, 0], [[1e308, 1e308], [-1e308, -1e308]]), CD_LAYOUT),
 }
 
 

@@ -608,6 +608,38 @@ class TestColumnarClassify:
                 assert classify(p) is list(StateClass)[k] is classify_dense(p)
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+
+# States whose real or imaginary parts are -0.0 or subnormal, which the columns must keep.
+SIGNED_ZERO_STATES = [
+    XParams(a=-0.0, b=0.5, c=complex(-0.0, 0.0), d=complex(0.0, -0.0)),
+    XParams(a=0.3, b=5e-324, c=complex(5e-324, -0.0), d=complex(-0.0, -2.2250738585072e-308)),
+    XParams(a=0.25, b=-0.0, c=complex(-5e-324, -5e-324), d=complex(-0.0, -0.0)),
+]
+
+
+class TestColumns:
+    @staticmethod
+    def assert_fields(states):
+        # Column k holds state k's a, b, Re c, Im c, Re d and Im d, bit for bit.
+        x = _x_columns(states)
+        assert (x.shape, x.dtype) == ((6, len(states)), np.float64)
+        assert [[v.hex() for v in column] for column in x.T.tolist()] == \
+            [[v.hex() for v in _parts(p)] for p in states]
+
+    def test_edge_and_signed_zero_states(self):
+        self.assert_fields(EDGE_STATES + SIGNED_ZERO_STATES)
+        for p in EDGE_STATES + SIGNED_ZERO_STATES:
+            self.assert_fields([p])
+
+    @given(st.lists(st.builds(XParams, _finite, _finite, st.builds(complex, _finite, _finite),
+                              st.builds(complex, _finite, _finite)), max_size=8))
+    @example([])  # shape (6, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_states(self, states):
+        self.assert_fields(states)
+
+
 # |c| or |d| beyond the float range, though every part of it is finite, and each one's class.
 _HUGE = complex(1.7e308, 1.7e308)
 BEYOND_RANGE = {
