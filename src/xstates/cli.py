@@ -25,7 +25,7 @@ import sys
 import threading
 from dataclasses import asdict
 from itertools import chain, filterfalse, product, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .xstate import (
     StateClass,
@@ -100,18 +100,12 @@ def _render(report: dict, as_json: bool) -> str:
 _CELL_SEP = ",\n      "
 _ROW_SEP = "\n    ],\n    [\n      "
 
-# Each format's (cell, number, sep) for :func:`_block_lines`: how a cell is written, the
-# %-format of a valid row's measure, and what goes between cells.  The JSON cell is what
+# Each format's (cell, number, sep, row_sep): how a cell is written, the %-format of a valid
+# row's measure, what goes between cells, and what goes between rows.  The JSON cell is what
 # json.dumps(x, allow_nan=False) makes, without a new encoder per call; it refuses inf and
 # nan, as RFC 8259 has neither.  "%r" of a float is float.__repr__, what json writes.
-_CSV = (_fmt, "%.15g", ",")
-_JSON = (json.JSONEncoder(allow_nan=False).encode, "%r", _CELL_SEP)
-
-
-def _json_rows(blocks: Iterable[str]) -> Iterator[str]:
-    """The list of rows whose blocks :func:`_block_lines` wrote, in pieces to write in turn."""
-    seps = chain(["[\n    [\n      "], repeat(_ROW_SEP))  # the list's opening, then between rows
-    return chain(*zip(seps, blocks), ["\n    ]\n  ]"])
+_CSV = (_fmt, "%.15g", ",", "\n")
+_JSON = (json.JSONEncoder(allow_nan=False).encode, "%r", _CELL_SEP, _ROW_SEP)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,7 @@ def _emit(parts: Iterable[str], output: str | None) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, 1)
             os.close(devnull)
-        raise _UsageError(f"cannot write {output or '<stdout>'}: {exc}")
+        raise _UsageError(f"cannot write {'<stdout>' if output is None else output}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +391,12 @@ def _row_to_csv(cells) -> str:
 
 def _block_lines(block: tuple[int, list[int], list[list]], heads: list[str], layout,
                  style: tuple) -> list[str]:
-    """The lines of one block in ``style`` (``_CSV`` or ``_JSON``), without separators.
+    """The lines of one block in ``style`` (``_CSV`` or ``_JSON``), without row separators.
 
     ``heads`` are each row's grid cells, each followed by the style's ``sep``.  One sum
     tests the block's measures for inf and nan; they are sought one by one only if it fails.
     """
-    cell, number, sep = style
+    cell, number, sep, _ = style
     n, verdicts, measures = block
     # Each verdict's cells from n on, with ``number`` in a valid row's measure slots: a row
     # is its head, then its verdict's template % its measures.
@@ -503,9 +497,8 @@ def _sweep(args: argparse.Namespace, states: list[XParams], grid: dict[str, list
     """
     total, size = len(args.n_list) * len(states), len(states)
     drawn = random.Random(args.seed).sample(range(total), min(32, total))
-    as_csv = args.format == "csv" and not args.json
-    style = _CSV if as_csv else _JSON
-    cell, _, sep = style
+    style = _CSV if args.format == "csv" and not args.json else _JSON
+    cell, _, sep, row_sep = style
     axes = [[cell(x) + sep for x in axis] for axis in grid.values()]  # written once
     heads = list(map("".join, product(*axes)))  # each row's grid cells, with their separators
 
@@ -518,19 +511,21 @@ def _sweep(args: argparse.Namespace, states: list[XParams], grid: dict[str, list
         lines = _block_lines(_evaluate(n, states[chunk], fast), heads[chunk], layout, style)
         _spot_check(n, [i for i in drawn if first <= i < first + len(lines)], lines, lo, states,
                     public, layout, len(names), heads, style)
-        return "\n".join(lines) + "\n" if as_csv else _ROW_SEP.join(lines)
+        return row_sep.join(lines)
 
     texts = _map_blocks(work, len(units), total * len(names))
     header = [*grid, *layout("n", "valid", "class", names)]
-    if as_csv:
-        parts = chain(["".join(f"{line}\n" for line in [*comments, _row_to_csv(header)])], texts)
+    if style is _CSV:
+        head, tail = "".join(f"{line}\n" for line in [*comments, _row_to_csv(header)]), "\n"
     else:
         # Every sweep setting but the output choice, in parser order.
         config = {key: getattr(args, key) for key in options if key not in ("format", "output")}
         head = json.dumps({"config": config, **extra, "columns": header}, indent=2, allow_nan=False)
-        # json.dumps(payload, indent=2) with "rows" as the payload's last key.
-        parts = chain([head[:-2] + ',\n  "rows": '], _json_rows(texts), ["\n}\n"])
-    _emit(parts, args.output)
+        # json.dumps(payload, indent=2) with "rows" as the payload's last key: its text before
+        # the first row's first cell, and after the last row's last cell.
+        head, tail = head[:-2] + ',\n  "rows": [\n    [\n      ', "\n    ]\n  ]\n}\n"
+    seps = chain([head], repeat(row_sep))  # what goes before each unit's text
+    _emit(chain(chain.from_iterable(zip(seps, texts)), [tail]), args.output)
     return 0
 
 
@@ -540,7 +535,7 @@ def _spot_check(n: int, drawn: list[int], lines: list[str], lo: int, states: lis
     # point ``lo`` on, must equal the public chain's evaluation, placed by the layout and
     # written cell by cell after its grid cells.  ``drawn`` counts rows across the whole
     # sweep, as its error names them.
-    cell, _, sep = style
+    cell, _, sep, _ = style
     for idx in drawn:
         j = idx % len(states)
         row = layout(n, *_public_row(_cd_row(n, states[j]), public, width))

@@ -43,7 +43,7 @@ from conftest import force_pools, strict_json_loads
 from exact import concurrence_exact, entropy_exact, negativity_exact, spectrum_exact
 from oracles import werner_i_n
 from xstates import cli
-from xstates.cli import _CELL_SEP, _CSV, _JSON, _ROW_SEP, _block_lines, _json_rows, main
+from xstates.cli import _CELL_SEP, _CSV, _JSON, _ROW_SEP, _block_lines, main
 from xstates.entanglement import _x_entanglement
 from xstates.information import _x_entropies, _x_information
 from xstates.xstate import ZeroDenominatorError, _x_classify
@@ -852,7 +852,7 @@ def test_json_rows_equal_json_dumps(name):
     # One block, and every split into two nonempty blocks.
     for parts in [[(points, block)]] + [_split(points, block, k) for k in range(1, len(points))]:
         texts = [_ROW_SEP.join(_block_lines(b, _json_heads(p), layout, _JSON)) for p, b in parts]
-        text = '{\n  "rows": ' + "".join(_json_rows(texts)) + "\n}"
+        text = '{\n  "rows": [\n    [\n      ' + _ROW_SEP.join(texts) + "\n    ]\n  ]\n}"
         assert text == json.dumps({"rows": rows}, indent=2)
 
 
@@ -1879,6 +1879,37 @@ def test_full_stdout_exits_one_with_one_line(argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot write <stdout>: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--a", "0.375", "--b", "0.125", "--c-abs", "0", "--d-abs", "0.25"],
+    ["sweep-cd", "--steps", "2", "--n-list", "2"],
+], ids=["analyze", "sweep"])
+def test_empty_output_path_fails_without_naming_stdout(argv, via_config, capsys, tmp_path):
+    # An empty path, as "--output ''" or as "output =" in a config file, names no file;
+    # stdout was never the target, so the error must not name it.
+    if via_config:
+        (tmp_path / "cfg").write_text("output =\n")
+        argv = [*argv, "--config", str(tmp_path / "cfg")]
+    else:
+        argv = [*argv, "--output", ""]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: cannot write ") and "<stdout>" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-cd", "--steps", "3", "--n-list", "2,3", "--seed", "4"],
+    ["sweep-werner", "--steps", "4", "--n-list", "1,2", "--num-dirs", "2"],
+], ids=["cd", "werner"])
+def test_json_flag_beats_format_csv(argv, capsys, tmp_path):
+    # --json picks JSON whatever the format option says, as a flag or from a config file.
+    code, want, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "") and strict_json_loads(want)["rows"]
+    (tmp_path / "cfg").write_text("format = csv\n")
+    for extra in (["--format", "csv"], ["--config", str(tmp_path / "cfg")]):
+        assert run(capsys, *argv, *extra, "--json") == (0, want, "")
 
 
 # Config keys accepted by each subcommand, as listed before they were derived
