@@ -31,7 +31,6 @@ from .xstate import (
     StateClass,
     XParams,
     ZeroDenominatorError,
-    _image,
     _x_classify,
     _x_columns,
     apply_power_channel,
@@ -58,7 +57,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # sweep-cd's --n is not --n-list
         # argparse reads "-1e-1" as an option because its pattern for negative
         # numbers has no exponent; "-1", "-.5" and "-1.5" already pass.
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -118,7 +117,7 @@ def _load_config(path: str, options: dict[str, argparse.Action]) -> dict:
     Each value is converted with its option's own type.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config {path}: {exc}")
@@ -447,8 +446,8 @@ def _map_blocks(work, count: int, cells: int) -> list[str]:
     The workers are then killed.  Each ``work(k)`` is a str.
     """
     width = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-    if cells < _POOL_CELLS or width < 2 or threading.active_count() > 1:
-        return list(map(work, range(count)))
+    if cells < _POOL_CELLS or threading.active_count() > 1:
+        width = 1
     import numpy  # noqa: F401  (loaded here, or else once in each worker)
     import pickle
     import signal
@@ -551,10 +550,9 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
     c_grid = _grid(args.c_abs_max + 0.0, args.steps, f"--c-abs-max {args.c_abs_max}")
     d_grid = _grid(args.d_abs_max + 0.0, args.steps, f"--d-abs-max {args.d_abs_max}")
 
-    # XParams' own field types, all finite: main checked --a, --b; _grid each |c|, |d|; |unit| = 1.
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
     cs, ds = [c * c_unit for c in c_grid], [d * d_unit for d in d_grid]  # once per axis value
-    states = [_image(args.a, args.b, c, d) for c in cs for d in ds]
+    states = [XParams(args.a, args.b, c, d) for c in cs for d in ds]
     return _sweep(args, states, {"c_abs": c_grid, "d_abs": d_grid}, _columnar_measures,
                   _scalar_measures, lambda n, valid, cls, m: [n, valid, cls, *m], _CD_MEASURES,
                   options, [], {})

@@ -70,7 +70,7 @@ class XParams:
     d: complex
 
     # Written out because the generated __init__ would set every field before
-    # the conversion sets it again.  Power-map images and sweep-cd's grid states skip it.
+    # the conversion sets it again.  Power-map images skip it.
     def __init__(self, a: float, b: float, c: complex, d: complex):
         a, b, c, d = float(a), float(b), complex(c), complex(d)
         _SET_A(self, a)
@@ -87,19 +87,6 @@ class XParams:
 
 # The slots' own setters: they get past the frozen __setattr__ without its name lookup.
 _SET_A, _SET_B, _SET_C, _SET_D = (XParams.__dict__[name].__set__ for name in "abcd")
-
-
-def _image(a: float, b: float, c: complex, d: complex) -> XParams:
-    """An XParams built without __init__'s conversions and finiteness test.
-
-    Only for fields that are already a finite float, float, complex and complex: sweep-cd's grid.
-    """
-    p = object.__new__(XParams)
-    _SET_A(p, a)
-    _SET_B(p, b)
-    _SET_C(p, c)
-    _SET_D(p, d)
-    return p
 
 
 @dataclass(frozen=True, slots=True)

@@ -403,7 +403,7 @@ class TestSweepCd:
     @pytest.mark.parametrize("ends", [("0.5", "0.25"), ("0", "0.5"), ("0", "-0.0")])
     def test_grid_states_are_what_the_constructor_builds(self, c_phase, d_phase, ends, capsys,
                                                          monkeypatch):
-        # The grid states skip XParams.__init__; each must be what it would have made.
+        # Each grid state is the XParams of its point: the axis values, -0.0 ends and phases.
         evaluate, seen = cli._evaluate, []
         monkeypatch.setattr("xstates.cli._evaluate", lambda n, states, measure: (
             seen.append(states) or evaluate(n, states, measure)))
@@ -1849,7 +1849,7 @@ def test_overflowing_grid_rejected_before_any_row(name, capsys, monkeypatch):
     def no_row(*args):
         raise AssertionError("a row was computed")
 
-    for fn in ("_cd_row", *BLOCK_WORK[argv[0]], "XParams", "_image", "werner"):
+    for fn in ("_cd_row", *BLOCK_WORK[argv[0]], "XParams", "werner"):
         monkeypatch.setattr(f"xstates.cli.{fn}", no_row)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -1969,3 +1969,41 @@ def test_config_rejects_keys_of_other_commands(command, capsys, tmp_path):
         code, _, err = run(capsys, command, "--config", str(cfg))
         assert code == 1
         assert f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_VALUES))
+def test_config_file_with_a_byte_order_mark_reads_as_without(command, capsys, tmp_path):
+    out, cfg = tmp_path / "out", tmp_path / "cfg"
+    text = "".join(f"{key} = {value.replace('{out}', str(out))}\n"
+                   for key, value in CONFIG_VALUES[command].items())
+    results = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        cfg.write_bytes(mark + text.encode())
+        code, stdout, err = run(capsys, command, "--config", str(cfg))
+        results.append((code, stdout, err, out.read_bytes()))
+    assert results[0][0] == 0
+    assert results[0] == results[1]
+
+
+# Per command: the flags of a small run, then an option's full spelling, a prefix of it that
+# is no option of the command, and a value.
+PREFIXES = {
+    "analyze": (["--a", "0.3", "--b", "0.2", "--c-abs", "0", "--d-abs", "0.1"], "--c-phase",
+                "--c-ph", "0.4"),
+    "sweep-cd/n": (["--steps", "2"], "--n-list", "--n", "3"),
+    "sweep-cd/c-abs": (["--steps", "2"], "--c-abs-max", "--c-abs", "0.1"),
+    "sweep-werner": (["--steps", "2"], "--num-dirs", "--num", "2"),
+    "tomogram": (["--a", "0.3", "--b", "0.2", "--c-abs", "0", "--d-abs", "0.1", "--theta-a",
+                  "1", "--theta-b", "1"], "--d-phase", "--d-ph", "0.4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIXES))
+def test_option_prefixes_are_refused(case, capsys):
+    base, flag, prefix, value = PREFIXES[case]
+    command = [case.split("/")[0], *base]
+    assert run(capsys, *command, prefix, value) == (
+        1, "", f"error: unrecognized arguments: {prefix} {value}\n")
+    spelled = run(capsys, *command, flag, value)
+    assert spelled[0] == 0
+    assert run(capsys, *command, f"{flag}={value}") == spelled
