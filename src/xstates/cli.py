@@ -33,6 +33,7 @@ from .xstate import (
     ZeroDenominatorError,
     _x_classify,
     _x_columns,
+    _x_power,
     apply_power_channel,
     classify,
     spectrum,
@@ -272,21 +273,25 @@ _VERDICTS = [(k < 2, cls.value) for k, cls in enumerate(_CLASSES)] + [(False, No
 
 
 def _evaluate(n: int, states: list[XParams], measure) -> tuple[int, list[int], list[list]]:
-    """The block ``(n, verdicts, measures)`` of ``states`` at power ``n``.
+    """The block ``(n, verdicts, measures)`` of ``states`` at power ``n``, by the columnar kernels.
 
-    Each state's image comes from :func:`_cd_row`, and the validity and class of
-    every image from one :func:`_x_classify` pass, as an index into ``_VERDICTS``:
-    -1 where Tr rho^n vanished.  ``measure`` is called with the columns of the
-    valid images, taken from that pass's input, and gives one list per measure
-    with a value for each valid row, in row order.
+    The images come from one :func:`_x_power` pass, and the validity and class of every image
+    from one :func:`_x_classify` pass, as an index into ``_VERDICTS``: -1 where Tr rho^n
+    vanished.  ``measure`` is called with the columns of the valid images, and gives one list
+    per measure with a value for each valid row, in row order.
     """
-    images = [_cd_row(n, state) for state in states]
-    valid = [p for p in images if p is not None]
-    x = _x_columns(valid)
-    index = _x_classify(x)
+    x, vanished = _x_power(_x_columns(states), n)
+    index = _x_classify(x)  # 3, a bad trace, where Tr rho^n vanished: those columns are 0
     columns = measure(x[:, index < 2])
-    index = iter(index.tolist())
-    return n, [-1 if p is None else next(index) for p in images], columns
+    index[vanished] = -1
+    return n, index.tolist(), columns
+
+
+def _public_block(n: int, states: list[XParams], public, width: int) -> tuple:
+    """:func:`_evaluate`'s block, made row by row as the spot check makes a row."""
+    rows = [_public_row(_cd_row(n, state), public, width) for state in states]
+    verdicts = [_VERDICTS.index(row[:2]) for row in rows]
+    return n, verdicts, [*zip(*(m for valid, _, m in rows if valid))] or [()] * width
 
 
 def _spread(verdicts: list[int], values: Iterable) -> list:
@@ -374,8 +379,8 @@ def _grid(end: float, steps: int, what: str, start: float = -0.0) -> list[float]
 def _cd_row(n: int, state: XParams) -> XParams | None:
     """The image of ``state`` under rho -> rho^n / Tr rho^n, or None where Tr rho^n vanishes.
 
-    Both sweeps make the image of each row here; the name stays because
-    bench/tracer.py times the row stage by it.
+    A small sweep makes the image of each row here, and the spot check each drawn
+    row's; the name stays because bench/tracer.py times the row stage by it.
     """
     try:
         return apply_power_channel(state, n).params
@@ -409,9 +414,9 @@ def _block_lines(block: tuple[int, list[int], list[list]], heads: list[str], lay
     return [head + templates[v] % m for head, v, m in zip(heads, verdicts, cells)]
 
 
-# From this many measure cells on (rows times measures per row), a sweep shares its blocks with
-# forked workers, one per further CPU it may run on (``taskset -c 0`` allows one), up to one
-# process per block, unless it runs another thread.
+# From this many measure cells on (rows times measures per row), a sweep makes its blocks by the
+# columnar kernels and shares them with forked workers, one per further CPU it may run on, up to
+# one per block, unless it runs another thread; a smaller one runs the scalar chain, no numpy.
 _POOL_CELLS = 1 << 15
 
 # A block is one chunk of one power's rows: as many rows as hold this many measure cells, and
@@ -448,7 +453,8 @@ def _map_blocks(work, count: int, cells: int) -> list[str]:
     width = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
     if cells < _POOL_CELLS or threading.active_count() > 1:
         width = 1
-    import numpy  # noqa: F401  (loaded here, or else once in each worker)
+    if width > 1:
+        import numpy  # noqa: F401  (loaded here, or else once in each worker)
     import pickle
     import signal
     ends, pids = [], []  # worker i's result pipe (read end) and pid at i - 1
@@ -507,7 +513,9 @@ def _sweep(args: argparse.Namespace, states: list[XParams], grid: dict[str, list
     def work(u: int) -> str:  # unit u's block's text, once its drawn rows pass the spot check
         k, lo = units[u]
         n, chunk, first = args.n_list[k], slice(lo, lo + rows), k * size + lo
-        lines = _block_lines(_evaluate(n, states[chunk], fast), heads[chunk], layout, style)
+        block = (_evaluate(n, states[chunk], fast) if total * len(names) >= _POOL_CELLS
+                 else _public_block(n, states[chunk], public, len(names)))
+        lines = _block_lines(block, heads[chunk], layout, style)
         _spot_check(n, [i for i in drawn if first <= i < first + len(lines)], lines, lo, states,
                     public, layout, len(names), heads, style)
         return row_sep.join(lines)

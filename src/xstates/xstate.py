@@ -16,6 +16,7 @@ with general linear algebra.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -116,13 +117,13 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-# Each closed form, here and in information.py, is written once over
-# (a, b, |c|, |d|): floats for one state, or numpy arrays for a block of states in
-# the columns that _x_columns builds, with the moduli from _x_moduli.  Both give the
-# same bits: numpy's + - *, comparisons, abs and hypot round as Python floats and
-# abs of a complex do.  Only these steps differ between them: the moduli, picking
-# the first test that holds, the if-else and max that entanglement.py writes as
-# np.where and np.maximum, and the entropy of a list of weights.  numpy is imported
+# Each closed form, here and in information.py, is written once over (a, b, |c|, |d|):
+# floats for one state, or numpy arrays for a block of states in the columns that
+# _x_columns builds, with the moduli from _x_moduli.  Both give the same bits: numpy's
+# + - * /, comparisons, abs and hypot round as Python floats and abs of a complex do.
+# Only these steps differ: the moduli, picking the first test that holds, the if-else
+# and max that entanglement.py writes as np.where and np.maximum, the entropy of a list
+# of weights, and the power map (written twice, see _x_power).  numpy is imported
 # inside the functions that take or make a block (and in to_dense), never at module
 # level, so `import xstates`, the scalar functions and direction_pairs run without it.
 
@@ -288,6 +289,36 @@ def _x_classify(x: np.ndarray) -> np.ndarray:
     """:func:`classify` of each state in the columns ``x``, as its index in ``list(StateClass)``."""
     import numpy as np
     return np.select(_class_tests(*_x_moduli(x)), [3, 2, 1], 0)
+
+
+def _x_power(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_power_channel` of the states in the columns ``x``, bit for bit: the images'
+    columns, 0 where Tr rho^n vanishes, and where it does.  Python's ``**`` raises each distinct
+    eigenvalue to ``n`` once.  A state whose power or image overflows raises the scalar error."""
+    import numpy as np
+    with np.errstate(all="ignore"):
+        try:
+            moduli = _x_moduli(x)
+            lam = np.array(_spectrum(*moduli))  # distinct by bits below: (-0.0)**3 is -0.0
+            bits, inverse = np.unique(lam.view(np.int64), return_inverse=True)
+            powers = np.array([v**n for v in bits.view(np.float64).tolist()], float)
+            l1, l2, l3, l4 = powers[inverse].reshape(lam.shape)
+            denom = 2.0 * (((l1 + l2) + l3) + l4)
+            zero = (denom == 0.0) | (~((l1 >= 0.0) & (l2 >= 0.0) & (l3 >= 0.0) & (l4 >= 0.0)) & (
+                abs(denom) < 1e-12 * (2.0 * (((abs(l1) + abs(l2)) + abs(l3)) + abs(l4)))))
+            a, b, c, d = (l1 + l4) / denom, (l2 + l3) / denom, (l2 - l3) / denom, (l1 - l4) / denom
+            if not np.isfinite(((a + b) + c) + d)[~zero].all():
+                raise OverflowError("an image is not finite")
+        except OverflowError:  # the first bad state raises its error; the block's, if none does
+            for ra, rb, cr, ci, dr, di in x.T.tolist():
+                with contextlib.suppress(ZeroDenominatorError):
+                    apply_power_channel(XParams(ra, rb, complex(cr, ci), complex(dr, di)), n)
+            raise
+        zr, zi, m, q = x[2::2], x[3::2], np.array(moduli[2:]), np.array([c, d])  # c, d rows
+        pr = np.where(m == 0.0, 1.0, (zr + zi * 0.0) / m)  # z / |z| as Python divides, or 1
+        pi = np.where(m == 0.0, 0.0, (zi - zr * 0.0) / m)
+        re, im = q * pr - 0.0 * pi, q * pi + 0.0 * pr  # q times that, as Python multiplies
+    return np.where(zero, 0.0, [a, b, re[0], im[0], re[1], im[1]]), zero
 
 
 def werner(p: float) -> XParams:

@@ -46,7 +46,7 @@ from xstates import cli
 from xstates.cli import _CELL_SEP, _CSV, _JSON, _ROW_SEP, _block_lines, main
 from xstates.entanglement import _x_entanglement
 from xstates.information import _x_entropies, _x_information
-from xstates.xstate import ZeroDenominatorError, _x_classify
+from xstates.xstate import ZeroDenominatorError, _x_classify, _x_power
 
 LN4 = math.log(4.0)
 
@@ -404,6 +404,7 @@ class TestSweepCd:
     def test_grid_states_are_what_the_constructor_builds(self, c_phase, d_phase, ends, capsys,
                                                          monkeypatch):
         # Each grid state is the XParams of its point: the axis values, -0.0 ends and phases.
+        force_pools(monkeypatch, cpus=1)  # the columnar path, which a grid this small skips
         evaluate, seen = cli._evaluate, []
         monkeypatch.setattr("xstates.cli._evaluate", lambda n, states, measure: (
             seen.append(states) or evaluate(n, states, measure)))
@@ -435,6 +436,7 @@ class TestSweepCd:
             return index
 
         monkeypatch.setattr("xstates.cli._x_classify", one_flipped)
+        force_pools(monkeypatch, cpus=1)
         assert failed_row(capsys, "sweep-cd", "--steps", "5", "--n-list", "1,3") == drawn
 
     @pytest.mark.parametrize("kernel", [_x_entanglement, _x_entropies])
@@ -442,8 +444,32 @@ class TestSweepCd:
         monkeypatch.setattr(
             f"xstates.cli.{kernel.__name__}", lambda *a: np.nextafter(kernel(*a), np.inf)
         )
+        force_pools(monkeypatch, cpus=1)
         # Every image of an even power is valid, and all 25 rows are checked.
         failed_row(capsys, "sweep-cd", "--steps", "5", "--n-list", "2")
+
+    # One image column of the block power map one ulp up: a, b or Re d, which the measures
+    # read on these grids.  In one process and in workers, the run fails and writes nothing.
+    @pytest.mark.parametrize("column", [0, 1, 4], ids=["a", "b", "re_d"])
+    @pytest.mark.parametrize("argv", [["sweep-cd", "--steps", "5"],
+                                      ["sweep-werner", "--steps", "5", "--num-dirs", "2"]],
+                             ids=["cd", "werner"])
+    def test_spot_check_catches_a_power_map_one_ulp_off(self, column, argv, tmp_path, capsys,
+                                                        monkeypatch):
+        def nudged(x, n):
+            images, vanished = _x_power(x, n)
+            images[column] = np.nextafter(images[column], np.inf)
+            return images, vanished
+
+        monkeypatch.setattr(cli, "_x_power", nudged)
+        out = tmp_path / "out"
+        for cpus in (1, 2):
+            started = force_pools(monkeypatch, cpus=cpus)
+            for output in ([], ["--output", str(out)]):
+                failed_row(capsys, *argv, "--n-list", "2,3", *output)
+            assert len(started) == 2 * (cpus - 1)  # two runs of one worker
+            assert_reaped(started)
+        assert not out.exists()
 
     def test_spot_check_catches_rows_out_of_place(self, capsys, monkeypatch):
         measures = cli._columnar_measures
@@ -454,6 +480,7 @@ class TestSweepCd:
             return columns
 
         monkeypatch.setattr("xstates.cli._columnar_measures", rotated)
+        force_pools(monkeypatch, cpus=1)
         # Every image of an even power is valid, and all 25 rows are checked.
         failed_row(capsys, "sweep-cd", "--steps", "5", "--n-list", "2")
 
@@ -544,8 +571,9 @@ class TestSweepCd:
 
         monkeypatch.setattr("xstates.cli._cd_row", recording)
         assert run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--seed", "8")[0] == 0
-        # Power by power, a block's 25 rows are made, then its drawn rows are recomputed,
-        # in the order they were drawn; 32 are drawn from the 3 blocks.
+        # A grid this small takes the public chain: power by power, a block's 25 rows are
+        # made, then its drawn rows are recomputed, in the order they were drawn; 32 are drawn
+        # from the 3 blocks.
         axis = (0.0, 0.125, 0.25, 0.375, 0.5)
         grid = [XParams(a=0.33, b=0.17, c=c, d=d) for c in axis for d in axis]
         drawn = [divmod(i, 25) for i in random.Random(8).sample(range(75), 32)]
@@ -554,6 +582,23 @@ class TestSweepCd:
             for call in [*((n, state) for state in grid),
                          *((n, grid[j]) for b, j in drawn if b == k)]]
         assert len(calls) == 75 + 32
+
+    def test_spot_check_alone_calls_the_row_map_on_the_columnar_path(self, capsys, monkeypatch):
+        cd_row = cli._cd_row
+        calls = []
+
+        def recording(n, state):
+            calls.append((n, state))
+            return cd_row(n, state)
+
+        monkeypatch.setattr("xstates.cli._cd_row", recording)
+        force_pools(monkeypatch, cpus=1)
+        assert run(capsys, "sweep-cd", "--steps", "5", "--n-list", "2,3,4", "--seed", "8")[0] == 0
+        # The blocks' images come from _x_power; only the 32 drawn rows go through _cd_row.
+        axis = (0.0, 0.125, 0.25, 0.375, 0.5)
+        grid = [XParams(a=0.33, b=0.17, c=c, d=d) for c in axis for d in axis]
+        drawn = [divmod(i, 25) for i in random.Random(8).sample(range(75), 32)]
+        assert calls == [(n, grid[j]) for k, n in enumerate((2, 3, 4)) for b, j in drawn if b == k]
 
     def test_trace_cancelling_below_the_guards_underflow_gives_invalid_rows(self, capsys):
         # Tr rho^7 is exactly 0 at every point; at |d| = 1.4e-45, 1e-12 * scale is 0 too.
@@ -690,18 +735,21 @@ class TestSweepWerner:
         monkeypatch.setattr(
             "xstates.cli._x_information", lambda *a: np.nextafter(_x_information(*a), np.inf)
         )
+        force_pools(monkeypatch, cpus=1)
         failed_row(capsys, "sweep-werner", "--steps", "5", "--num-dirs", "2")
 
     def test_spot_check_catches_swapped_pair_columns(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "xstates.cli._x_information", lambda *a: _x_information(*a)[:, [1, 0]]
         )
+        force_pools(monkeypatch, cpus=1)
         failed_row(capsys, "sweep-werner", "--steps", "5", "--num-dirs", "2")
 
     def test_spot_check_sees_the_columnar_i_n(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "xstates.cli._x_entropies", lambda *a: np.nextafter(_x_entropies(*a), np.inf)
         )
+        force_pools(monkeypatch, cpus=1)
         failed_row(capsys, "sweep-werner", "--steps", "5", "--num-dirs", "2")
 
     def test_size_limit_by_arithmetic(self, capsys, monkeypatch):
@@ -1303,6 +1351,7 @@ def test_a_later_worker_failing_first_in_time_does_not_win(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_evaluate", fails_at_4_and_6)
     first = (1, "", "error: OverflowError: x**n at the power 4\n")
+    force_pools(monkeypatch, cpus=1)  # the columnar path, in one process
     assert run(capsys, *argv) == first
     started = force_pools(monkeypatch, cpus=3)
     assert run(capsys, *argv) == first
@@ -1328,6 +1377,7 @@ def test_a_later_chunk_failing_last_in_time_still_wins(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_evaluate", fails_at_two_chunks)
     monkeypatch.setattr(cli, "_CHUNK_CELLS", 40)
     first = (1, "", "error: OverflowError: x**n at the power 2\n")
+    force_pools(monkeypatch, cpus=1)  # the columnar path, in one process
     assert run(capsys, *argv) == first
     started = force_pools(monkeypatch)
     assert run(capsys, *argv) == first
@@ -1417,6 +1467,7 @@ def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
         except (TypeError, Local) as exc:  # and what it was raised while handling
             return repr(exc), repr(exc.__context__), capsys.readouterr()
 
+    force_pools(monkeypatch, cpus=1)  # the columnar path, in one process
     serial = outcome()
     started = force_pools(monkeypatch)
     assert outcome() == serial and len(started) == 1
@@ -1581,6 +1632,7 @@ def test_a_failing_block_stops_the_workers_beginning_others(tmp_path, capsys, mo
         return evaluate(n, states, measure)
 
     monkeypatch.setattr(cli, "_evaluate", fails_at_2)
+    force_pools(monkeypatch, cpus=1)  # the columnar path, in one process
     assert run(capsys, *argv) == (1, "", "error: OverflowError: x**n at the power 2\n")
     assert not begun.exists()  # in one process, the run ends at the failing block
     started = force_pools(monkeypatch)

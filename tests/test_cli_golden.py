@@ -256,9 +256,13 @@ def run_case(argv: list[str], config: str | None, tmp: Path) -> dict:
     }
 
 
-# Sweeps run a second time on two CPUs, with every other block made in a forked worker, name
-# -> the workers forked (none for one power, which stays in-process): invalid rows, rows
-# without an image, phases, one power, --output and a config file.  The bytes must not change.
+# Every recorded sweep is below 2^15 measure cells, so its rows come from the public scalar
+# chain.  Each one that writes rows runs a second time on the columnar path, whose rows come
+# from the block power map and kernels: "-pooled" on two CPUs or "-block" in one process.
+#
+# "-pooled": every other block is made in a forked worker, name -> the workers forked (none
+# for one power, which stays in-process): invalid rows, rows without an image, phases, one
+# power, --output and a config file.  The bytes must not change.
 POOLED = {
     "sweep_cd_csv_output": 1, "sweep_cd_csv_invalid_rows": 1, "sweep_cd_csv_phases": 1,
     "sweep_cd_json": 1, "sweep_cd_config": 1, "sweep_werner_csv": 1, "sweep_werner_json": 1,
@@ -268,40 +272,52 @@ POOLED = {
 }
 
 
+BLOCK = sorted(name for name in CASES if name.startswith("sweep_") and name not in POOLED
+               and json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["code"] == 0)
+
+
 def _with_pooled(names):
-    return [pytest.param(name, False, id=name) for name in sorted(names)] + [
-        pytest.param(name, True, id=f"{name}-pooled") for name in sorted(names) if name in POOLED]
+    return [pytest.param(name, "", id=name) for name in sorted(names)] + [
+        pytest.param(name, "pooled", id=f"{name}-pooled") for name in sorted(names)
+        if name in POOLED]
 
 
-@pytest.mark.parametrize("name, pooled", _with_pooled(CASES))
-def test_matches_recording(name, pooled, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, mode", _with_pooled(CASES) + [
+    pytest.param(name, "block", id=f"{name}-block") for name in BLOCK])
+def test_matches_recording(name, mode, tmp_path, monkeypatch):
     argv, config = CASES[name]
     recorded = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert recorded["argv"] == argv and recorded["config"] == config
-    started = force_pools(monkeypatch) if pooled else []
+    started = force_pools(monkeypatch, cpus=1 if mode == "block" else 2) if mode else []
     got = run_case(argv, config, tmp_path)
     for key in ("code", "stdout", "stderr", "output"):
         assert got[key] == recorded[key], key
-    assert len(started) == (POOLED[name] if pooled else 0)
+    assert len(started) == (POOLED[name] if mode == "pooled" else 0)
 
 
-# Every pinned sweep also runs on two CPUs with each power's rows in chunks of CHUNK_ROWS
-# rows and a shorter last one ("-chunks"), which the parent and one worker make in turn.
+# Every pinned sweep also runs on the columnar path on two CPUs, with each power's rows in
+# chunks of CHUNK_ROWS rows and a shorter last one ("-chunks"), which the parent and one worker
+# make in turn.  The pinned sweeps of 2^15 measure cells or more, which take the columnar path
+# by themselves, also run on the public scalar chain ("-scalar").
 CHUNK_ROWS = 8
+SCALAR = ["sweep_cd_101_phases_csv", "sweep_werner_251x64_json"]
 
 
-@pytest.mark.parametrize("name, pooled", _with_pooled(PINNED) + [
-    pytest.param(name, "chunks", id=f"{name}-chunks") for name in sorted(PINNED)])
-def test_matches_pinned_digest(name, pooled, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, mode", _with_pooled(PINNED) + [
+    pytest.param(name, "chunks", id=f"{name}-chunks") for name in sorted(PINNED)] + [
+    pytest.param(name, "scalar", id=f"{name}-scalar") for name in SCALAR])
+def test_matches_pinned_digest(name, mode, tmp_path, monkeypatch):
     argv, digest, length = PINNED[name]
-    started = force_pools(monkeypatch) if pooled else []
-    if pooled == "chunks":  # a row's measures: 4, or one more than --num-dirs
+    started = force_pools(monkeypatch) if mode in ("pooled", "chunks") else []
+    if mode == "chunks":  # a row's measures: 4, or one more than --num-dirs
         measures = 4 if argv[0] == "sweep-cd" else 1 + int(argv[argv.index("--num-dirs") + 1])
         monkeypatch.setattr(cli, "_CHUNK_CELLS", CHUNK_ROWS * measures)
+    if mode == "scalar":
+        monkeypatch.setattr(cli, "_POOL_CELLS", 1 << 62)
     got = run_case(argv, None, tmp_path)
     assert (got["code"], got["stderr"], got["output"]) == (0, "", None)
     assert digest_of(got) == (digest, length)
-    assert len(started) == (1 if pooled == "chunks" else POOLED[name] if pooled else 0)
+    assert len(started) == (1 if mode == "chunks" else POOLED[name] if mode == "pooled" else 0)
 
 
 def test_json_outputs_are_strict_json():

@@ -1,13 +1,15 @@
-"""The scalar library, ``direction_pairs`` and the single-state commands run without numpy.
+"""The scalar library, ``direction_pairs``, the single-state commands and small sweeps run
+without numpy.
 
-Only the sweeps and ``to_dense`` load it; without it, a sweep exits 1 with
-one line.
+Only ``to_dense`` and sweeps of 2^15 measure cells or more load it; without it,
+such a sweep exits 1 with one line, and a smaller one writes what it writes with it.
 
 Each test runs a fresh interpreter, since this one has numpy loaded already.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -159,12 +161,16 @@ except ImportError as exc:
     assert proc.stdout == "numpy\n"
 
 
-@pytest.mark.parametrize("command", ["sweep-cd", "sweep-werner"])
-def test_sweeps_without_numpy_exit_one_with_one_line(command, tmp_path):
+# 33,124 and 33,150 measure cells: each sweep's blocks take the columnar kernels.
+@pytest.mark.parametrize("command, size", [
+    ("sweep-cd", ["--steps", "91", "--n-list", "2"]),
+    ("sweep-werner", ["--steps", "85", "--num-dirs", "64"]),
+], ids=["sweep-cd", "sweep-werner"])
+def test_sweeps_without_numpy_exit_one_with_one_line(command, size, tmp_path):
     target = tmp_path / "out"
     code = BLOCK_NUMPY + f"""
 import xstates.cli
-for argv in (["--steps", "2"], ["--steps", "2", "--output", {str(target)!r}]):
+for argv in ({size!r}, [*{size!r}, "--output", {str(target)!r}]):
     print("exit", xstates.cli.main([{command!r}, *argv]))
 """
     proc = run_python(code)
@@ -172,3 +178,43 @@ for argv in (["--steps", "2"], ["--steps", "2", "--output", {str(target)!r}]):
     assert proc.stdout == "exit 1\nexit 1\n"
     assert proc.stderr == f"error: {command} needs numpy: No module named 'numpy'\n" * 2
     assert not target.exists()
+
+
+# Runs each (scratch directory, argv) of CASES through the CLI's entry point, and prints the
+# exit code, stdout, stderr and --output file of each as one JSON list.
+RECORDED_RUNS = """
+import contextlib, io, json, os, sys
+import xstates.cli
+
+results = []
+for tmp, argv in CASES:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = xstates.cli.main(argv)
+    target = os.path.join(tmp, "out")
+    output = open(target, encoding="utf-8", newline="").read() if os.path.exists(target) else None
+    results.append([code, out.getvalue(), err.getvalue(), output])
+print(json.dumps(results))
+assert "numpy" not in sys.modules, "a small sweep loaded numpy"
+"""
+
+
+def test_small_sweeps_give_the_recorded_bytes_without_numpy(tmp_path):
+    # Every sweep golden that writes rows: all are below 2^15 measure cells.
+    goldens = [json.loads(path.read_text(encoding="utf-8"))
+               for path in sorted(Path(__file__).with_name("golden").glob("sweep_*.json"))]
+    goldens = [g for g in goldens if g["code"] == 0]
+    cases = []
+    for k, golden in enumerate(goldens):
+        tmp = tmp_path / str(k)
+        tmp.mkdir()
+        if golden["config"] is not None:
+            (tmp / "cfg").write_text(golden["config"].replace("{tmp}", str(tmp)), encoding="utf-8")
+        cases.append((str(tmp), [arg.replace("{tmp}", str(tmp)) for arg in golden["argv"]]))
+    proc = run_python(BLOCK_NUMPY + f"CASES = {cases!r}\n" + RECORDED_RUNS)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert {g["argv"][0] for g in goldens} == {"sweep-cd", "sweep-werner"} and len(goldens) >= 10
+    for (tmp, _), golden, result in zip(cases, goldens, results, strict=True):
+        result = [x.replace(tmp, "{tmp}") if isinstance(x, str) else x for x in result]
+        assert result == [golden[key] for key in ("code", "stdout", "stderr", "output")]

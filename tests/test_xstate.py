@@ -43,7 +43,7 @@ from xstates import (
     werner_entanglement_threshold,
     werner_entanglement_threshold_lower,
 )
-from xstates.xstate import _spectrum, _x_classify, _x_columns, _x_moduli
+from xstates.xstate import _spectrum, _x_classify, _x_columns, _x_moduli, _x_power
 
 
 class TestValidate:
@@ -426,6 +426,111 @@ class TestPowerChannel:
             m = np.linalg.matrix_power(to_dense(random_valid_params(rng)), int(rng.integers(1, 7)))
             m = m / np.trace(m).real
             assert np.max(np.abs(m[~mask])) < 1e-14
+
+
+def _rows_outcome(states, n):
+    """apply_power_channel of each state as the block power map gives it: the image columns
+    (0 where Tr rho^n vanishes) and that mask, or the first error's type and message."""
+    columns, vanished = [], []
+    for p in states:
+        try:
+            img = apply_power_channel(p, n).params
+        except ZeroDenominatorError:
+            img = None
+        except OverflowError as exc:
+            return type(exc), str(exc)
+        columns.append((0.0,) * 6 if img is None else _parts(img))
+        vanished.append(img is None)
+    return np.array(columns, float).reshape(-1, 6).T.view(np.int64).tolist(), vanished
+
+
+def _block_outcome(states, n):
+    try:
+        images, vanished = _x_power(_x_columns(states), n)
+    except (ZeroDenominatorError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return images.view(np.int64).tolist(), vanished.tolist()
+
+
+@st.composite
+def _cancelling_st(draw) -> XParams:
+    """Tr rho^n = 2 ((|d| + a)^n + (a - |d|)^n) at odd n: a / |d| on either side of 1e-12."""
+    d = draw(st.floats(0.05, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return XParams(a=draw(st.floats(1e-15, 1e-10)), b=draw(st.sampled_from([0.0, -0.0])),
+                   c=0.0, d=d)
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _signed_zeros_st(draw) -> XParams:
+    """A -0.0 or 0.0 diagonal beside any other, and coherences on an axis, with signed zeros."""
+    zero = draw(_signed_zero)
+    other = draw(st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.5]))
+    a, b = (zero, other) if draw(st.booleans()) else (other, zero)
+    on_axis = st.sampled_from([0.0, -0.0, 0.1, -0.1])
+    c, d = (complex(*draw(st.permutations([draw(_signed_zero), draw(on_axis)])))
+            for _ in range(2))
+    return XParams(a=a, b=b, c=c, d=d)
+
+
+@st.composite
+def _huge_phases_st(draw) -> XParams:
+    """A valid state whose coherences are turned by a phase of +-1e300 or +-pi."""
+    p = draw(valid_params_st())
+    turn = st.sampled_from([1e300, -1e300, math.pi, -math.pi])
+    return XParams(a=p.a, b=p.b, c=abs(p.c) * cmath.exp(1j * draw(turn)),
+                   d=abs(p.d) * cmath.exp(1j * draw(turn)))
+
+
+def _block_inputs_st():
+    """(states, power): one block of kernel, edge and hostile states, at n up to 600."""
+    any_n = st.integers(1, 600)
+    odd_n = st.integers(0, 299).map(lambda k: 2 * k + 1)
+    edges = st.one_of(st.sampled_from(EDGE_STATES), _huge_phases_st(), _signed_zeros_st())
+    return st.one_of(
+        st.tuples(kernel_images_st(), any_n),
+        st.tuples(st.lists(edges, min_size=1, max_size=8), any_n),
+        st.tuples(st.lists(st.one_of(_invalid_st(), _cancelling_st(), _signed_zeros_st(),
+                                     valid_params_st()), min_size=1, max_size=8), odd_n),
+    )
+
+
+# Blocks that the power map refuses, as the CLI's HOSTILE sweeps make them: a power, or a sum
+# of two, overflows; the first state that does names itself in the error.
+HOSTILE_BLOCKS = [
+    ([werner(0.5), werner(1e200)], 3),
+    ([XParams(a=5.0, b=-4.5, c=c, d=d) for c in (0.0, 0.5) for d in (0.0, 0.5)], 1000),
+    ([werner(-5.0), werner(1.0)], 800),
+    ([XParams(a=1e300, b=1e300, c=0.0, d=0.0)], 3),
+    ([werner(-1e300), werner(1e300)], 2),
+    ([werner(0.0), werner(1.0)], 10**400),
+    ([XParams(a=0.0, b=0.0, c=0.0, d=0.5), XParams(a=1e154, b=-1e154, c=0.0, d=0.0)], 2),
+    ([XParams(a=0.3, b=0.2, c=c, d=d) for c in (0.0, 1e308) for d in (0.0, 1e308)], 1),
+]
+
+
+class TestBlockPowerMap:
+    @given(_block_inputs_st())
+    @example((EDGE_STATES, 600))
+    @example(([XParams(a=0.0, b=0.0, c=0.0, d=1.401298464324817e-45), werner(0.3)], 7))
+    @example(([XParams(a=0.0, b=0.0, c=0.0, d=0.5), XParams(a=-0.0, b=0.5, c=0.0, d=0.0)], 3))
+    # Tr rho^n against 1e-12 * scale: inside the band, then out, at n = 1 and 3
+    @example(([XParams(a=a, b=0.0, c=0.0, d=0.5) for a in (1e-13, 1e-11)], 1))
+    @example(([XParams(a=a, b=0.0, c=0.0, d=0.5) for a in (1e-13, 1e-11)], 3))
+    @example(([XParams(a=0.3, b=0.2, c=0.1 * cmath.exp(1e300j), d=-0.1j)], 5))
+    @example(([XParams(a=0.3, b=0.2, c=complex(-0.0, 0.1), d=complex(0.1, -0.0))], 2))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_map_bit_for_bit(self, case):
+        states, n = case
+        assert _block_outcome(states, n) == _rows_outcome(states, n)
+
+    @pytest.mark.parametrize("states, n", HOSTILE_BLOCKS)
+    def test_a_refused_block_raises_the_scalar_maps_error(self, states, n):
+        got = _block_outcome(states, n)
+        assert got == _rows_outcome(states, n)
+        assert got[0] is OverflowError and "not finite" in got[1]
 
 
 def _within_image_bound(got: float, want: Fraction, n: int) -> bool:
