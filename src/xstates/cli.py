@@ -272,22 +272,22 @@ _CLASSES = list(StateClass)
 _VERDICTS = [(k < 2, cls.value) for k, cls in enumerate(_CLASSES)] + [(False, None)]
 
 
-def _evaluate(n: int, states: list[XParams], measure) -> tuple[int, list[int], list[list]]:
-    """The block ``(n, verdicts, measures)`` of ``states`` at power ``n``, by the columnar kernels.
+def _evaluate(n: int, x: np.ndarray, measure) -> tuple[int, list[int], list[list]]:
+    """The block ``(n, verdicts, measures)`` of the columns ``x`` at power ``n``, by the kernels.
 
     The images come from one :func:`_x_power` pass, and the validity and class of every image
     from one :func:`_x_classify` pass, as an index into ``_VERDICTS``: -1 where Tr rho^n
     vanished.  ``measure`` is called with the columns of the valid images, and gives one list
     per measure with a value for each valid row, in row order.
     """
-    x, vanished = _x_power(_x_columns(states), n)
+    x, vanished = _x_power(x, n)
     index = _x_classify(x)  # 3, a bad trace, where Tr rho^n vanished: those columns are 0
     columns = measure(x[:, index < 2])
     index[vanished] = -1
     return n, index.tolist(), columns
 
 
-def _public_block(n: int, states: list[XParams], public, width: int) -> tuple:
+def _public_block(n: int, states: Iterable[XParams], public, width: int) -> tuple:
     """:func:`_evaluate`'s block, made row by row as the spot check makes a row."""
     rows = [_public_row(_cd_row(n, state), public, width) for state in states]
     verdicts = [_VERDICTS.index(row[:2]) for row in rows]
@@ -489,34 +489,35 @@ def _map_blocks(work, count: int, cells: int) -> list[str]:
             os.waitpid(pid, 0)
 
 
-def _sweep(args: argparse.Namespace, states: list[XParams], grid: dict[str, list[float]], fast,
+def _sweep(args: argparse.Namespace, state, columns, grid: dict[str, list[float]], fast,
            public, layout, names: Sequence[str], options: dict[str, argparse.Action],
            comments: list[str], extra: dict) -> int:
     """Evaluate, spot-check and write a sweep, one block per chunk of each power's rows.
 
-    ``grid`` names each axis of the grid, and ``states`` holds the state of each point,
-    in ``product`` order.  ``layout(n, valid, cls, measures)`` is the row order
+    ``grid`` names each axis of the grid.  Its points are numbered in ``product`` order:
+    ``state(j)`` is the state of point j, and ``columns(lo, hi)`` the :func:`_x_columns` of
+    the states of points lo to hi.  ``layout(n, valid, cls, measures)`` is the row order
     after the grid columns: the header, the writer and the spot check read it.
     ``fast`` and ``public`` give the measures ``names`` (see :func:`_evaluate`).
     ``comments`` are the CSV's comment lines, and ``extra`` the JSON's entries after the config.
     """
-    total, size = len(args.n_list) * len(states), len(states)
-    drawn = random.Random(args.seed).sample(range(total), min(32, total))
     style = _CSV if args.format == "csv" and not args.json else _JSON
     cell, _, sep, row_sep = style
     axes = [[cell(x) + sep for x in axis] for axis in grid.values()]  # written once
     heads = list(map("".join, product(*axes)))  # each row's grid cells, with their separators
+    total, size = len(args.n_list) * len(heads), len(heads)
+    drawn = random.Random(args.seed).sample(range(total), min(32, total))
 
     rows = max(1, _CHUNK_CELLS // len(names))
     units = list(product(range(len(args.n_list)), range(0, size, rows)))  # (power, first row)
 
     def work(u: int) -> str:  # unit u's block's text, once its drawn rows pass the spot check
         k, lo = units[u]
-        n, chunk, first = args.n_list[k], slice(lo, lo + rows), k * size + lo
-        block = (_evaluate(n, states[chunk], fast) if total * len(names) >= _POOL_CELLS
-                 else _public_block(n, states[chunk], public, len(names)))
-        lines = _block_lines(block, heads[chunk], layout, style)
-        _spot_check(n, [i for i in drawn if first <= i < first + len(lines)], lines, lo, states,
+        n, hi, first = args.n_list[k], min(lo + rows, size), k * size + lo
+        block = (_evaluate(n, columns(lo, hi), fast) if total * len(names) >= _POOL_CELLS
+                 else _public_block(n, map(state, range(lo, hi)), public, len(names)))
+        lines = _block_lines(block, heads[lo:hi], layout, style)
+        _spot_check(n, [i for i in drawn if first <= i < first + len(lines)], lines, lo, state,
                     public, layout, len(names), heads, style)
         return row_sep.join(lines)
 
@@ -536,16 +537,16 @@ def _sweep(args: argparse.Namespace, states: list[XParams], grid: dict[str, list
     return 0
 
 
-def _spot_check(n: int, drawn: list[int], lines: list[str], lo: int, states: list[XParams],
-                public, layout, width: int, heads: list[str], style: tuple) -> None:
+def _spot_check(n: int, drawn: list[int], lines: list[str], lo: int, state, public, layout,
+                width: int, heads: list[str], style: tuple) -> None:
     # A per-run guard: each drawn row of a block of power n, as shipped in ``lines`` from grid
-    # point ``lo`` on, must equal the public chain's evaluation, placed by the layout and
-    # written cell by cell after its grid cells.  ``drawn`` counts rows across the whole
-    # sweep, as its error names them.
+    # point ``lo`` on, must equal the public chain's evaluation of its point's ``state(j)``,
+    # placed by the layout and written cell by cell after its grid cells.  ``drawn`` counts
+    # rows across the whole sweep, as its error names them.
     cell, _, sep, _ = style
     for idx in drawn:
-        j = idx % len(states)
-        row = layout(n, *_public_row(_cd_row(n, states[j]), public, width))
+        j = idx % len(heads)
+        row = layout(n, *_public_row(_cd_row(n, state(j)), public, width))
         if heads[j] + sep.join(map(cell, row)) != lines[j - lo]:
             raise _UsageError(f"sweep row {idx} failed its self-check")
 
@@ -560,8 +561,18 @@ def cmd_sweep_cd(args: argparse.Namespace, options: dict[str, argparse.Action]) 
 
     c_unit, d_unit = cmath.exp(1j * args.c_phase), cmath.exp(1j * args.d_phase)
     cs, ds = [c * c_unit for c in c_grid], [d * d_unit for d in d_grid]  # once per axis value
-    states = [XParams(args.a, args.b, c, d) for c in cs for d in ds]
-    return _sweep(args, states, {"c_abs": c_grid, "d_abs": d_grid}, _columnar_measures,
+
+    def state(j: int) -> XParams:  # made only for the scalar chain: small sweeps, drawn rows
+        return XParams(args.a, args.b, cs[j // args.steps], ds[j % args.steps])
+
+    def columns(lo: int, hi: int) -> np.ndarray:  # _x_columns of states lo to hi, bit for bit
+        import numpy as np
+        c_at, d_at = np.divmod(np.arange(lo, hi), args.steps)
+        c, d = np.array(cs, complex)[c_at], np.array(ds, complex)[d_at]
+        return np.array([np.full(hi - lo, args.a), np.full(hi - lo, args.b),
+                         c.real, c.imag, d.real, d.imag])
+
+    return _sweep(args, state, columns, {"c_abs": c_grid, "d_abs": d_grid}, _columnar_measures,
                   _scalar_measures, lambda n, valid, cls, m: [n, valid, cls, *m], _CD_MEASURES,
                   options, [], {})
 
@@ -607,7 +618,9 @@ def cmd_sweep_werner(args: argparse.Namespace, options: dict[str, argparse.Actio
         i_s = [shannon_report_from_table(tomogram(image, da, db)).i_s for da, db in pairs]
         return (system_entropies(image).i_n, *i_s)
 
-    return _sweep(args, list(map(werner, p_values)), {"p": p_values}, columnar, public,
+    states = list(map(werner, p_values))
+    return _sweep(args, states.__getitem__, lambda lo, hi: _x_columns(states[lo:hi]),
+                  {"p": p_values}, columnar, public,
                   lambda n, valid, cls, m: [n, valid, *m, cls],  # the class goes last
                   ["i_n", *(f"i_s_dir{k}" for k in range(args.num_dirs))], options,
                   *_werner_header(args, pairs))

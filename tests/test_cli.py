@@ -46,7 +46,7 @@ from xstates import cli
 from xstates.cli import _CELL_SEP, _CSV, _JSON, _ROW_SEP, _block_lines, main
 from xstates.entanglement import _x_entanglement
 from xstates.information import _x_entropies, _x_information
-from xstates.xstate import ZeroDenominatorError, _x_classify, _x_power
+from xstates.xstate import ZeroDenominatorError, _x_classify, _x_columns, _x_power
 
 LN4 = math.log(4.0)
 
@@ -391,7 +391,8 @@ class TestSweepCd:
         for n, valid in ((2, [True] * 4), (3, [True, True, False, False])):
             classes = [classify(apply_power_channel(p, n).params).value for p in states]
             calls.clear()
-            block_n, verdicts, measures = cli._evaluate(n, states, cli._columnar_measures)
+            block_n, verdicts, measures = cli._evaluate(n, _x_columns(states),
+                                                        cli._columnar_measures)
             assert block_n == n
             assert [cli._VERDICTS[v] for v in verdicts] == list(zip(valid, classes))
             # One column per measure, with a value for each valid row only.
@@ -403,11 +404,14 @@ class TestSweepCd:
     @pytest.mark.parametrize("ends", [("0.5", "0.25"), ("0", "0.5"), ("0", "-0.0")])
     def test_grid_states_are_what_the_constructor_builds(self, c_phase, d_phase, ends, capsys,
                                                          monkeypatch):
-        # Each grid state is the XParams of its point: the axis values, -0.0 ends and phases.
+        # Each block's columns are _x_columns of the XParams of its points, bit for bit: the
+        # axis values, -0.0 ends and phases.  Each state the spot check draws is that XParams.
         force_pools(monkeypatch, cpus=1)  # the columnar path, which a grid this small skips
-        evaluate, seen = cli._evaluate, []
-        monkeypatch.setattr("xstates.cli._evaluate", lambda n, states, measure: (
-            seen.append(states) or evaluate(n, states, measure)))
+        evaluate, cd_row, blocks, drawn = cli._evaluate, cli._cd_row, [], []
+        monkeypatch.setattr("xstates.cli._evaluate", lambda n, x, measure: (
+            blocks.append(x) or evaluate(n, x, measure)))
+        monkeypatch.setattr("xstates.cli._cd_row", lambda n, state: (
+            drawn.append(state) or cd_row(n, state)))
         argv = ["sweep-cd", "--steps", "3", "--n-list", "2", "--a", "0.3", "--b", "0.2",
                 "--c-phase", repr(c_phase), "--d-phase", repr(d_phase),
                 "--c-abs-max", ends[0], "--d-abs-max", ends[1]]
@@ -416,10 +420,24 @@ class TestSweepCd:
         # An end of -0.0 is taken as 0.0, so its axis is 0.0 throughout.
         c_axis, d_axis = ([-0.0 + (float(end) + 0.0) * k / 2 for k in range(3)] for end in ends)
         expected = [XParams(0.3, 0.2, c * c_unit, d * d_unit) for c in c_axis for d in d_axis]
-        (states,) = seen
-        assert len(states) == len(expected) == 9
-        for state, twin in zip(states, expected):
+        (x,) = blocks
+        assert x.shape == (6, len(expected)) == (6, 9)
+        # int64 views tell -0.0 from 0.0, which == does not.
+        assert (x.view(np.int64) == _x_columns(expected).view(np.int64)).all()
+        twins = [expected[j] for j in random.Random(0).sample(range(9), 9)]
+        assert len(drawn) == len(twins) == 9
+        for state, twin in zip(drawn, twins):
             assert (state, hash(state), repr(state)) == (twin, hash(twin), repr(twin))
+
+    def test_the_columnar_path_makes_states_only_for_the_spot_check(self, capsys, monkeypatch):
+        # 10,201 grid points, one power: the blocks read the axes, and only the 32 drawn
+        # rows make an XParams of their point.
+        made = []
+        monkeypatch.setattr(cli, "XParams", lambda *a: made.append(a) or XParams(*a))
+        force_pools(monkeypatch, cpus=1)
+        code, out, err = run(capsys, "sweep-cd", "--steps", "101", "--n-list", "2")
+        assert (code, err, out.count("\n")) == (0, "", 1 + 101**2)
+        assert len(made) == 32
 
     def test_spot_check_catches_a_wrong_class(self, capsys, monkeypatch):
         # Swap separable with entangled, or not PSD with bad trace, in one row that
@@ -1313,10 +1331,10 @@ def test_workers_report_the_first_failing_power_in_list_order(capsys, monkeypatc
     started = force_pools(monkeypatch)
     evaluate = cli._evaluate
 
-    def late_at_2(n, states, measure):  # so that power 3 fails first in time
+    def late_at_2(n, x, measure):  # so that power 3 fails first in time
         if n == 2:
             time.sleep(0.2)
-        return evaluate(n, states, measure)
+        return evaluate(n, x, measure)
 
     monkeypatch.setattr(cli, "_evaluate", late_at_2)
     assert run(capsys, *argv) == serial
@@ -1342,12 +1360,12 @@ def test_a_later_worker_failing_first_in_time_does_not_win(capsys, monkeypatch):
     argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7"]
     evaluate = cli._evaluate
 
-    def fails_at_4_and_6(n, states, measure):
+    def fails_at_4_and_6(n, x, measure):
         if n == 4:  # k = 2, the second worker's first block: late
             time.sleep(0.3)
         if n in (4, 6):  # k = 4 is the first worker's second block
             raise OverflowError(f"x**n at the power {n}")
-        return evaluate(n, states, measure)
+        return evaluate(n, x, measure)
 
     monkeypatch.setattr(cli, "_evaluate", fails_at_4_and_6)
     first = (1, "", "error: OverflowError: x**n at the power 4\n")
@@ -1366,13 +1384,13 @@ def test_a_later_chunk_failing_last_in_time_still_wins(capsys, monkeypatch):
     argv = ["sweep-cd", "--steps", "5", "--n-list", "2,3"]
     evaluate = cli._evaluate
 
-    def fails_at_two_chunks(n, states, measure):
-        if n == 2 and len(states) == 5:  # power 2's last chunk: late
+    def fails_at_two_chunks(n, x, measure):
+        if n == 2 and x.shape[1] == 5:  # power 2's last chunk: late
             time.sleep(0.3)
             raise OverflowError("x**n at the power 2")
-        if n == 3 and states[0].c == 0:  # power 3's first chunk, from |c| = 0
+        if n == 3 and x[2, 0] == 0:  # power 3's first chunk, whose first Re c is |c| = 0
             raise ZeroDenominatorError("Tr rho^3 vanished")
-        return evaluate(n, states, measure)
+        return evaluate(n, x, measure)
 
     monkeypatch.setattr(cli, "_evaluate", fails_at_two_chunks)
     monkeypatch.setattr(cli, "_CHUNK_CELLS", 40)
@@ -1415,12 +1433,12 @@ def test_a_worker_that_dies_costs_time_not_the_run(death, capsys, monkeypatch):
     else:
         evaluate = cli._evaluate
 
-        def dying(n, states, measure):
+        def dying(n, x, measure):
             if n == 3 and os.getpid() != parent:
                 if death == "exit":
                     os._exit(70)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return evaluate(n, states, measure)
+            return evaluate(n, x, measure)
 
         monkeypatch.setattr(cli, "_evaluate", dying)
     assert run(capsys, *argv) == (0, serial, "")
@@ -1443,11 +1461,11 @@ def test_block_errors_cross_the_pipe_unchanged(error, capsys, monkeypatch):
     elif error in ("zero_denominator", "unpicklable"):
         evaluate = cli._evaluate
 
-        def vanishes_at_3(n, states, measure):
+        def vanishes_at_3(n, x, measure):
             if n == 3:
                 raise (ZeroDenominatorError if error == "zero_denominator" else Local)(
                     "Tr rho^3 vanished")
-            return evaluate(n, states, measure)
+            return evaluate(n, x, measure)
 
         monkeypatch.setattr(cli, "_evaluate", vanishes_at_3)
     else:
@@ -1529,7 +1547,7 @@ os.sched_getaffinity = lambda pid: {0, 1, 2}
 cli._POOL_CELLS = 0
 evaluate, begun, parent = cli._evaluate, sys.argv[1], os.getpid()
 
-def slow(n, states, measure):
+def slow(n, x, measure):
     while os.getpid() == parent:
         if len(open(begun).read().split()) == 2:
             os.kill(parent, signal.SIGKILL)
@@ -1537,7 +1555,7 @@ def slow(n, states, measure):
     with open(begun, "a") as fh:
         fh.write(f"{os.getpid()}\\n")
     time.sleep(0.5)
-    return evaluate(n, states, measure)
+    return evaluate(n, x, measure)
 
 cli._evaluate = slow
 cli.main(["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7,8,9,10"])
@@ -1623,13 +1641,13 @@ def test_a_failing_block_stops_the_workers_beginning_others(tmp_path, capsys, mo
     argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7,8,9"]
     evaluate, begun = cli._evaluate, tmp_path / "begun"
 
-    def fails_at_2(n, states, measure):  # each other block takes half a second
+    def fails_at_2(n, x, measure):  # each other block takes half a second
         if n == 2:
             raise OverflowError("x**n at the power 2")
         with open(begun, "a") as fh:
             fh.write(f"{n}\n")
         time.sleep(0.5)
-        return evaluate(n, states, measure)
+        return evaluate(n, x, measure)
 
     monkeypatch.setattr(cli, "_evaluate", fails_at_2)
     force_pools(monkeypatch, cpus=1)  # the columnar path, in one process
@@ -1647,13 +1665,13 @@ def test_a_worker_begins_no_block_after_its_first_failure(tmp_path, capsys, monk
     argv = ["sweep-cd", "--steps", "3", "--n-list", "2,3,4,5,6,7"]
     evaluate, begun = cli._evaluate, tmp_path / "begun"
 
-    def fails_at_3(n, states, measure):  # the worker's first block; the parent's takes 0.5 s
+    def fails_at_3(n, x, measure):  # the worker's first block; the parent's takes 0.5 s
         if n == 3:
             raise OverflowError("x**n at the power 3")
         with open(begun, "a") as fh:
             fh.write(f"{n}\n")
         time.sleep(0.5)
-        return evaluate(n, states, measure)
+        return evaluate(n, x, measure)
 
     monkeypatch.setattr(cli, "_evaluate", fails_at_3)
     started = force_pools(monkeypatch)
