@@ -290,8 +290,7 @@ def _evaluate(n: int, x: np.ndarray, measure) -> tuple[int, list[int], list[list
 def _public_block(n: int, states: Iterable[XParams], public, width: int) -> tuple:
     """:func:`_evaluate`'s block, made row by row as the spot check makes a row."""
     rows = [_public_row(_cd_row(n, state), public, width) for state in states]
-    verdicts = [_VERDICTS.index(row[:2]) for row in rows]
-    return n, verdicts, [*zip(*(m for valid, _, m in rows if valid))] or [()] * width
+    return n, [v for v, _ in rows], [*zip(*(m for v, m in rows if 0 <= v < 2))] or [()] * width
 
 
 def _spread(verdicts: list[int], values: Iterable) -> list:
@@ -300,13 +299,11 @@ def _spread(verdicts: list[int], values: Iterable) -> list:
     return [next(values) if 0 <= v < 2 else () for v in verdicts]
 
 
-def _public_row(image: XParams | None, measure, width: int) -> tuple:
-    """The valid, class and measures cells of one image: :func:`_evaluate`'s reference.
-
-    The class comes from :func:`classify`, then ``measure(image)`` of a valid image.
-    """
-    valid, cls = _VERDICTS[-1 if image is None else _CLASSES.index(classify(image))]
-    return valid, cls, measure(image) if valid else (None,) * width
+def _public_row(image: XParams | None, measure, width: int) -> tuple[int, tuple]:
+    """:func:`_evaluate`'s reference for one image: :func:`classify`'s verdict, as its index
+    into ``_VERDICTS`` (-1 for no image), and ``measure(image)`` if it is valid."""
+    v = -1 if image is None else _CLASSES.index(classify(image))
+    return v, measure(image) if 0 <= v < 2 else (None,) * width
 
 
 _CD_MEASURES = ("negativity", "concurrence", "s12", "i_n")
@@ -334,7 +331,8 @@ def cmd_analyze(args: argparse.Namespace, options: dict[str, argparse.Action]) -
     if bad is None:
         # Not _cd_row: a vanishing Tr rho^n fails the command here (exit 1 in main).
         img = apply_power_channel(params, args.n).params
-        valid, class_image, measures = _public_row(img, _scalar_measures, 4)
+        v, measures = _public_row(img, _scalar_measures, 4)
+        valid, class_image = _VERDICTS[v]
         report.update(
             class_input=classify(params).value,
             n=args.n,
@@ -442,17 +440,16 @@ def _serve(work, ks: range, out: int, parents: list[int]) -> None:
     os._exit(0)
 
 
-def _map_blocks(work, count: int, cells: int) -> list[str]:
-    """``[work(k) for k in range(count)]``, shared with forked workers if ``cells`` is large.
+def _map_blocks(work, count: int, pooled: bool) -> list[str]:
+    """``[work(k) for k in range(count)]``, shared with forked workers if ``pooled``.
 
     Of ``w`` processes, worker ``i`` makes k = i, i + w, ... and this one each k that w divides.
     Results are read in k order, and each k that no worker sent (it failed, its worker ended,
     or a pipe or a fork failed) is made here: the first failing k raises as in one process.
     The workers are then killed.  Each ``work(k)`` is a str.
     """
-    width = min(count, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-    if cells < _POOL_CELLS or threading.active_count() > 1:
-        width = 1
+    alone = pooled and threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
+    width = min(count, len(os.sched_getaffinity(0))) if alone else 1
     if width > 1:
         import numpy  # noqa: F401  (loaded here, or else once in each worker)
     import pickle
@@ -510,18 +507,24 @@ def _sweep(args: argparse.Namespace, state, columns, grid: dict[str, list[float]
 
     rows = max(1, _CHUNK_CELLS // len(names))
     units = list(product(range(len(args.n_list)), range(0, size, rows)))  # (power, first row)
+    columnar = total * len(names) >= _POOL_CELLS
 
     def work(u: int) -> str:  # unit u's block's text, once its drawn rows pass the spot check
         k, lo = units[u]
         n, hi, first = args.n_list[k], min(lo + rows, size), k * size + lo
-        block = (_evaluate(n, columns(lo, hi), fast) if total * len(names) >= _POOL_CELLS
-                 else _public_block(n, map(state, range(lo, hi)), public, len(names)))
+        try:
+            block = (_evaluate(n, columns(lo, hi), fast) if columnar
+                     else _public_block(n, map(state, range(lo, hi)), public, len(names)))
+        except OverflowError:
+            if columnar:  # a refused block: the scalar chain raises its first bad row's error
+                _public_block(n, map(state, range(lo, hi)), public, len(names))
+            raise
         lines = _block_lines(block, heads[lo:hi], layout, style)
         _spot_check(n, [i for i in drawn if first <= i < first + len(lines)], lines, lo, state,
                     public, layout, len(names), heads, style)
         return row_sep.join(lines)
 
-    texts = _map_blocks(work, len(units), total * len(names))
+    texts = _map_blocks(work, len(units), columnar)
     header = [*grid, *layout("n", "valid", "class", names)]
     if style is _CSV:
         head, tail = "".join(f"{line}\n" for line in [*comments, _row_to_csv(header)]), "\n"
@@ -546,8 +549,8 @@ def _spot_check(n: int, drawn: list[int], lines: list[str], lo: int, state, publ
     cell, _, sep, _ = style
     for idx in drawn:
         j = idx % len(heads)
-        row = layout(n, *_public_row(_cd_row(n, state(j)), public, width))
-        if heads[j] + sep.join(map(cell, row)) != lines[j - lo]:
+        v, measures = _public_row(_cd_row(n, state(j)), public, width)
+        if heads[j] + sep.join(map(cell, layout(n, *_VERDICTS[v], measures))) != lines[j - lo]:
             raise _UsageError(f"sweep row {idx} failed its self-check")
 
 

@@ -16,7 +16,6 @@ with general linear algebra.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -117,15 +116,16 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-# Each closed form, here and in information.py, is written once over (a, b, |c|, |d|):
-# floats for one state, or numpy arrays for a block of states in the columns that
-# _x_columns builds, with the moduli from _x_moduli.  Both give the same bits: numpy's
-# + - * /, comparisons, abs and hypot round as Python floats and abs of a complex do.
-# Only these steps differ: the moduli, picking the first test that holds, the if-else
-# and max that entanglement.py writes as np.where and np.maximum, the entropy of a list
-# of weights, and the power map (written twice, see _x_power).  numpy is imported
-# inside the functions that take or make a block (and in to_dense), never at module
-# level, so `import xstates`, the scalar functions and direction_pairs run without it.
+# Each closed form, here and in information.py, is written once over (a, b, |c|, |d|): floats
+# for one state, or numpy arrays for a block of states in the columns that _x_columns builds,
+# with the moduli from _x_moduli.  Both give the same bits: numpy's + - * /, comparisons, abs
+# and hypot round as Python floats and abs of a complex do.  Only these steps differ: the
+# moduli, picking the first test that holds, the if-else and max that entanglement.py writes
+# as np.where and np.maximum, the entropy of a list of weights, and the power map, whose block
+# form raises each distinct eigenvalue once and refuses a block that overflows, naming no state
+# where the scalar form names one.  numpy is imported inside the functions that take or make a
+# block (and in to_dense), never at module level, so `import xstates`, the scalar functions and
+# direction_pairs run without it.
 
 
 def _class_tests(a, b, cm, dm):
@@ -294,26 +294,21 @@ def _x_classify(x: np.ndarray) -> np.ndarray:
 def _x_power(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`apply_power_channel` of the states in the columns ``x``, bit for bit: the images'
     columns, 0 where Tr rho^n vanishes, and where it does.  Python's ``**`` raises each distinct
-    eigenvalue to ``n`` once.  A state whose power or image overflows raises the scalar error."""
+    eigenvalue to ``n`` once.  An ``OverflowError`` refuses a block where a power or an image
+    is not finite, and names no state."""
     import numpy as np
     with np.errstate(all="ignore"):
-        try:
-            moduli = _x_moduli(x)
-            lam = np.array(_spectrum(*moduli))  # distinct by bits below: (-0.0)**3 is -0.0
-            bits, inverse = np.unique(lam.view(np.int64), return_inverse=True)
-            powers = np.array([v**n for v in bits.view(np.float64).tolist()], float)
-            l1, l2, l3, l4 = powers[inverse].reshape(lam.shape)
-            denom = 2.0 * (((l1 + l2) + l3) + l4)
-            zero = (denom == 0.0) | (~((l1 >= 0.0) & (l2 >= 0.0) & (l3 >= 0.0) & (l4 >= 0.0)) & (
-                abs(denom) < 1e-12 * (2.0 * (((abs(l1) + abs(l2)) + abs(l3)) + abs(l4)))))
-            a, b, c, d = (l1 + l4) / denom, (l2 + l3) / denom, (l2 - l3) / denom, (l1 - l4) / denom
-            if not np.isfinite(((a + b) + c) + d)[~zero].all():
-                raise OverflowError("an image is not finite")
-        except OverflowError:  # the first bad state raises its error; the block's, if none does
-            for ra, rb, cr, ci, dr, di in x.T.tolist():
-                with contextlib.suppress(ZeroDenominatorError):
-                    apply_power_channel(XParams(ra, rb, complex(cr, ci), complex(dr, di)), n)
-            raise
+        moduli = _x_moduli(x)
+        lam = np.array(_spectrum(*moduli))  # distinct by bits below: (-0.0)**3 is -0.0
+        bits, inverse = np.unique(lam.view(np.int64), return_inverse=True)
+        powers = np.array([v**n for v in bits.view(np.float64).tolist()], float)
+        l1, l2, l3, l4 = powers[inverse].reshape(lam.shape)
+        denom = 2.0 * (((l1 + l2) + l3) + l4)
+        zero = (denom == 0.0) | (~((l1 >= 0.0) & (l2 >= 0.0) & (l3 >= 0.0) & (l4 >= 0.0)) & (
+            abs(denom) < 1e-12 * (2.0 * (((abs(l1) + abs(l2)) + abs(l3)) + abs(l4)))))
+        a, b, c, d = (l1 + l4) / denom, (l2 + l3) / denom, (l2 - l3) / denom, (l1 - l4) / denom
+        if not np.isfinite(((a + b) + c) + d)[~zero].all():
+            raise OverflowError("an image is not finite")
         zr, zi, m, q = x[2::2], x[3::2], np.array(moduli[2:]), np.array([c, d])  # c, d rows
         pr = np.where(m == 0.0, 1.0, (zr + zi * 0.0) / m)  # z / |z| as Python divides, or 1
         pi = np.where(m == 0.0, 0.0, (zi - zr * 0.0) / m)
@@ -329,11 +324,12 @@ def werner(p: float) -> XParams:
 def werner_entanglement_threshold(n: int) -> float:
     """Mixing weight above which the power-map image of a Werner state is entangled.
 
-    Closed form 1 - 4 / (3**(1/n) + 3); equals 1/3 at n = 1 and decreases
-    toward 0 as n grows.
+    Closed form 1 - 4 / (3**(1/n) + 3) = e / (e + 4) with e = 3**(1/n) - 1, which expm1
+    forms without cancelling; equals 1/3 at n = 1 and decreases toward 0 as n grows.
     """
     _check_power(n)
-    return 1.0 - 4.0 / (3.0 ** (1 / n) + 3.0)
+    e = math.expm1(math.log(3.0) * (1 / n))
+    return e / (e + 4.0)
 
 
 def werner_entanglement_threshold_lower(n: int) -> float:

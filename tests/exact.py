@@ -67,3 +67,24 @@ def entropy_exact(weights) -> Decimal:
             w = Decimal(w.numerator) / Decimal(w.denominator)
             total -= w * w.ln()
         return +total
+
+
+def werner_thresholds_exact(n: int) -> tuple[Decimal, Decimal]:
+    """The Werner family's upper and lower entanglement thresholds at power ``n``, to 60 digits.
+
+    With e = 3^(1/n) - 1, summed as the series of expm1(ln 3 / n) so that no digit cancels for
+    large n, the upper threshold 1 - 4 / (3^(1/n) + 3) is e / (e + 4), and the lower one
+    1 + 4 / (3^(1/n) - 3) is (e + 2) / (e - 2).
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        x = Decimal(3).ln() / n
+        e, term, k = Decimal(0), Decimal(1), 0
+        while True:
+            k += 1
+            term = term * x / k
+            if e + term == e:
+                break
+            e += term
+        ctx.prec = DIGITS
+        return +(e / (e + 4)), +((e + 2) / (e - 2))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,15 @@ print("env {}")
 print("rows_per_krefop = 1.5 1/krefop")
 print(json.dumps({"correct": True, "argv": sys.argv[1:]}))
 sys.exit(seed == "13")
+"""
+
+# A stand-in that prints two metrics, each a function of the seed.
+METRICS_STUB = """\
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print(json.dumps({"correct": True, "metrics": {
+    "rows_per_krefop": {"value": 1000.0 / seed, "unit": "1/krefop"},
+    "peak_rss_mb": {"value": seed + 0.25, "unit": "MB"}}}))
 """
 
 pytestmark = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
@@ -90,3 +100,28 @@ def test_a_failed_run_or_a_torn_file_records_nothing(recorder, capsys):
     out.write_bytes(b'{"earlier": 1}')  # no newline at its end
     assert tool.main(argv(checkout, 7)) == 1
     assert out.read_bytes() == b'{"earlier": 1}'
+
+
+def test_reports_the_count_median_and_quartiles_of_its_set(recorder, capsys):
+    tool, checkout, out = recorder
+    (checkout / "bench/run.py").write_text(METRICS_STUB)
+    src = tool.tree_hash(checkout, "src")
+    others = [{"label": "parent", "tree": {"src": src}, "seconds": 2.0},  # another label
+              {"label": "change", "tree": {"src": src}, "seconds": 5.0}]  # other seconds
+    out.write_text("".join(json.dumps({**other, "last_line": json.dumps(
+        {"metrics": {"peak_rss_mb": {"value": 1e9}}})}) + "\n" for other in others))
+    seeds = (7, 3, 11)
+    for seed in seeds:
+        assert tool.main(argv(checkout, seed)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "".join(out.read_text().splitlines(keepends=True)[2:])
+    values = {"rows_per_krefop": [1000.0 / seed for seed in seeds],
+              "peak_rss_mb": [seed + 0.25 for seed in seeds]}
+    lines = [f"label 'change', src tree {src}, 2.0 s: 3 records"]
+    for name, xs in values.items():
+        q1, _, q3 = statistics.quantiles(xs, n=4)
+        lines.append(f"  {name}: 3 values, median {statistics.median(xs)!r}, "
+                     f"quartiles {q1!r} {q3!r}")
+    err = captured.err.splitlines()
+    assert err[0] == f"label 'change', src tree {src}, 2.0 s: 1 records"  # the first append's
+    assert err[-3:] == lines

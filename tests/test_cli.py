@@ -1316,12 +1316,30 @@ POWER_OVERFLOWS = {
 }
 
 
+# On the scalar path, on the columnar path in one process, where the block power map refuses
+# the block and the scalar chain makes it again, and pooled.
 @pytest.mark.parametrize("name", sorted(k for k in HOSTILE if "_power" in k))
-def test_overflowing_power_names_the_state_and_the_power(name, capsys):
-    code, out, err = run(capsys, *HOSTILE[name][0])
-    assert (code, out) == (1, "")
-    assert err == f"error: OverflowError: an eigenvalue of {POWER_OVERFLOWS[name]} is not finite\n"
-    assert "(34," not in err
+def test_overflowing_power_names_the_state_and_the_power(name, capsys, monkeypatch):
+    want = f"error: OverflowError: an eigenvalue of {POWER_OVERFLOWS[name]} is not finite\n"
+    assert run(capsys, *HOSTILE[name][0]) == (1, "", want)
+    force_pools(monkeypatch, cpus=1)
+    assert run(capsys, *HOSTILE[name][0]) == (1, "", want)
+    force_pools(monkeypatch)
+    assert run(capsys, *HOSTILE[name][0]) == (1, "", want)
+
+
+def test_a_refused_pooled_sweep_names_the_state_and_the_power(capsys, monkeypatch):
+    argv = ["sweep-cd", "--a", "1e300", "--b", "1e300", "--steps", "101", "--n-list", "2,3"]
+    want = (1, "", "error: OverflowError: an eigenvalue of XParams(a=1e+300, b=1e+300, c=0j,"
+                   " d=0j) to the power 2 is not finite\n")
+    started = force_pools(monkeypatch, from_cells=None)  # 81,608 cells: columnar and pooled
+    assert run(capsys, *argv) == want
+    assert len(started) == 1
+    assert_reaped(started)
+    force_pools(monkeypatch, from_cells=None, cpus=1)
+    assert run(capsys, *argv) == want
+    force_pools(monkeypatch, from_cells=1 << 62)  # the scalar path
+    assert run(capsys, *argv) == want
 
 
 def test_workers_report_the_first_failing_power_in_list_order(capsys, monkeypatch):

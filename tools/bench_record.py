@@ -17,6 +17,10 @@ with one write and never rewritten.  It holds:
   (``--order 1`` for the run that came first in its pair);
 * ``env``: ``nproc``, the CPU model, and the Python and numpy versions.
 
+After appending, it writes to stderr the count, median and quartiles (``statistics``'
+defaults) of each end-to-end metric over the set that the new record belongs to: the file's
+records with its label, ``src/`` tree hash and seconds.  Its stdout is the record's line.
+
 Compare records taken close together in time: a shared host can change speed within minutes.
 """
 
@@ -28,6 +32,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +87,26 @@ def environment() -> dict:
             "numpy": numpy_version}
 
 
+def report(out: Path, record: dict) -> None:
+    """Write to stderr the count, median and quartiles of each metric of ``record``'s set."""
+    key = (record["label"], record["tree"]["src"], record["seconds"])
+    values: dict[str, list[float]] = {}
+    count = 0
+    for line in out.read_text(encoding="utf-8").splitlines():
+        other = json.loads(line)
+        if (other.get("label"), other.get("tree", {}).get("src"), other.get("seconds")) != key:
+            continue
+        count += 1
+        for name, metric in json.loads(other["last_line"]).get("metrics", {}).items():
+            values.setdefault(name, []).append(metric["value"])
+    print(f"label {key[0]!r}, src tree {key[1]}, {key[2]!r} s: {count} records",
+          file=sys.stderr)
+    for name, xs in values.items():
+        q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+        print(f"  {name}: {len(xs)} values, median {statistics.median(xs)!r},"
+              f" quartiles {q1!r} {q3!r}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -115,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(out, "a", encoding="utf-8") as fh:
         fh.write(line)
     print(line, end="")
+    report(out, record)
     return 0
 
 
